@@ -601,71 +601,6 @@ impl Component for Crossbar {
         }
         Ok(())
     }
-
-    fn max_batch(&self, now: Cycle) -> Option<Cycle> {
-        // Each of the crossbar's due states sustains a provable stretch
-        // of due-ness on its own, independent of anything arriving
-        // mid-window; the window is the longest of them.
-        let mut w: Cycle = 0;
-
-        // Queued slave response beats: each lane collects one per
-        // cycle (the crossbar is the sole consumer, so the FIFO's
-        // one-pop-per-cycle limit is all ours) — occupancy `o` keeps
-        // the lane busy `o` cycles. Each collected beat re-emerges on
-        // a master's response pipe `resp_latency` later and the pipe
-        // head then stays ready (a blocked delivery retries, which is
-        // still due), so when `o >= resp_latency` the delivery stretch
-        // seamlessly extends the collect stretch by `resp_latency`.
-        // Only lanes with an outstanding transaction or a pipelined
-        // request can contribute: legal response beats imply a
-        // scoreboard entry, and the req-pipe term needs the pipe
-        // non-empty. The mask walk skips the (usual) idle lanes.
-        let mut mask = self.sb_mask | self.req_pipe_mask;
-        while mask != 0 {
-            let si = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let s = &self.slaves[si];
-            let o = s.port.resp.len() as Cycle;
-            if o >= self.resp_latency {
-                w = w.max(o + self.resp_latency);
-            } else {
-                w = w.max(o);
-            }
-            // In-flight requests whose ready times form a gapless run
-            // from `now`: item `i` of the pipe is ready by `now + i`
-            // (deliveries run at most one per cycle, so the head index
-            // at `now + i` is at most `i`), keeping the head ready —
-            // and the crossbar due — through the prefix.
-            let mut q: Cycle = 0;
-            for d in &s.req_pipe {
-                if d.ready_at <= now + q {
-                    q += 1;
-                } else {
-                    break;
-                }
-            }
-            w = w.max(q);
-        }
-
-        for m in &self.masters {
-            // Queued master requests: the port FIFO drains at most one
-            // per cycle, so it stays non-empty — and the crossbar due —
-            // for at least its occupancy. Arbitration stalls only
-            // lengthen that, so no request-latency chaining is claimed.
-            w = w.max(m.port.req.len() as Cycle);
-            // Gapless-ready response prefix, same shape as `req_pipe`.
-            let mut p: Cycle = 0;
-            for d in &m.resp_pipe {
-                if d.ready_at <= now + p {
-                    p += 1;
-                } else {
-                    break;
-                }
-            }
-            w = w.max(p);
-        }
-        (w > 0).then_some(w)
-    }
 }
 
 /// A simple RAM slave used by interconnect tests and small systems

@@ -106,17 +106,6 @@ impl Component for StreamIsolator {
         rvcap_sim::WakePolicy::Wired
     }
 
-    fn max_batch(&self, _now: rvcap_sim::Cycle) -> Option<rvcap_sim::Cycle> {
-        // Due exactly while beats are queued, coupled or not: a
-        // decoupled tick counts a blocked cycle, a coupled one forwards
-        // at most one beat. A decouple flip mid-window only changes
-        // *which* of those each tick does, so the queued occupancy
-        // bounds the promise regardless of the gate or downstream
-        // backpressure.
-        let o = self.input.len();
-        (o > 0).then_some(o as rvcap_sim::Cycle)
-    }
-
     fn save_state(&self) -> Option<StateBlob> {
         // The decouple signal is saved by its driver (RP_CTRL or the
         // test harness), not by the isolator that merely reads it.

@@ -23,8 +23,6 @@
 //!   mode* (DMA → ICAP) vs *acceleration mode* (DMA → RM).
 //! * [`isolator`] — PR decoupling: gates all traffic crossing the
 //!   static/reconfigurable boundary while a partial bitstream loads.
-//! * [`monitor`] — passive protocol checkers (framing invariants,
-//!   deadlock detection) for wiring onto suspect links in tests.
 //! * [`sanitizer`] — payload descriptions and wiring helpers teaching
 //!   `rvcap-sim`'s bus sanitizer the AXI vocabulary (stream framing,
 //!   transaction pairing, decouple gating).
@@ -46,7 +44,6 @@
 pub mod crossbar;
 pub mod isolator;
 pub mod mm;
-pub mod monitor;
 pub mod protocol;
 pub mod regmap;
 pub mod sanitizer;
@@ -57,7 +54,6 @@ pub mod width;
 pub use crossbar::{Crossbar, SlaveRegion};
 pub use isolator::{MmIsolator, StreamIsolator};
 pub use mm::{MasterPort, MmOp, MmReq, MmResp, SlavePort};
-pub use monitor::StreamMonitor;
 pub use regmap::{Access, Decoded, RegDef, RegisterFile, RegisterMap};
 pub use sanitizer::{watch_mm_link, watch_stream, watch_stream_gated};
 pub use stream::{AxisBeat, AxisChannel};

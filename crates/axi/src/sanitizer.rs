@@ -13,10 +13,8 @@
 //! * [`watch_mm_link`] — a request/response port pair as one tracked
 //!   link with an advertised maximum burst length.
 //!
-//! The companion ticked component [`crate::monitor::StreamMonitor`]
-//! still exists for targeted, panic-on-violation probes spliced into a
-//! single link; the sanitizer is the always-on, whole-system layer
-//! that records instead of panicking and costs zero simulated cycles.
+//! The sanitizer is the always-on, whole-system protocol checker: it
+//! records instead of panicking and costs zero simulated cycles.
 
 use rvcap_sim::sanitizer::{ChannelKind, Payload, PayloadMeta, Sanitizer};
 use rvcap_sim::{Fifo, Signal};

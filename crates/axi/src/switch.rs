@@ -115,14 +115,6 @@ impl Component for StreamSwitch {
         rvcap_sim::WakePolicy::Wired
     }
 
-    fn max_batch(&self, _now: rvcap_sim::Cycle) -> Option<rvcap_sim::Cycle> {
-        // Due exactly while the input is non-empty; at most one beat
-        // forwards per cycle, and a stalled route (unrouted select or
-        // full output) keeps the queue — and the due stretch — intact.
-        let occ = self.input.len();
-        (occ > 0).then_some(occ as rvcap_sim::Cycle)
-    }
-
     fn save_state(&self) -> Option<StateBlob> {
         // The select signal is driven (and saved) by its writer — the
         // switch controller or the test harness — not by the switch.

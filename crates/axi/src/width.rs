@@ -118,14 +118,6 @@ impl Component for Narrower {
         rvcap_sim::WakePolicy::Wired
     }
 
-    fn max_batch(&self, _now: rvcap_sim::Cycle) -> Option<rvcap_sim::Cycle> {
-        // The carry (if any) takes one due cycle; each queued input
-        // beat then takes at least one (two when it splits, and a
-        // blocked output only stretches the due stretch further).
-        let w = usize::from(self.carry.is_some()) + self.input.len();
-        (w > 0).then_some(w as rvcap_sim::Cycle)
-    }
-
     fn save_state(&self) -> Option<StateBlob> {
         let mut b = StateBlob::new("axi.narrower", 1);
         b.put("input", self.input.save_state());
@@ -223,15 +215,6 @@ impl Component for Widener {
         // The hint depends only on input emptiness.
         self.input.subscribe_wake(waker.clone());
         rvcap_sim::WakePolicy::Wired
-    }
-
-    fn max_batch(&self, _now: rvcap_sim::Cycle) -> Option<rvcap_sim::Cycle> {
-        // Due exactly while the input is non-empty; at most one pop per
-        // cycle, so the current occupancy is a safe window. The
-        // buffered half contributes nothing: it moves only when a
-        // partner beat arrives.
-        let occ = self.input.len();
-        (occ > 0).then_some(occ as rvcap_sim::Cycle)
     }
 
     fn save_state(&self) -> Option<StateBlob> {

@@ -1,16 +1,17 @@
-//! Fused-window parity over the real stream datapath.
+//! Scheduler parity over the real stream datapath.
 //!
 //! A DMA-shaped source feeds a `StreamIsolator` (its decouple gate
 //! toggled on a random schedule), a 64→32 `Narrower`, a 32→64
 //! `Widener`, and a sink with a random run/stall backpressure pattern
 //! — the DMA→ICAP chain's scheduling shape with every disturbance the
-//! fused scheduler must survive: backpressure, TLAST framing, and
-//! decouple flips. Each configuration runs under all five kernel
-//! schedules; stream fusion may only trade host time, so the sink's
-//! `(cycle, beat)` log, the mid-flight channel snapshot, the lifetime
-//! FIFO totals and leftovers, the sanitizer verdicts (including the
-//! gated-channel decouple rule), and the per-component tick accounting
-//! must be identical to per-cycle scheduling.
+//! active-set scheduler's hint skips, wake wiring and firm promises
+//! must survive: backpressure, TLAST framing, and decouple flips. Each
+//! configuration runs under both kernel schedules; the active set may
+//! only trade host time, so the sink's `(cycle, beat)` log, the
+//! mid-flight channel snapshot, the lifetime FIFO totals and
+//! leftovers, and the sanitizer verdicts (including the gated-channel
+//! decouple rule) must be identical to the naive reference, and the
+//! active set may only skip ticks the naive schedule runs as no-ops.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -21,32 +22,6 @@ use rvcap_axi::{AxisBeat, AxisChannel, Narrower, StreamIsolator, Widener};
 use rvcap_sim::component::{Component, TickCtx};
 use rvcap_sim::sanitizer::Sanitizer;
 use rvcap_sim::{Cycle, Fifo, Freq, Scheduler, Signal, Simulator, WakePolicy, Waker};
-
-/// The five kernel configurations the host-perf harness measures.
-const MODES: [&str; 5] = ["naive", "scan", "active_set", "active_set_batched", "fused"];
-
-fn apply_mode(sim: &mut Simulator, mode: &str) {
-    match mode {
-        "naive" => sim.set_scheduler(Scheduler::Naive),
-        "scan" => sim.set_scheduler(Scheduler::Scan),
-        "active_set" => {
-            sim.set_scheduler(Scheduler::ActiveSet);
-            sim.set_batching(false);
-            sim.set_fusion(false);
-        }
-        "active_set_batched" => {
-            sim.set_scheduler(Scheduler::ActiveSet);
-            sim.set_batching(true);
-            sim.set_fusion(false);
-        }
-        "fused" => {
-            sim.set_scheduler(Scheduler::ActiveSet);
-            sim.set_batching(true);
-            sim.set_fusion(true);
-        }
-        _ => unreachable!("unknown mode {mode}"),
-    }
-}
 
 /// Gapless DMA-shaped source: one prepared beat per cycle.
 struct BeatSource {
@@ -83,19 +58,10 @@ impl Component for BeatSource {
     fn wake_sources(&self, _waker: &Waker) -> WakePolicy {
         WakePolicy::Wired
     }
-
-    fn max_batch(&self, _now: Cycle) -> Option<Cycle> {
-        // Pushes (or retries against a full channel — still due) every
-        // cycle until the prepared beats run out.
-        let left = (self.beats.len() - self.next) as Cycle;
-        (left > 0).then_some(left)
-    }
 }
 
-/// Flips the decouple signal at each scheduled cycle. Its pending
-/// deadline sits in the kernel's heap, so every negotiated window is
-/// truncated before a flip — the flip itself always runs through the
-/// per-cycle sweep.
+/// Flips the decouple signal at each scheduled cycle; its pending
+/// deadline sits in the kernel's wake heap.
 struct Toggler {
     decouple: Signal<bool>,
     at: Vec<Cycle>,
@@ -178,22 +144,11 @@ impl Component for BpSink {
         self.input.subscribe_wake(waker.clone());
         WakePolicy::Wired
     }
-
-    fn max_batch(&self, now: Cycle) -> Option<Cycle> {
-        // Due while the current run continues and beats are queued:
-        // one pop per cycle, so the smaller of the two bounds the
-        // promise regardless of what arrives upstream.
-        if now < self.resume_at {
-            return None;
-        }
-        let w = (self.run_left as Cycle).min(self.input.len() as Cycle);
-        (w > 0).then_some(w)
-    }
 }
 
 /// Captures `(occupancy, head)` of every channel at one exact cycle —
-/// a mid-flight FIFO-content observation that must not depend on how
-/// the kernel grouped the surrounding cycles.
+/// a mid-flight FIFO-content observation that must not depend on which
+/// surrounding ticks the kernel skipped.
 type Snapshot = Vec<(usize, Option<AxisBeat>)>;
 
 struct Probe {
@@ -288,13 +243,13 @@ struct Observed {
 }
 
 /// `(ticks_executed, cycles_skipped)` per component, registration
-/// order — identical between the hint-driven schedules only.
+/// order.
 type TickCounts = Vec<(u64, u64)>;
 
-fn run(cfg: &Config, mode: &str) -> (Observed, TickCounts, u64) {
+fn run(cfg: &Config, scheduler: Scheduler) -> (Observed, TickCounts) {
     const HORIZON: Cycle = 50_000;
     let mut sim = Simulator::new(Freq::FABRIC_100MHZ);
-    apply_mode(&mut sim, mode);
+    sim.set_scheduler(scheduler);
     let sanitizer = Sanitizer::new();
     sim.attach_sanitizer(sanitizer.clone());
 
@@ -380,55 +335,18 @@ fn run(cfg: &Config, mode: &str) -> (Observed, TickCounts, u64) {
             .iter()
             .map(|c| (c.ticks_executed, c.cycles_skipped))
             .collect(),
-        stats.fused_windows,
     )
-}
-
-/// A deep pre-cycle-0 backlog with an idle sink makes the very first
-/// negotiation succeed: source and isolator fuse over the preload.
-/// This pins the test's subject — if fusion never engaged, the parity
-/// assertions below would be comparing five identical per-cycle runs.
-#[test]
-fn fused_windows_engage_on_deep_backlog() {
-    let mut lasts = vec![false; 320];
-    for (i, l) in lasts.iter_mut().enumerate() {
-        *l = i % 32 == 31 || i == 319;
-    }
-    let cfg = Config {
-        lasts,
-        preload: 48,
-        toggles: vec![],
-        pattern: vec![(64, 0)],
-        caps: (8, 8, 8),
-        snap: 400,
-    };
-    let (active, active_ticks, _) = run(&cfg, "active_set");
-    let (fused, fused_ticks, windows) = run(&cfg, "fused");
-    assert!(
-        windows > 0,
-        "fusion never engaged — the test lost its subject"
-    );
-    assert_eq!(active, fused);
-    assert_eq!(active_ticks, fused_ticks);
-    assert_eq!(fused.violations, 0, "{:?}", fused.log.len());
-    assert_eq!(fused.leftovers, vec![0; 4], "stream fully drained");
 }
 
 proptest! {
     #[test]
-    fn fused_matches_per_cycle_across_the_datapath(cfg in config_strategy()) {
-        let (naive, naive_ticks, _) = run(&cfg, MODES[0]);
-        let (scan, scan_ticks, _) = run(&cfg, MODES[1]);
-        let (active, active_ticks, _) = run(&cfg, MODES[2]);
-        let (batched, batched_ticks, _) = run(&cfg, MODES[3]);
-        let (fused, fused_ticks, _) = run(&cfg, MODES[4]);
+    fn active_set_matches_naive_across_the_datapath(cfg in config_strategy()) {
+        let (naive, naive_ticks) = run(&cfg, Scheduler::Naive);
+        let (active, active_ticks) = run(&cfg, Scheduler::ActiveSet);
 
-        // Observations: identical across all five schedules.
-        prop_assert_eq!(&naive, &scan);
         prop_assert_eq!(&naive, &active);
-        prop_assert_eq!(&naive, &batched);
-        prop_assert_eq!(&naive, &fused);
         prop_assert_eq!(naive.violations, 0, "clean datapaths must stay clean");
+        prop_assert_eq!(&naive.leftovers, &vec![0; 4], "stream fully drained");
 
         // TLAST framing survives end to end: the sink sees exactly the
         // source packet boundaries (preload included).
@@ -437,14 +355,10 @@ proptest! {
             + (0..cfg.preload).filter(|i| i % 7 == 6).count();
         prop_assert_eq!(tlasts, expected_tlasts);
 
-        // Tick accounting: the hint-driven schedules execute identical
-        // tick sets; naive additionally runs every no-op, so only its
-        // per-component totals line up.
-        prop_assert_eq!(&scan_ticks, &active_ticks);
-        prop_assert_eq!(&scan_ticks, &batched_ticks);
-        prop_assert_eq!(&scan_ticks, &fused_ticks);
+        // Tick accounting: naive additionally runs every no-op, so only
+        // the per-component totals line up.
         for (i, (&(nt, ns), &(ht, hs))) in
-            naive_ticks.iter().zip(&fused_ticks).enumerate()
+            naive_ticks.iter().zip(&active_ticks).enumerate()
         {
             prop_assert_eq!(nt + ns, ht + hs, "component {} total cycles diverged", i);
             prop_assert!(ht <= nt, "component {} executed extra ticks", i);

@@ -13,6 +13,7 @@ use std::time::{Duration, Instant};
 use rvcap_bench::{paper_soc, report, runner};
 use rvcap_core::drivers::DmaMode;
 use rvcap_fabric::rp::RpGeometry;
+use rvcap_sim::Scheduler;
 
 /// One sweep point, both controllers. Self-contained so points run on
 /// worker threads (each builds its own simulator — the sim is
@@ -36,14 +37,14 @@ fn run_point(g: RpGeometry) -> Point {
 }
 
 /// Wall-clock the paper-RP point (RV-CAP reconfiguration followed by
-/// the HWICAP baseline) with idle fast-forward on or off. Returns the
-/// host time, both simulated tick counts (which must not depend on the
-/// setting), and the kernel accounting of the HWICAP run.
-fn time_paper_point(fast_forward: bool) -> (Duration, u64, u64, runner::HwIcapRun) {
+/// the HWICAP baseline) under `scheduler`. Returns the host time, both
+/// simulated tick counts (which must not depend on the scheduler), and
+/// the kernel accounting of the HWICAP run.
+fn time_paper_point(scheduler: Scheduler) -> (Duration, u64, u64, runner::HwIcapRun) {
     let start = Instant::now();
     let rv =
-        runner::reconfigure_rvcap_ff(paper_soc::rvcap_rig(), DmaMode::NonBlocking, fast_forward);
-    let hw = runner::reconfigure_hwicap_ff(paper_soc::rvcap_rig(), 16, fast_forward);
+        runner::reconfigure_rvcap_sched(paper_soc::rvcap_rig(), DmaMode::NonBlocking, scheduler);
+    let hw = runner::reconfigure_hwicap_sched(paper_soc::rvcap_rig(), 16, scheduler);
     (start.elapsed(), rv.timing.tr_ticks, hw.ticks, hw)
 }
 
@@ -127,8 +128,8 @@ fn main() {
     // Idle fast-forward: same simulated cycles, less host time. The
     // HWICAP run in particular spends most of its cycles waiting out
     // the AXI-Lite adapter pipes, which the kernel now jumps over.
-    let (t_off, tr_off, hw_off, _) = time_paper_point(false);
-    let (t_on, tr_on, hw_on, hw_run) = time_paper_point(true);
+    let (t_off, tr_off, hw_off, _) = time_paper_point(Scheduler::Naive);
+    let (t_on, tr_on, hw_on, hw_run) = time_paper_point(Scheduler::ActiveSet);
     assert_eq!(
         (tr_off, hw_off),
         (tr_on, hw_on),

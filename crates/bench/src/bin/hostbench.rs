@@ -6,29 +6,27 @@
 //! campaigns the harness can afford. This binary makes that number
 //! visible and regression-proof:
 //!
-//! * each rig runs under all five [`SchedulerMode`]s (naive reference,
-//!   the PR 1 full-scan fast-forward, the active-set scheduler,
-//!   active-set + batched streaming ticks, and full stream fusion —
-//!   the default kernel configuration);
-//! * simulated cycle counts are asserted identical across modes (the
-//!   schedulers may only trade host time, never timing);
-//! * the fused rows are checked against a generous pinned cycles/sec
-//!   floor, so a >5x host-performance regression fails CI while
-//!   ordinary machine-to-machine variance does not;
+//! * each rig runs under both kernel [`Scheduler`]s (the naive
+//!   tick-everything reference and the default active set);
+//! * simulated cycle counts are asserted identical across schedulers
+//!   (they may only trade host time, never timing);
+//! * the active_set rows are checked against a generous pinned
+//!   cycles/sec floor, so a >5x host-performance regression fails CI
+//!   while ordinary machine-to-machine variance does not;
 //! * when a committed `BENCH_hostbench.json` baseline is present, each
-//!   fused row is additionally gated against it with host-speed
-//!   normalization: the baseline's fused row is rescaled by this
-//!   machine's active_set/baseline-active_set ratio, and a >20% drop
-//!   fails. Absolute floors catch catastrophic breakage on any
-//!   machine; the normalized gate catches the slow bleed a generous
-//!   floor misses.
+//!   active_set row is additionally gated against it with host-speed
+//!   normalization: the baseline's active_set row is rescaled by the
+//!   rig's naive/baseline-naive ratio (the two rows' samples
+//!   interleave), and a >20% drop fails. Absolute floors catch
+//!   catastrophic breakage on any machine; the normalized gate catches
+//!   the slow bleed a generous floor misses.
 //!
 //! Each rig builds its SoC **once**: the prototype is checkpointed
-//! post-boot and every mode × sample measurement is a warm-boot fork
+//! post-boot and every scheduler × sample measurement is a warm-boot fork
 //! from that snapshot (restore + stats reset) rather than a fresh
 //! build-and-boot — the replay-parity suite proves forked runs are
 //! bit-identical to cold boots, and the harness re-asserts the
-//! simulated cycle counts across repetitions and modes.
+//! simulated cycle counts across repetitions and schedulers.
 //!
 //! The default is a median of three samples per row — cheap enough
 //! for CI now that samples fork instead of rebooting, and robust
@@ -44,7 +42,7 @@
 //! triage run must not overwrite the committed full-grid record with
 //! a one-row report.
 
-use rvcap_bench::hostbench::{measure_rig_forked, RigPerf, SchedulerMode};
+use rvcap_bench::hostbench::{measure_rig_forked, scheduler_name, RigPerf, SCHEDULERS};
 use rvcap_bench::{paper_soc, report, runner};
 use rvcap_core::drivers::DmaMode;
 use rvcap_core::system::{RvCapSoc, SocBuilder};
@@ -52,9 +50,10 @@ use rvcap_fabric::bitstream::BitstreamBuilder;
 use rvcap_fabric::resources::Resources;
 use rvcap_fabric::rm::{RmImage, RmLibrary};
 use rvcap_fabric::rp::RpGeometry;
+use rvcap_sim::Scheduler;
 
-/// Generous pinned cycles/sec floors for the `fused` rows (the
-/// default kernel configuration), ~5x below what a modest 2020s
+/// Generous pinned cycles/sec floors for the `active_set` rows (the
+/// default kernel schedule), ~5x below what a modest 2020s
 /// laptop core measures (see EXPERIMENTS.md for reference numbers).
 /// A violation means the scheduler lost most of its advantage, not
 /// that the host is slow.
@@ -67,7 +66,7 @@ const FLOORS: &[(&str, f64)] = &[
     ("hwicap_multi_rp", 15_000_000.0),
 ];
 
-/// Maximum tolerated drop of a fused row against the committed
+/// Maximum tolerated drop of an active_set row against the committed
 /// baseline after host-speed normalization.
 const BASELINE_TOLERANCE: f64 = 0.8;
 
@@ -110,8 +109,8 @@ const RIGS: &[Rig] = &[
 /// partitions whose isolators and module hosts are registered but idle
 /// during the timed RP0 reconfiguration. This is the shape the
 /// active-set scheduler targets — per-cycle work proportional to the
-/// handful of *active* components, where the full-scan fast-forward
-/// pays a hint query per *registered* component on every stepped cycle.
+/// handful of *active* components, where the naive schedule pays a
+/// tick per *registered* component on every cycle.
 fn multi_rp_rig() -> paper_soc::PaperRig {
     let mut rps = vec![RpGeometry::paper_rp()];
     rps.extend((1..12).map(|_| RpGeometry::scaled(2, 0, 0)));
@@ -119,11 +118,8 @@ fn multi_rp_rig() -> paper_soc::PaperRig {
 }
 
 /// The deep-elasticity ablation: the paper transfer with 64-deep
-/// stream FIFOs on the DMA→ICAP datapath. With the default shallow
-/// skid buffers the steady state caps fused windows at the FIFO
-/// occupancy (a handful of cycles); 64-deep buffers let the fused
-/// scheduler retire whole bursts per window, which is where bulk-beat
-/// execution shows its full separation from solo batching.
+/// stream FIFOs on the DMA→ICAP datapath instead of the default
+/// shallow skid buffers.
 fn deep_rig() -> paper_soc::PaperRig {
     paper_soc::rig_with_builder(
         SocBuilder::new().with_stream_depth(64),
@@ -154,18 +150,18 @@ fn staging_soc() -> RvCapSoc {
 
 /// Measure one rig under every requested scheduler from a single
 /// warm-boot prototype: the SoC is built, booted, and staged **once**,
-/// checkpointed, and every mode × sample measurement forks from that
+/// checkpointed, and every scheduler × sample measurement forks from that
 /// snapshot — a restore into the same structure plus
 /// [`reset_stats`](rvcap_sim::Simulator::reset_stats), so per-run tick
 /// accounting covers only the measured phase. Checkpoints are
 /// scheduler-portable (`checkpoint_is_scheduler_portable` in
-/// `tests/replay_parity.rs`), so one snapshot serves all five modes,
+/// `tests/replay_parity.rs`), so one snapshot serves both schedulers,
 /// and the replay-parity suite proves each forked run is bit-identical
 /// to a cold boot — the numbers stay comparable with older cold-boot
 /// records.
 fn warm_grid<S>(
     name: &'static str,
-    modes: &[SchedulerMode],
+    schedulers: &[Scheduler],
     samples: usize,
     profile: bool,
     mut proto: S,
@@ -176,40 +172,26 @@ fn warm_grid<S>(
         .core
         .checkpoint()
         .expect("post-boot checkpoint");
-    let results = modes
-        .iter()
-        .map(|&mode| {
-            mode.apply(&mut soc_of(&mut proto).core.sim);
-            // One sample for the naive reference: a single naive
-            // `hwicap_multi_rp` sample costs seconds of wall time, and
-            // the row only anchors the speedup ratios — the regression
-            // gates read the fused rows, which keep the full median.
-            let mode_samples = if mode == SchedulerMode::Naive {
-                1
-            } else {
-                samples
-            };
-            measure_rig_forked(
-                name,
-                mode,
-                mode_samples,
-                &mut proto,
-                |p| {
-                    let core = &mut soc_of(p).core;
-                    core.restore(&base).expect("warm-boot fork");
-                    core.sim.reset_stats();
-                },
-                &mut run,
-            )
-        })
-        .collect();
+    let results = measure_rig_forked(
+        name,
+        schedulers,
+        samples,
+        &mut proto,
+        |p, scheduler| {
+            let core = &mut soc_of(p).core;
+            core.sim.set_scheduler(scheduler);
+            core.restore(&base).expect("warm-boot fork");
+            core.sim.reset_stats();
+        },
+        &mut run,
+    );
     // The profiled pass runs after (and outside) every timed row: the
     // clock reads it inserts around each tick would pollute wall-time
     // medians, so attribution gets its own fork under the default
-    // kernel configuration.
+    // active-set schedule.
     let stats = profile.then(|| {
         let core = &mut soc_of(&mut proto).core;
-        SchedulerMode::Fused.apply(&mut core.sim);
+        core.sim.set_scheduler(Scheduler::ActiveSet);
         core.restore(&base).expect("warm-boot fork");
         core.sim.reset_stats();
         core.sim.set_profiling(true);
@@ -231,14 +213,14 @@ fn soc_ident(soc: &mut RvCapSoc) -> &mut RvCapSoc {
 
 fn measure_all(
     name: &'static str,
-    modes: &[SchedulerMode],
+    schedulers: &[Scheduler],
     samples: usize,
     profile: bool,
 ) -> (Vec<RigPerf>, Option<rvcap_sim::KernelStats>) {
     match name {
         "rvcap_paper" => warm_grid(
             name,
-            modes,
+            schedulers,
             samples,
             profile,
             paper_soc::rvcap_rig(),
@@ -248,13 +230,21 @@ fn measure_all(
                 rig.soc.core.now()
             },
         ),
-        "rvcap_deep" => warm_grid(name, modes, samples, profile, deep_rig(), rig_soc, |rig| {
-            runner::reconfigure_rvcap_in_place(rig, DmaMode::NonBlocking);
-            rig.soc.core.now()
-        }),
+        "rvcap_deep" => warm_grid(
+            name,
+            schedulers,
+            samples,
+            profile,
+            deep_rig(),
+            rig_soc,
+            |rig| {
+                runner::reconfigure_rvcap_in_place(rig, DmaMode::NonBlocking);
+                rig.soc.core.now()
+            },
+        ),
         "hwicap_paper" => warm_grid(
             name,
-            modes,
+            schedulers,
             samples,
             profile,
             paper_soc::rvcap_rig(),
@@ -266,7 +256,7 @@ fn measure_all(
         ),
         "hwicap_small" => warm_grid(
             name,
-            modes,
+            schedulers,
             samples,
             profile,
             paper_soc::rig_with_geometry(RpGeometry::scaled(2, 0, 0)),
@@ -278,7 +268,7 @@ fn measure_all(
         ),
         "hwicap_multi_rp" => warm_grid(
             name,
-            modes,
+            schedulers,
             samples,
             profile,
             multi_rp_rig(),
@@ -290,7 +280,7 @@ fn measure_all(
         ),
         "sd_staging" => warm_grid(
             name,
-            modes,
+            schedulers,
             samples,
             profile,
             staging_soc(),
@@ -311,39 +301,24 @@ fn measure_all(
     }
 }
 
-/// Per-rig speedup summary derived from the measured rows. The
-/// headline ratios compare the fused configuration (the kernel
-/// default) against the reference schedulers.
+/// Per-rig speedup summary derived from the measured rows.
 struct Summary {
     rig: String,
     naive_cps: f64,
-    scan_cps: f64,
     active_set_cps: f64,
-    active_set_batched_cps: f64,
-    fused_cps: f64,
-    /// Stream fusion over the PR 1 fast-forward baseline.
-    speedup_vs_scan: f64,
-    /// Stream fusion over the naive reference.
+    /// The active set over the naive reference.
     speedup_vs_naive: f64,
-    /// Stream fusion over solo batching (the PR 4 configuration) —
-    /// what multi-component windows buy on top of solo bulk ticks.
-    fused_vs_batched: f64,
 }
 rvcap_bench::impl_json_struct!(Summary {
     rig,
     naive_cps,
-    scan_cps,
     active_set_cps,
-    active_set_batched_cps,
-    fused_cps,
-    speedup_vs_scan,
-    speedup_vs_naive,
-    fused_vs_batched
+    speedup_vs_naive
 });
 
 /// One component's share of a rig's profiled tick cost
 /// (`--profile`): host nanoseconds spent inside its `tick` calls
-/// during a single fused-mode pass over the rig's measured phase.
+/// during a single active-set pass over the rig's measured phase.
 struct ProfileRow {
     rig: String,
     component: String,
@@ -407,30 +382,19 @@ fn parse_baseline(json: &str) -> Vec<(String, String, f64)> {
 fn render_markdown(summary: &[Summary], samples: usize) -> String {
     let mut md = String::from(
         "## Host performance (simulated cycles/sec)\n\n\
-         | rig | naive | scan | active_set | +batching | fused | fused vs batched | fused vs scan |\n\
-         |---|---:|---:|---:|---:|---:|---:|---:|\n",
+         | rig | naive | active_set | active_set vs naive |\n\
+         |---|---:|---:|---:|\n",
     );
     for s in summary {
         md.push_str(&format!(
-            "| {} | {:.0} | {:.0} | {:.0} | {:.0} | {:.0} | {:.2}x | {:.1}x |\n",
-            s.rig,
-            s.naive_cps,
-            s.scan_cps,
-            s.active_set_cps,
-            s.active_set_batched_cps,
-            s.fused_cps,
-            s.fused_vs_batched,
-            s.speedup_vs_scan
+            "| {} | {:.0} | {:.0} | {:.1}x |\n",
+            s.rig, s.naive_cps, s.active_set_cps, s.speedup_vs_naive
         ));
     }
-    if samples > 1 {
-        md.push_str(&format!(
-            "\nAll rows are the median of {samples} warm-boot forked samples, except \
-             `naive`, which is a single sample: a naive `hwicap_multi_rp` sample \
-             alone costs seconds of wall time, and the column only anchors the \
-             speedup ratios — the regression gates read the `fused` rows.\n"
-        ));
-    }
+    md.push_str(&format!(
+        "\nEvery row is the median of {samples} warm-boot forked sample(s); \
+         the regression gates read the `active_set` rows.\n"
+    ));
     md
 }
 
@@ -438,7 +402,7 @@ fn render_markdown(summary: &[Summary], samples: usize) -> String {
 /// appends to the job summary.
 fn render_profile_markdown(profile: &[ProfileRow]) -> String {
     let mut md = String::from(
-        "## Tick-cost attribution (profiled host time inside tick calls, fused mode)\n",
+        "## Tick-cost attribution (profiled host time inside tick calls, active_set)\n",
     );
     let mut rig = "";
     for row in profile {
@@ -469,7 +433,7 @@ fn render_profile_markdown(profile: &[ProfileRow]) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    // `--profile` adds one profiled fused-mode pass per rig after its
+    // `--profile` adds one profiled active-set pass per rig after its
     // timed rows: per-component host-time attribution, rendered as a
     // tick-cost table, embedded in the JSON, and written to
     // `BENCH_hostbench_profile.md` for the CI job summary.
@@ -496,11 +460,14 @@ fn main() {
         .filter(|(_, a)| *a == "--mode")
         .filter_map(|(i, _)| args.get(i + 1).map(|s| s.as_str()))
         .collect();
-    let modes: Vec<SchedulerMode> = SchedulerMode::ALL
+    let schedulers: Vec<Scheduler> = SCHEDULERS
         .into_iter()
-        .filter(|m| only_modes.is_empty() || only_modes.contains(&m.name()))
+        .filter(|&s| only_modes.is_empty() || only_modes.contains(&scheduler_name(s)))
         .collect();
-    assert!(!modes.is_empty(), "no scheduler matches {only_modes:?}");
+    assert!(
+        !schedulers.is_empty(),
+        "no scheduler matches {only_modes:?}"
+    );
     let filtered = !only.is_empty() || !only_modes.is_empty();
     // A filtered run writes a partial grid; keep it away from the
     // committed full-grid record unless the caller says otherwise.
@@ -516,7 +483,7 @@ fn main() {
                 "BENCH_hostbench.json".into()
             }
         });
-    let full_grid = modes.len() == SchedulerMode::ALL.len();
+    let full_grid = schedulers.len() == SCHEDULERS.len();
     // Snapshot the committed baseline before this run overwrites it.
     let baseline = std::fs::read_to_string("BENCH_hostbench.json")
         .ok()
@@ -531,22 +498,13 @@ fn main() {
     let mut profile_rows: Vec<ProfileRow> = Vec::new();
     for rig in &rigs {
         println!("{} — {}", rig.name, rig.what);
-        let mut cycles = None;
-        let (perfs, stats) = measure_all(rig.name, &modes, samples, profile);
+        // Schedulers trade host time only: `measure_rig_forked`
+        // re-asserts identical simulated cycles across every sample and
+        // scheduler, which also re-checks that warm-boot forking left
+        // no residue.
+        let (perfs, stats) = measure_all(rig.name, &schedulers, samples, profile);
         for perf in perfs {
             println!("  {}", perf.render());
-            // Schedulers trade host time only; simulated timing is
-            // pinned by the parity tests and re-asserted here. Every
-            // row forked from the same post-boot snapshot, so this
-            // also re-checks that warm-boot forking left no residue.
-            match cycles {
-                None => cycles = Some(perf.sim_cycles),
-                Some(c) => assert_eq!(
-                    c, perf.sim_cycles,
-                    "{}: simulated cycles differ across schedulers",
-                    rig.name
-                ),
-            }
             results.push(perf);
         }
         if let Some(stats) = stats {
@@ -564,10 +522,10 @@ fn main() {
         }
     }
 
-    let cps = |rig: &str, mode: SchedulerMode| {
+    let cps = |rig: &str, scheduler: Scheduler| {
         results
             .iter()
-            .find(|r| r.rig == rig && r.scheduler == mode.name())
+            .find(|r| r.rig == rig && r.scheduler == scheduler_name(scheduler))
             .expect("measured above")
             .cycles_per_sec
     };
@@ -575,18 +533,13 @@ fn main() {
         .iter()
         .filter(|_| full_grid)
         .map(|rig| {
-            let batched = cps(rig.name, SchedulerMode::ActiveSetBatched);
-            let fused = cps(rig.name, SchedulerMode::Fused);
+            let naive = cps(rig.name, Scheduler::Naive);
+            let active = cps(rig.name, Scheduler::ActiveSet);
             Summary {
                 rig: rig.name.into(),
-                naive_cps: cps(rig.name, SchedulerMode::Naive),
-                scan_cps: cps(rig.name, SchedulerMode::Scan),
-                active_set_cps: cps(rig.name, SchedulerMode::ActiveSet),
-                active_set_batched_cps: batched,
-                fused_cps: fused,
-                speedup_vs_scan: fused / cps(rig.name, SchedulerMode::Scan),
-                speedup_vs_naive: fused / cps(rig.name, SchedulerMode::Naive),
-                fused_vs_batched: fused / batched,
+                naive_cps: naive,
+                active_set_cps: active,
+                speedup_vs_naive: active / naive,
             }
         })
         .collect();
@@ -594,63 +547,64 @@ fn main() {
     println!();
     for s in &summary {
         println!(
-            "{:<16} fused: {:>12.0} cyc/s = {:.2}x vs batched (PR 4), {:.1}x vs scan (PR 1), {:.1}x vs naive",
-            s.rig, s.fused_cps, s.fused_vs_batched, s.speedup_vs_scan, s.speedup_vs_naive
+            "{:<16} active_set: {:>12.0} cyc/s = {:.1}x vs naive",
+            s.rig, s.active_set_cps, s.speedup_vs_naive
         );
     }
 
-    // Regression gate 1: every fused row must clear its pinned floor.
+    // Regression gate 1: every active_set row must clear its pinned
+    // floor.
     let mut failed = false;
     for (rig, floor) in FLOORS {
         if !full_grid || !rigs.iter().any(|r| r.name == *rig) {
             continue;
         }
-        let got = cps(rig, SchedulerMode::Fused);
+        let got = cps(rig, Scheduler::ActiveSet);
         if got < *floor {
             eprintln!(
-                "FAIL: {rig} fused measured {got:.0} cyc/s, \
+                "FAIL: {rig} active_set measured {got:.0} cyc/s, \
                  below the pinned floor of {floor:.0}"
             );
             failed = true;
         }
     }
 
-    // Regression gate 2: fused rows against the committed baseline,
-    // normalized for host speed. The active_set row is the common
-    // yardstick (no batching, no fusion — pure per-cycle execution),
-    // so `new.active_set / old.active_set` estimates how much faster
-    // or slower this machine is than the one that recorded the
-    // baseline; the fused row must keep within 20% of the baseline
-    // rescaled by that factor.
+    // Regression gate 2: active_set rows against the committed
+    // baseline, normalized for host speed by the same rig's naive row
+    // (no hints, no scheduling decisions — pure per-cycle ticking):
+    // `new.naive / old.naive` estimates how much faster or slower this
+    // machine is than the one that recorded the baseline, and the two
+    // rows' samples interleave, so a transient host slowdown hits both
+    // alike. Equivalently, a rig's active_set-over-naive speedup must
+    // keep within 20% of the baseline's.
     if let (true, Some(rows)) = (full_grid, &baseline) {
-        let old = |rig: &str, mode: SchedulerMode| {
+        let old = |rig: &str, scheduler: Scheduler| {
             rows.iter()
-                .find(|(r, s, _)| r == rig && s == mode.name())
+                .find(|(r, s, _)| r == rig && s == scheduler_name(scheduler))
                 .map(|&(_, _, v)| v)
         };
         for rig in &rigs {
-            let (Some(old_active), Some(old_fused)) = (
-                old(rig.name, SchedulerMode::ActiveSet),
-                old(rig.name, SchedulerMode::Fused),
+            let (Some(old_naive), Some(old_active)) = (
+                old(rig.name, Scheduler::Naive),
+                old(rig.name, Scheduler::ActiveSet),
             ) else {
-                // New rig, or a pre-fusion baseline: nothing to hold
-                // this row against yet.
+                // New rig: nothing to hold this row against yet.
                 continue;
             };
-            if old_active <= 0.0 {
+            if old_naive <= 0.0 {
                 continue;
             }
-            let norm = cps(rig.name, SchedulerMode::ActiveSet) / old_active;
-            let want = BASELINE_TOLERANCE * old_fused * norm;
-            let got = cps(rig.name, SchedulerMode::Fused);
+            let norm = cps(rig.name, Scheduler::Naive) / old_naive;
+            let want = BASELINE_TOLERANCE * old_active * norm;
+            let got = cps(rig.name, Scheduler::ActiveSet);
             if got < want {
                 eprintln!(
-                    "FAIL: {} fused measured {:.0} cyc/s, below {:.0} \
+                    "FAIL: {} active_set measured {:.0} cyc/s, below {:.0} \
                      (baseline {:.0} x host-speed ratio {:.2} x {:.0}% tolerance)",
                     rig.name,
                     got,
                     want,
-                    old_fused,
+                    old_active,
                     norm,
                     BASELINE_TOLERANCE * 100.0
                 );
@@ -676,7 +630,7 @@ fn main() {
     }
     report::dump_json("hostbench", &rep);
 
-    // Only a complete run — every rig, every mode — may (re)write the
+    // Only a complete run — every rig, every scheduler — may (re)write the
     // committed summary: a `--rig`-filtered run used to overwrite it
     // with a one-row table while BENCH_hostbench.json kept the full
     // grid (the committed artifacts disagreed; `summary_matches_json`

@@ -9,6 +9,7 @@
 use rvcap_bench::tables::{table1_run, Table1Run};
 use rvcap_bench::{report, runner};
 use rvcap_core::resources::{hwicap_report, rvcap_report};
+use rvcap_sim::Scheduler;
 
 fn main() {
     let Table1Run {
@@ -17,7 +18,7 @@ fn main() {
         hwicap_stats,
         rvcap_audit,
         hwicap_audit,
-    } = table1_run(true);
+    } = table1_run(Scheduler::ActiveSet);
 
     let table_rows: Vec<Vec<String>> = rows
         .iter()

@@ -7,80 +7,25 @@
 //!   benches (`benches/controllers.rs`, `benches/substrates.rs`):
 //!   warm-up + N timed iterations, median-of-runs, no registry deps.
 //! * The host-performance harness (`bin/hostbench.rs`): measures
-//!   **simulated cycles per host second** per rig and per scheduler
-//!   ([`SchedulerMode`]), the number that caps how many sweeps and
+//!   **simulated cycles per host second** per rig and per
+//!   [`Scheduler`], the number that caps how many sweeps and
 //!   fault campaigns the paper harness can afford. Results land in
 //!   `BENCH_hostbench.json` so the perf trajectory is recorded and
 //!   CI can fail on gross regressions.
 
 use std::time::{Duration, Instant};
 
-use rvcap_sim::{Scheduler, Simulator};
+use rvcap_sim::Scheduler;
 
-/// Kernel scheduler configuration under measurement.
-///
-/// `Naive` is the reference tick-everything loop; `Scan` is the PR 1
-/// idle-fast-forward baseline (hint scan over every component each
-/// step); the active-set variants differ in whether dense streaming
-/// components may execute batched ticks and whether whole due chains
-/// may fuse into multi-cycle windows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerMode {
-    /// Tick every component every cycle.
-    Naive,
-    /// Full-scan idle fast-forward (the PR 1 baseline).
-    Scan,
-    /// Wake-queue scheduling, one tick per component per cycle.
-    ActiveSet,
-    /// Wake-queue scheduling plus solo batched streaming ticks.
-    ActiveSetBatched,
-    /// Batching plus multi-component stream fusion (the default
-    /// kernel configuration).
-    Fused,
-}
+/// Every kernel schedule, slowest first: the order of the hostbench
+/// grid's columns.
+pub const SCHEDULERS: [Scheduler; 2] = [Scheduler::Naive, Scheduler::ActiveSet];
 
-impl SchedulerMode {
-    /// All modes, slowest first.
-    pub const ALL: [SchedulerMode; 5] = [
-        SchedulerMode::Naive,
-        SchedulerMode::Scan,
-        SchedulerMode::ActiveSet,
-        SchedulerMode::ActiveSetBatched,
-        SchedulerMode::Fused,
-    ];
-
-    /// Stable label used in reports and JSON records.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulerMode::Naive => "naive",
-            SchedulerMode::Scan => "scan",
-            SchedulerMode::ActiveSet => "active_set",
-            SchedulerMode::ActiveSetBatched => "active_set_batched",
-            SchedulerMode::Fused => "fused",
-        }
-    }
-
-    /// Configure a simulator's kernel for this mode.
-    pub fn apply(self, sim: &mut Simulator) {
-        match self {
-            SchedulerMode::Naive => sim.set_scheduler(Scheduler::Naive),
-            SchedulerMode::Scan => sim.set_scheduler(Scheduler::Scan),
-            SchedulerMode::ActiveSet => {
-                sim.set_scheduler(Scheduler::ActiveSet);
-                sim.set_batching(false);
-                sim.set_fusion(false);
-            }
-            SchedulerMode::ActiveSetBatched => {
-                sim.set_scheduler(Scheduler::ActiveSet);
-                sim.set_batching(true);
-                sim.set_fusion(false);
-            }
-            SchedulerMode::Fused => {
-                sim.set_scheduler(Scheduler::ActiveSet);
-                sim.set_batching(true);
-                sim.set_fusion(true);
-            }
-        }
+/// Stable scheduler label used in reports and JSON records.
+pub fn scheduler_name(scheduler: Scheduler) -> &'static str {
+    match scheduler {
+        Scheduler::Naive => "naive",
+        Scheduler::ActiveSet => "active_set",
     }
 }
 
@@ -88,7 +33,7 @@ impl SchedulerMode {
 pub struct RigPerf {
     /// Rig label (e.g. `rvcap_paper`).
     pub rig: String,
-    /// Scheduler label ([`SchedulerMode::name`]).
+    /// Scheduler label ([`scheduler_name`]).
     pub scheduler: String,
     /// Simulated cycles one run of the rig covers (must not depend on
     /// the scheduler — the parity tests pin this).
@@ -120,61 +65,75 @@ impl RigPerf {
     }
 }
 
-/// Measure simulated-cycles-per-second for one rig run, forking every
-/// sample from a shared warm-boot prototype.
+/// Measure simulated-cycles-per-second for one rig run under each of
+/// `schedulers`, forking every sample from a shared warm-boot
+/// prototype. Returns one row per scheduler, in the given order.
 ///
 /// `proto` is the prototype the caller built **once** (bitstream
 /// synthesis, SoC boot, and DDR/SD staging are paid a single time, not
-/// per sample); `fork` rewinds it to the post-boot snapshot between
-/// samples (untimed — a checkpoint restore plus a stats reset costs
-/// the same under every scheduler and would dilute the ratio between
-/// them); `run` executes the measured phase in place and returns the
-/// simulated cycles covered. `samples` runs are timed and the median
-/// reported (robust to host scheduler noise).
+/// per sample); `fork` rewinds it to the post-boot snapshot and selects
+/// the scheduler before each sample (untimed — a checkpoint restore
+/// plus a stats reset costs the same under every scheduler and would
+/// dilute the ratio between them); `run` executes the measured phase in
+/// place and returns the simulated cycles covered. `samples` runs per
+/// scheduler are timed and the median reported. Samples interleave the
+/// schedulers round-robin, so a transient host slowdown (a shared or
+/// frequency-scaled core) lands on every row of the rig alike instead
+/// of sinking one row's median, and the rows' ratio stays meaningful.
 ///
 /// The replay-parity suite (`tests/replay_parity.rs`) proves a forked
 /// run is bit-identical to a cold-booted one, so these numbers are
 /// directly comparable with a cold-boot harness; the simulated cycle
-/// count is re-asserted identical across samples here — a forked
-/// repetition that drifts from the first by even one cycle means the
-/// fork leaked state and the measurement is invalid.
+/// count is re-asserted identical across samples and schedulers here —
+/// a forked repetition that drifts from the first by even one cycle
+/// means the fork leaked state (or a scheduler changed simulated
+/// timing) and the measurement is invalid.
 pub fn measure_rig_forked<S>(
     rig: &str,
-    scheduler: SchedulerMode,
+    schedulers: &[Scheduler],
     samples: usize,
     proto: &mut S,
-    mut fork: impl FnMut(&mut S),
+    mut fork: impl FnMut(&mut S, Scheduler),
     mut run: impl FnMut(&mut S) -> u64,
-) -> RigPerf {
+) -> Vec<RigPerf> {
     let samples = samples.max(1);
-    let mut runs: Vec<(Duration, u64)> = (0..samples)
-        .map(|_| {
-            fork(proto);
+    let mut runs: Vec<Vec<(Duration, u64)>> = vec![Vec::with_capacity(samples); schedulers.len()];
+    for _ in 0..samples {
+        for (&scheduler, row) in schedulers.iter().zip(&mut runs) {
+            fork(proto, scheduler);
             let t0 = Instant::now();
             let cycles = run(proto);
-            (t0.elapsed(), cycles)
+            row.push((t0.elapsed(), cycles));
+        }
+    }
+    let cycles = runs[0][0].1;
+    schedulers
+        .iter()
+        .zip(runs)
+        .map(|(&scheduler, mut row)| {
+            for (_, c) in &row {
+                assert_eq!(
+                    *c,
+                    cycles,
+                    "rig {rig}: forked repetitions disagree on simulated cycles under {}",
+                    scheduler_name(scheduler)
+                );
+            }
+            row.sort_unstable();
+            let wall = row[row.len() / 2].0.as_secs_f64();
+            RigPerf {
+                rig: rig.into(),
+                scheduler: scheduler_name(scheduler).into(),
+                sim_cycles: cycles,
+                wall_s: wall,
+                cycles_per_sec: if wall > 0.0 {
+                    cycles as f64 / wall
+                } else {
+                    f64::INFINITY
+                },
+            }
         })
-        .collect();
-    let cycles = runs[0].1;
-    for (_, c) in &runs {
-        assert_eq!(
-            *c, cycles,
-            "rig {rig}: warm-boot forked repetitions disagree on simulated cycles"
-        );
-    }
-    runs.sort_unstable();
-    let wall = runs[runs.len() / 2].0.as_secs_f64();
-    RigPerf {
-        rig: rig.into(),
-        scheduler: scheduler.name().into(),
-        sim_cycles: cycles,
-        wall_s: wall,
-        cycles_per_sec: if wall > 0.0 {
-            cycles as f64 / wall
-        } else {
-            f64::INFINITY
-        },
-    }
+        .collect()
 }
 
 /// One measured benchmark result.

@@ -13,9 +13,8 @@ use std::sync::Mutex;
 
 use rvcap_core::drivers::{DmaMode, HwIcapDriver, ReconfigModule, ReconfigTiming, RvCapDriver};
 use rvcap_core::system::RvCapSoc;
-use rvcap_sim::MmioAudit;
+use rvcap_sim::{MmioAudit, Scheduler};
 
-use crate::hostbench::SchedulerMode;
 use crate::paper_soc::PaperRig;
 
 /// Worker-thread count for parallel measurements: `RVCAP_BENCH_THREADS`
@@ -109,29 +108,19 @@ impl HwIcapRun {
     }
 }
 
-/// Run the full RV-CAP `init_reconfig_process` on a rig.
+/// Run the full RV-CAP `init_reconfig_process` on a rig under the
+/// default [`Scheduler::ActiveSet`].
 pub fn reconfigure_rvcap(rig: PaperRig, mode: DmaMode) -> RvCapRun {
-    reconfigure_rvcap_ff(rig, mode, true)
+    reconfigure_rvcap_sched(rig, mode, Scheduler::ActiveSet)
 }
 
-/// Like [`reconfigure_rvcap`] with explicit idle-fast-forward control
-/// (the determinism harness runs both settings).
-pub fn reconfigure_rvcap_ff(rig: PaperRig, mode: DmaMode, fast_forward: bool) -> RvCapRun {
-    let sched = if fast_forward {
-        SchedulerMode::ActiveSetBatched
-    } else {
-        SchedulerMode::Naive
-    };
-    reconfigure_rvcap_sched(rig, mode, sched)
-}
-
-/// Like [`reconfigure_rvcap`] under an explicit [`SchedulerMode`] (the
-/// hostbench harness measures all of them).
-pub fn reconfigure_rvcap_sched(rig: PaperRig, mode: DmaMode, sched: SchedulerMode) -> RvCapRun {
+/// Like [`reconfigure_rvcap`] under an explicit [`Scheduler`] (the
+/// determinism and host-perf harnesses run both).
+pub fn reconfigure_rvcap_sched(rig: PaperRig, mode: DmaMode, scheduler: Scheduler) -> RvCapRun {
     let PaperRig {
         mut soc, module, ..
     } = rig;
-    sched.apply(&mut soc.core.sim);
+    soc.core.sim.set_scheduler(scheduler);
     let driver = RvCapDriver::new(0, soc.handles.plic.clone());
     let timing = driver.init_reconfig_process(&mut soc.core, &module, mode);
     let run = RvCapRun {
@@ -145,8 +134,8 @@ pub fn reconfigure_rvcap_sched(rig: PaperRig, mode: DmaMode, sched: SchedulerMod
 
 /// In-place variant of [`reconfigure_rvcap_sched`] for warm-boot
 /// forked measurement: the caller keeps rig ownership (it rewinds the
-/// rig from a checkpoint between repetitions) and has already applied
-/// the scheduler mode, so only the driver run and the MMIO audit
+/// rig from a checkpoint between repetitions) and has already selected
+/// the scheduler, so only the driver run and the MMIO audit
 /// remain.
 pub fn reconfigure_rvcap_in_place(rig: &mut PaperRig, mode: DmaMode) -> ReconfigTiming {
     let driver = RvCapDriver::new(0, rig.soc.handles.plic.clone());
@@ -156,27 +145,18 @@ pub fn reconfigure_rvcap_in_place(rig: &mut PaperRig, mode: DmaMode) -> Reconfig
     timing
 }
 
-/// Run the HWICAP Listing-2 transfer (no decoupling) on a rig.
+/// Run the HWICAP Listing-2 transfer (no decoupling) on a rig under
+/// the default [`Scheduler::ActiveSet`].
 pub fn reconfigure_hwicap(rig: PaperRig, unroll: usize) -> HwIcapRun {
-    reconfigure_hwicap_ff(rig, unroll, true)
+    reconfigure_hwicap_sched(rig, unroll, Scheduler::ActiveSet)
 }
 
-/// Like [`reconfigure_hwicap`] with explicit idle-fast-forward control.
-pub fn reconfigure_hwicap_ff(rig: PaperRig, unroll: usize, fast_forward: bool) -> HwIcapRun {
-    let sched = if fast_forward {
-        SchedulerMode::ActiveSetBatched
-    } else {
-        SchedulerMode::Naive
-    };
-    reconfigure_hwicap_sched(rig, unroll, sched)
-}
-
-/// Like [`reconfigure_hwicap`] under an explicit [`SchedulerMode`].
-pub fn reconfigure_hwicap_sched(rig: PaperRig, unroll: usize, sched: SchedulerMode) -> HwIcapRun {
+/// Like [`reconfigure_hwicap`] under an explicit [`Scheduler`].
+pub fn reconfigure_hwicap_sched(rig: PaperRig, unroll: usize, scheduler: Scheduler) -> HwIcapRun {
     let PaperRig {
         mut soc, module, ..
     } = rig;
-    sched.apply(&mut soc.core.sim);
+    soc.core.sim.set_scheduler(scheduler);
     let ddr = soc.handles.ddr.clone();
     let ticks = HwIcapDriver::with_unroll(unroll).reconfigure_rp(&mut soc.core, &ddr, &module);
     let run = HwIcapRun { soc, module, ticks };

@@ -7,7 +7,7 @@
 
 use rvcap_core::drivers::DmaMode;
 use rvcap_core::resources::{hwicap_report, rvcap_report};
-use rvcap_sim::{KernelStats, MmioAudit};
+use rvcap_sim::{KernelStats, MmioAudit, Scheduler};
 
 use crate::paper_soc;
 use crate::runner;
@@ -53,9 +53,9 @@ pub struct Table1Run {
     pub hwicap_audit: MmioAudit,
 }
 
-/// Measure Table I on the paper rig. `fast_forward` toggles the
-/// kernel's idle fast-forward; the rows must not depend on it.
-pub fn table1_run(fast_forward: bool) -> Table1Run {
+/// Measure Table I on the paper rig under `scheduler`; the rows must
+/// not depend on it.
+pub fn table1_run(scheduler: Scheduler) -> Table1Run {
     // ---- measured throughputs ----
     // The two reconfiguration runs are independent simulations; fan
     // them out across the worker pool. Results come back in input
@@ -63,10 +63,10 @@ pub fn table1_run(fast_forward: bool) -> Table1Run {
     type Measured = (f64, KernelStats, MmioAudit);
     let mut runs: Vec<Measured> = runner::run_parallel(vec![
         Box::new(move || {
-            let run = runner::reconfigure_rvcap_ff(
+            let run = runner::reconfigure_rvcap_sched(
                 paper_soc::rvcap_rig(),
                 DmaMode::NonBlocking,
-                fast_forward,
+                scheduler,
             );
             // The paper's headline throughput is the max over the
             // Fig. 3 sweep; at the Table I reference bitstream the
@@ -79,7 +79,7 @@ pub fn table1_run(fast_forward: bool) -> Table1Run {
             )
         }) as Box<dyn FnOnce() -> Measured + Send>,
         Box::new(move || {
-            let run = runner::reconfigure_hwicap_ff(paper_soc::rvcap_rig(), 16, fast_forward);
+            let run = runner::reconfigure_hwicap_sched(paper_soc::rvcap_rig(), 16, scheduler);
             (
                 run.throughput_mbs(),
                 run.soc.core.sim.kernel_stats(),

@@ -162,20 +162,6 @@ impl Component for RleDecompressor {
         rvcap_sim::WakePolicy::Wired
     }
 
-    fn max_batch(&self, _now: rvcap_sim::Cycle) -> Option<rvcap_sim::Cycle> {
-        // An in-flight run is due for its remaining pushes (a full
-        // output only stretches the Emit phase, which stays due), and
-        // each queued compressed word then sustains at least one more
-        // due cycle — the cycle that pops it, with any run it opens
-        // adding due-ness beyond the promised window, never inside it.
-        let run = match self.state {
-            State::Emit { remaining, .. } => remaining as rvcap_sim::Cycle,
-            _ => 0,
-        };
-        let w = run + self.input.len() as rvcap_sim::Cycle;
-        (w > 0).then_some(w)
-    }
-
     fn save_state(&self) -> Option<StateBlob> {
         let mut b = StateBlob::new("core.rle", 1);
         b.put("input", self.input.save_state());

@@ -430,24 +430,6 @@ impl Component for XilinxDma {
         rvcap_sim::WakePolicy::Wired
     }
 
-    fn max_batch(&self, _now: Cycle) -> Option<Cycle> {
-        // Fusible only in the pure MM2S streaming phase: `Running`
-        // keeps the hint pinned to "now" and the state leaves Running
-        // exactly when the final beat is emitted, which takes at least
-        // ceil(emit_remaining / 8) pops at one per cycle — so the
-        // completion (IDLE/IOC flags, IRQ edge) can never land strictly
-        // inside the window. Queued register traffic or an armed S2MM
-        // channel need per-cycle attention instead.
-        if self.mm2s_state != Mm2sState::Running
-            || !self.ctrl.req.is_empty()
-            || self.s2mm_remaining > 0
-            || self.emit_remaining == 0
-        {
-            return None;
-        }
-        Some(self.emit_remaining.div_ceil(8) as Cycle)
-    }
-
     fn mmio_audit(&self) -> Option<MmioAudit> {
         Some(self.regs.audit())
     }

@@ -269,21 +269,6 @@ impl Component for AxiHwicap {
         rvcap_sim::WakePolicy::Wired
     }
 
-    fn max_batch(&self, _now: rvcap_sim::Cycle) -> Option<rvcap_sim::Cycle> {
-        // Fusible only during a pure write-FIFO flush: `writing` stays
-        // set until a tick finds the FIFO empty, so the current fill
-        // sustains exactly that many due cycles (a full ICAP channel
-        // only stretches the drain). The DONE flip — which the CPU
-        // polls through the bus — happens strictly after the last word
-        // leaves, i.e. outside the window. Register traffic and the
-        // readback engine are handled per-cycle.
-        if !self.writing || self.reading_remaining > 0 || !self.port.req.is_empty() {
-            return None;
-        }
-        let occ = self.fifo.len();
-        (occ > 0).then_some(occ as rvcap_sim::Cycle)
-    }
-
     fn mmio_audit(&self) -> Option<MmioAudit> {
         Some(self.regs.audit())
     }

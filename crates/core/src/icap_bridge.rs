@@ -72,12 +72,6 @@ impl Component for Axis2Icap {
         self.inner.wake_sources(waker)
     }
 
-    fn max_batch(&self, now: rvcap_sim::Cycle) -> Option<rvcap_sim::Cycle> {
-        // Pure delegation: the bridge is the narrower plus counters
-        // that are only read between runs.
-        self.inner.max_batch(now)
-    }
-
     fn save_state(&self) -> Option<StateBlob> {
         let mut b = StateBlob::new("core.axis2icap", 1);
         b.put_blob("narrower", self.inner.save_state()?);

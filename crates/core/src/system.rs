@@ -181,9 +181,8 @@ impl SocBuilder {
     /// Override the DMA→ICAP stream FIFO depths (ablation). The
     /// default models the RTL's registered handshakes with shallow
     /// skid buffers (mm2s 4, switch→bridge 4, ICAP input 8); deeper
-    /// buffers trade BRAM for elasticity — and give the fused
-    /// scheduler proportionally longer bulk-beat windows, which is
-    /// what the `rvcap_deep` hostbench rig measures.
+    /// buffers trade BRAM for elasticity (the `rvcap_deep` hostbench
+    /// rig measures the host cost of that shape).
     pub fn with_stream_depth(mut self, depth: usize) -> Self {
         assert!(depth > 0);
         self.stream_depth = Some(depth);

@@ -128,9 +128,6 @@ pub struct Icap {
     frame_buf: Vec<u32>,
     crc_ok: bool,
     shared: Rc<RefCell<Shared>>,
-    /// Scratch for bulk pops in [`Component::tick_batch`]; kept on the
-    /// struct so the allocation is reused across batches.
-    batch_buf: Vec<rvcap_axi::AxisBeat>,
 }
 
 impl Icap {
@@ -166,7 +163,6 @@ impl Icap {
                 frame_buf: Vec::with_capacity(FRAME_WORDS),
                 crc_ok: false,
                 shared,
-                batch_buf: Vec::new(),
             },
             handle,
         )
@@ -194,17 +190,17 @@ impl Icap {
         self.crc_ok = false;
     }
 
-    fn abort(&mut self, cycle: Cycle, ctx: &TickCtx<'_>, why: &str) {
+    fn abort(&mut self, ctx: &TickCtx<'_>, why: &str) {
         ctx.tracer
-            .info(cycle, &self.name, || format!("load aborted: {why}"));
-        self.finish(cycle, false);
+            .info(ctx.cycle, &self.name, || format!("load aborted: {why}"));
+        self.finish(ctx.cycle, false);
     }
 
-    fn consume_payload_word(&mut self, cycle: Cycle, ctx: &TickCtx<'_>, word: u32) {
+    fn consume_payload_word(&mut self, ctx: &TickCtx<'_>, word: u32) {
         self.frame_buf.push(word);
         if self.frame_buf.len() == FRAME_WORDS {
             if !self.config_mem.in_range(self.far, 1) {
-                self.abort(cycle, ctx, "FAR out of range");
+                self.abort(ctx, "FAR out of range");
                 return;
             }
             let mut buf = [0u32; FRAME_WORDS];
@@ -216,7 +212,7 @@ impl Icap {
         }
     }
 
-    fn process_word(&mut self, cycle: Cycle, ctx: &TickCtx<'_>, word: u32) {
+    fn process_word(&mut self, ctx: &TickCtx<'_>, word: u32) {
         match self.state {
             State::Desynced => {
                 if word == SYNC_WORD {
@@ -250,7 +246,7 @@ impl Icap {
                         self.state = State::FdriData { remaining: count };
                     }
                 }
-                Err(_) => self.abort(cycle, ctx, "malformed packet header"),
+                Err(_) => self.abort(ctx, "malformed packet header"),
             },
             State::Type1Data { reg, remaining } => {
                 if reg != ConfigReg::Crc {
@@ -269,19 +265,19 @@ impl Icap {
                     ConfigReg::Cmd => match word {
                         cmd::RCRC => self.crc = Crc32::new(),
                         cmd::DESYNC => {
-                            ctx.tracer.info(cycle, &self.name, || {
+                            ctx.tracer.info(ctx.cycle, &self.name, || {
                                 format!(
                                     "load complete: {} frames at FAR {:#x}, crc_ok={}",
                                     self.frames_committed, self.far_start, self.crc_ok
                                 )
                             });
-                            self.finish(cycle, true);
+                            self.finish(ctx.cycle, true);
                         }
                         _ => {}
                     },
                     ConfigReg::Idcode => {
                         if word != self.device_idcode {
-                            self.abort(cycle, ctx, "IDCODE mismatch");
+                            self.abort(ctx, "IDCODE mismatch");
                         }
                     }
                     ConfigReg::Far => {
@@ -293,10 +289,10 @@ impl Icap {
                         if word == computed {
                             self.crc_ok = true;
                         } else {
-                            self.abort(cycle, ctx, "CRC mismatch");
+                            self.abort(ctx, "CRC mismatch");
                         }
                     }
-                    ConfigReg::Fdri => self.consume_payload_word(cycle, ctx, word),
+                    ConfigReg::Fdri => self.consume_payload_word(ctx, word),
                 }
             }
             State::FdriData { remaining } => {
@@ -308,7 +304,7 @@ impl Icap {
                 } else {
                     State::Synced
                 };
-                self.consume_payload_word(cycle, ctx, word);
+                self.consume_payload_word(ctx, word);
             }
         }
     }
@@ -324,7 +320,7 @@ impl Component for Icap {
         if let Some(beat) = self.input.try_pop(ctx.cycle) {
             debug_assert!(beat.bytes == 4, "ICAP port is 32 bits wide");
             self.shared.borrow_mut().words_consumed += 1;
-            self.process_word(ctx.cycle, ctx, beat.low_word());
+            self.process_word(ctx, beat.low_word());
         }
     }
 
@@ -345,35 +341,6 @@ impl Component for Icap {
     fn wake_sources(&self, waker: &rvcap_sim::Waker) -> rvcap_sim::WakePolicy {
         self.input.subscribe_wake(waker.clone());
         rvcap_sim::WakePolicy::Wired
-    }
-
-    fn batch_capable(&self) -> bool {
-        true
-    }
-
-    fn max_batch(&self, _now: Cycle) -> Option<Cycle> {
-        // Fusible only mid-FDRI-payload: header words can flip
-        // externally observable state (sync, finish/abort, CRC check)
-        // on any cycle, so they stay per-cycle. The window is bounded
-        // by the queued input, the FDRI run, and the space left in the
-        // current frame, so a frame commit (a ConfigMem write that host
-        // predicates can hash) and the FDRI→Synced flip both land on a
-        // window boundary.
-        let occ = self.input.len();
-        if occ == 0 {
-            return None;
-        }
-        match self.state {
-            State::FdriData { remaining } => {
-                let frame_space = FRAME_WORDS - self.frame_buf.len();
-                Some(
-                    (occ as Cycle)
-                        .min(remaining as Cycle)
-                        .min(frame_space as Cycle),
-                )
-            }
-            _ => None,
-        }
     }
 
     fn save_state(&self) -> Option<StateBlob> {
@@ -467,24 +434,6 @@ impl Component for Icap {
         sh.abort_count = state.get_u64("abort_count")?;
         sh.busy = state.get_bool("busy")?;
         Ok(())
-    }
-
-    fn tick_batch(&mut self, ctx: &mut TickCtx<'_>, max_cycles: Cycle) -> Cycle {
-        // The kernel caps `max_cycles` at our `max_batch` window, so
-        // the whole batch is a pure FDRI payload drain: the only state
-        // flips possible — a frame commit, the FDRI→Synced transition —
-        // land on the final word by construction of the window.
-        let start = ctx.cycle;
-        let mut buf = std::mem::take(&mut self.batch_buf);
-        buf.clear();
-        let n = self.input.pop_n(start, max_cycles as usize, &mut buf);
-        self.shared.borrow_mut().words_consumed += n as u64;
-        for (i, beat) in buf.iter().enumerate() {
-            debug_assert!(beat.bytes == 4, "ICAP port is 32 bits wide");
-            self.process_word(start + i as Cycle, ctx, beat.low_word());
-        }
-        self.batch_buf = buf;
-        (n as Cycle).max(1)
     }
 }
 

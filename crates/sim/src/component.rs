@@ -99,80 +99,6 @@ pub trait Component {
         WakePolicy::Poll
     }
 
-    /// Execute up to `max_cycles` consecutive ticks in one call,
-    /// starting at `ctx.cycle`; returns how many cycles were actually
-    /// executed (`1..=max_cycles`).
-    ///
-    /// The kernel offers a batch only when this component is the *sole*
-    /// runnable component for the window — no other component ticks and
-    /// no host code runs until the batch returns. The implementation
-    /// must behave exactly like that many individual `tick` calls at
-    /// cycles `ctx.cycle`, `ctx.cycle + 1`, …: same end state, same
-    /// FIFO traffic with per-cycle stamps (use
-    /// [`crate::Fifo::try_push_batched`] /
-    /// [`crate::Fifo::try_pop_batched`] or the bulk
-    /// [`crate::Fifo::push_n`] / [`crate::Fifo::pop_n`]), same trace
-    /// events. The kernel never offers more cycles than the component's
-    /// own [`Component::max_batch`] window, so an implementation whose
-    /// window already truncates before every externally observable
-    /// milestone (see `max_batch`) may simply execute the whole batch.
-    /// Any *additional* effect observable outside the component — a
-    /// push into a shared channel, a signal level change, a counter or
-    /// record on a shared handle that host predicates can poll — must
-    /// land on the *last executed cycle*: the caller re-checks run
-    /// predicates and quiescence only at batch boundaries, so an
-    /// interior observable effect would let a bounded run overshoot the
-    /// cycle the naive schedule stops at.
-    ///
-    /// The default executes a single `tick`, which is always correct.
-    fn tick_batch(&mut self, ctx: &mut TickCtx<'_>, _max_cycles: Cycle) -> Cycle {
-        self.tick(ctx);
-        1
-    }
-
-    /// The batch-window negotiation hook for stream fusion: how many
-    /// upcoming cycles (starting at `now`) this component guarantees it
-    /// stays *due*, independent of what arrives on its inputs.
-    ///
-    /// `Some(w)` with `w >= 1` promises that if the component is ticked
-    /// once per cycle at `now, now + 1, …, now + w - 1`, then at each
-    /// of those cycles its [`Component::next_activity`] would not have
-    /// claimed idleness (i.e. would return `None` or `Some(c)` with
-    /// `c <= cycle`) — **regardless of external input**. The promise
-    /// must therefore be computed conservatively from the component's
-    /// own state and the *current* occupancy of its input channels:
-    /// beats that might arrive mid-window may extend the true window
-    /// but must never be counted on. Underestimating is always safe
-    /// (the kernel falls back to per-cycle stepping); overestimating
-    /// breaks the bit-identical tick accounting of the fused scheduler.
-    ///
-    /// The window need **not** end before cross-component effects —
-    /// every push/pop/signal fires the subscribed wakers, and the
-    /// kernel watches for wakes escaping the fused set, truncating the
-    /// window at exactly the cycle such a wake fires. Components
-    /// *should* still bound the window before milestones that host
-    /// predicates poll without a wake path (a completion status bit, a
-    /// record counter), mirroring the [`Component::tick_batch`]
-    /// truncation rule, so bounded runs observe them on a boundary.
-    ///
-    /// Return `None` (or `Some(0)`, treated identically) when no
-    /// guarantee can be made — in particular whenever the component is
-    /// not due at `now`. The default makes no promise, which excludes
-    /// the component from fused windows but costs nothing else.
-    fn max_batch(&self, _now: Cycle) -> Option<Cycle> {
-        None
-    }
-
-    /// Whether [`Component::tick_batch`] is a real multi-cycle
-    /// implementation. Queried once at registration; the kernel only
-    /// takes the solo-batch path for components that return `true` —
-    /// for everyone else the default single-tick fallback would pay
-    /// the batch set-up cost (an extra hint query and reschedule per
-    /// cycle) and gain nothing.
-    fn batch_capable(&self) -> bool {
-        false
-    }
-
     /// MMIO access audit for register-mapped devices.
     ///
     /// Components that decode bus traffic through a typed register map

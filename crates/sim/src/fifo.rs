@@ -176,25 +176,7 @@ impl<T> Fifo<T> {
         if !self.can_push(cycle) {
             return Err(item);
         }
-        self.push_accepted(cycle, item, false);
-        Ok(())
-    }
-
-    /// [`Fifo::try_push`] with the sanitizer observation stamped at an
-    /// explicit `cycle` instead of the kernel's current cycle.
-    ///
-    /// This is the producer-side bulk primitive for
-    /// [`crate::Component::tick_batch`]: a component replaying `k`
-    /// cycles in one call pushes at `start`, `start + 1`, … and each
-    /// push must look to the sanitizer exactly as it would have in `k`
-    /// separate ticks (one op per cycle, correct progress stamps).
-    /// Outside a batch replay, use [`Fifo::try_push`].
-    #[inline]
-    pub fn try_push_batched(&self, cycle: Cycle, item: T) -> Result<(), T> {
-        if !self.can_push(cycle) {
-            return Err(item);
-        }
-        self.push_accepted(cycle, item, true);
+        self.push_accepted(cycle, item);
         Ok(())
     }
 
@@ -202,17 +184,13 @@ impl<T> Fifo<T> {
     /// element, updates mirrors, observes, wakes. The sanitizer hook is
     /// one predictable `monitor.is_some()` branch — un-watched channels
     /// (every timed hostbench run) skip the meta capture entirely.
-    fn push_accepted(&self, cycle: Cycle, item: T, stamped: bool) {
+    fn push_accepted(&self, cycle: Cycle, item: T) {
         let mut inner = self.shared.inner.borrow_mut();
         if let Some(monitor) = inner.monitor.take() {
             let meta = monitor.meta_of(&item);
             inner.queue.push_back(item);
             let occupancy = inner.queue.len();
-            if stamped {
-                monitor.record_push_at(meta, occupancy, cycle);
-            } else {
-                monitor.record_push(meta, occupancy);
-            }
+            monitor.record_push(meta, occupancy);
             inner.monitor = Some(monitor);
         } else {
             inner.queue.push_back(item);
@@ -237,66 +215,20 @@ impl<T> Fifo<T> {
         if !self.can_pop(cycle) {
             return None;
         }
-        Some(self.pop_accepted(cycle, false))
-    }
-
-    /// [`Fifo::try_pop`] with the sanitizer observation stamped at an
-    /// explicit `cycle` — the consumer-side bulk primitive for
-    /// [`crate::Component::tick_batch`] (see [`Fifo::try_push_batched`]).
-    #[inline]
-    pub fn try_pop_batched(&self, cycle: Cycle) -> Option<T> {
-        if !self.can_pop(cycle) {
-            return None;
-        }
-        Some(self.pop_accepted(cycle, true))
+        Some(self.pop_accepted(cycle))
     }
 
     /// Slow half of an accepted pop (see [`Fifo::push_accepted`]).
-    fn pop_accepted(&self, cycle: Cycle, stamped: bool) -> T {
+    fn pop_accepted(&self, cycle: Cycle) -> T {
         let mut inner = self.shared.inner.borrow_mut();
         let item = inner.queue.pop_front().expect("can_pop checked non-empty");
         self.shared.len.set(inner.queue.len());
         self.shared.last_pop.set(Some(cycle));
         inner.total_popped += 1;
         if let Some(monitor) = &inner.monitor {
-            if stamped {
-                monitor.record_pop_at(inner.queue.len(), cycle);
-            } else {
-                monitor.record_pop(inner.queue.len());
-            }
+            monitor.record_pop(inner.queue.len());
         }
         item
-    }
-
-    /// Bulk consumer primitive for fused/batched execution: pop up to
-    /// `max` elements with consecutive per-cycle stamps `start`,
-    /// `start + 1`, …, appending them to `out`. Returns the number
-    /// popped.
-    ///
-    /// Equivalent to `max` successive [`Fifo::try_pop_batched`] calls
-    /// at ascending cycles, stopping at the first refusal: the first
-    /// pop honors the one-pop-per-cycle mark (a pop already stamped at
-    /// `start` stops the bulk immediately), later pops see strictly
-    /// newer cycles and can only stop on an empty queue.
-    pub fn pop_n(&self, start: Cycle, max: usize, out: &mut Vec<T>) -> usize {
-        if max == 0 || !self.can_pop(start) {
-            return 0;
-        }
-        let mut inner = self.shared.inner.borrow_mut();
-        let mut popped = 0usize;
-        while popped < max && !inner.queue.is_empty() {
-            let cycle = start + popped as Cycle;
-            let item = inner.queue.pop_front().expect("checked non-empty");
-            self.shared.last_pop.set(Some(cycle));
-            inner.total_popped += 1;
-            if let Some(monitor) = &inner.monitor {
-                monitor.record_pop_at(inner.queue.len(), cycle);
-            }
-            out.push(item);
-            popped += 1;
-        }
-        self.shared.len.set(inner.queue.len());
-        popped
     }
 
     /// Push without rate limiting — used only by *initialization* code
@@ -383,7 +315,7 @@ impl<T> Fifo<T> {
     }
 
     /// Subscribe a consumer [`Waker`]: it fires on every push that
-    /// makes the channel non-empty (rate-limited, forced, or batched),
+    /// makes the channel non-empty (rate-limited or forced),
     /// from ticked code and host drivers alike. Components call this
     /// from [`crate::Component::wake_sources`] for each channel whose
     /// arrival can change their [`crate::Component::next_activity`]
@@ -482,44 +414,6 @@ impl<T: Clone> Fifo<T> {
         }
         self.shared.inner.borrow().queue.front().cloned()
     }
-
-    /// Bulk producer primitive for fused/batched execution: push
-    /// elements from `items` with consecutive per-cycle stamps `start`,
-    /// `start + 1`, …, stopping at capacity. Returns the number pushed.
-    ///
-    /// Equivalent to successive [`Fifo::try_push_batched`] calls at
-    /// ascending cycles: the first push honors the one-push-per-cycle
-    /// mark, later pushes see strictly newer cycles and can only stop
-    /// on a full queue. Wakers fire once if anything was pushed — the
-    /// kernel's wake bits are idempotent, so one firing is equivalent
-    /// to one per push.
-    pub fn push_n(&self, start: Cycle, items: &[T]) -> usize {
-        if items.is_empty() || !self.can_push(start) {
-            return 0;
-        }
-        let was_empty = self.is_empty();
-        let mut inner = self.shared.inner.borrow_mut();
-        let mut pushed = 0usize;
-        for item in items {
-            if inner.queue.len() >= self.shared.capacity {
-                break;
-            }
-            let cycle = start + pushed as Cycle;
-            let meta = inner.monitor.as_ref().map(|m| m.meta_of(item));
-            inner.queue.push_back(item.clone());
-            self.shared.last_push.set(Some(cycle));
-            inner.total_pushed += 1;
-            if let (Some(monitor), Some(meta)) = (&inner.monitor, meta) {
-                monitor.record_push_at(meta, inner.queue.len(), cycle);
-            }
-            pushed += 1;
-        }
-        self.shared.len.set(inner.queue.len());
-        if was_empty && pushed > 0 {
-            inner.fire_wakers();
-        }
-        pushed
-    }
 }
 
 #[cfg(test)]
@@ -613,39 +507,6 @@ mod tests {
             f.total_pushed() - f.total_popped() - f.total_cleared(),
             f.len() as u64
         );
-    }
-
-    #[test]
-    fn pop_n_stamps_consecutive_cycles() {
-        let f: Fifo<u32> = Fifo::new("t", 8);
-        for v in 0..5 {
-            f.force_push(v);
-        }
-        let mut out = Vec::new();
-        assert_eq!(f.pop_n(10, 3, &mut out), 3);
-        assert_eq!(out, vec![0, 1, 2]);
-        // The bulk left the mark at cycle 12: a pop at 12 is refused,
-        // one at 13 succeeds.
-        assert_eq!(f.try_pop(12), None);
-        assert_eq!(f.try_pop(13), Some(3));
-        // A bulk starting at an already-stamped cycle pops nothing.
-        assert_eq!(f.pop_n(13, 4, &mut out), 0);
-        assert_eq!(f.pop_n(14, 4, &mut out), 1);
-        assert_eq!(out.last(), Some(&4));
-    }
-
-    #[test]
-    fn push_n_respects_capacity_and_rate_marks() {
-        let f: Fifo<u32> = Fifo::new("t", 4);
-        f.try_push(20, 9).unwrap();
-        // First slot of the bulk collides with the cycle-20 mark.
-        assert_eq!(f.push_n(20, &[1, 2, 3]), 0);
-        assert_eq!(f.push_n(21, &[1, 2, 3, 4]), 3, "capacity 4, one queued");
-        assert!(f.is_full());
-        assert_eq!(f.try_pop(30), Some(9));
-        // The bulk's final stamp was cycle 23.
-        assert!(!f.can_push(23));
-        assert!(f.can_push(24));
     }
 
     #[test]

@@ -96,25 +96,18 @@ impl std::error::Error for StallReport {}
 const STALL_TRACE_TAIL: usize = 16;
 
 /// The execution schedule the kernel uses to decide which components
-/// to tick each cycle. All three produce bit-identical simulations —
-/// same cycle counts, same observable component state, same sanitizer
-/// observations — they only trade host time differently. Per-component
-/// *executed-tick* counts match between the hint-driven schedules
-/// ([`Scheduler::Scan`] and [`Scheduler::ActiveSet`] skip exactly the
-/// ticks the hints rule out), while [`Scheduler::Naive`] executes
-/// every tick including the no-ops.
+/// to tick each cycle. Both produce bit-identical simulations — same
+/// cycle counts, same observable component state, same sanitizer
+/// observations — they only trade host time differently.
+/// [`Scheduler::ActiveSet`] executes exactly the ticks the hints do
+/// not rule out, while [`Scheduler::Naive`] executes every tick
+/// including the no-ops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheduler {
     /// Tick every component every cycle; never query hints, never jump
-    /// the clock. The reference schedule everything else is compared
+    /// the clock. The reference schedule the active set is compared
     /// against.
     Naive,
-    /// Per-cycle full scan of [`Component::next_activity`] hints: skip
-    /// individual guaranteed-no-op ticks, jump the clock when *every*
-    /// component declares a future cycle. This is the original idle
-    /// fast-forward scheduler, kept as a measured baseline for the
-    /// host-performance harness.
-    Scan,
     /// The default: a wake-queue scheduler that only touches *due*
     /// components — self-scheduled via a min-heap of hint deadlines, or
     /// externally woken through [`crate::Fifo`]/[`crate::Signal`]
@@ -139,7 +132,7 @@ pub enum Scheduler {
 /// Ticking every component on every cycle is simple and deterministic
 /// but wastes host time whenever the system sits in a long wait (a DDR
 /// round trip, a DMA start latency, a timer poll loop). The kernel
-/// offers three schedules (see [`Scheduler`]); the default,
+/// offers two schedules (see [`Scheduler`]); the default,
 /// [`Scheduler::ActiveSet`], keeps a per-cycle *due set*:
 ///
 /// - Components whose [`Component::next_activity`] hint named a future
@@ -151,44 +144,27 @@ pub enum Scheduler {
 ///   their waker. Wakes landing mid-cycle from an earlier-registered
 ///   component join the *same* cycle (same-cycle forwarding); wakes
 ///   from a later one are deferred to the next cycle (pipeline
-///   latency) — exactly the visibility the full scan gives.
+///   latency) — exactly the visibility ticking everything gives.
 /// - [`crate::WakePolicy::Poll`] components are re-queried every
-///   stepped cycle, like the pre-active-set kernel.
+///   stepped cycle.
 /// - When nothing is due, the clock jumps straight to the earliest
 ///   deadline.
-/// - When exactly one component is due for a known-quiet window and
-///   batching is enabled ([`Simulator::set_batching`]), the kernel
-///   offers it the window as one [`Component::tick_batch`] call.
 ///
-/// Hints are queried exactly once per component per stepped cycle,
+/// Hints are queried at most once per component per stepped cycle,
 /// immediately before its tick slot. All of this preserves the exact
 /// cycle-by-cycle behavior of the naive schedule — cycle counts are
 /// bit-identical across schedulers ([`Simulator::set_scheduler`]),
 /// which the `determinism` and `cycle_parity` integration tests pin.
 ///
-/// [`Simulator::step`] never jumps and never batches: external drivers
-/// (the CPU model mutates FIFOs between steps) rely on observing every
-/// cycle boundary, so single-step mode only gates individual ticks.
-/// Smallest multi-member fused window worth entering. Below this, the
-/// negotiation and interior setup cost more host time than the elided
-/// hint queries save; the attempt falls back to the ordered sweep.
-const MIN_FUSED_WINDOW: Cycle = 6;
-
-/// Cycles to suppress multi-member negotiation after a failed or
-/// under-sized attempt. A saturated lock-step chain sits in the same
-/// equilibrium for long stretches; retrying every cycle would pay the
-/// full `max_batch` query fan-out each time for the same verdict.
-const FUSION_BACKOFF: Cycle = 64;
-
+/// [`Simulator::step`] never jumps: external drivers (the CPU model
+/// mutates FIFOs between steps) rely on observing every cycle
+/// boundary, so single-step mode only gates individual ticks.
 pub struct Simulator {
     freq: Freq,
     cycle: Cycle,
     components: Vec<Box<dyn Component>>,
     tracer: Tracer,
     scheduler: Scheduler,
-    batching: bool,
-    /// Multi-component stream fusion (see [`Simulator::set_fusion`]).
-    fusion: bool,
     /// Per-component executed-tick counts (parallel to `components`).
     /// Skipped-cycle counts are not tracked eagerly: a component has
     /// been skipped for every cycle since registration it was not
@@ -198,9 +174,6 @@ pub struct Simulator {
     registered_at: Vec<Cycle>,
     /// Wake policy each component declared at registration.
     policies: Vec<WakePolicy>,
-    /// Whether each component declared a real multi-cycle
-    /// [`Component::tick_batch`] (queried once at registration).
-    batchable: Vec<bool>,
     /// Indices of `WakePolicy::Poll` components, ascending.
     polled: Vec<u32>,
     /// Pending external wakes (shared with `Waker`s via `Rc`).
@@ -234,35 +207,15 @@ pub struct Simulator {
     /// the sweep skips the pre-tick hint query for these slots (a
     /// debug assert re-checks each skipped promise).
     carried: BitSet,
-    /// Reusable member list of the current fused window, ascending
-    /// registration order (scratch; empty between windows).
-    fused: Vec<u32>,
-    /// Reusable member mask matching `fused` (scratch).
-    fused_mask: BitSet,
-    /// Multi-member fused windows entered.
-    fused_windows: u64,
-    /// Cycles advanced inside multi-member fused windows (interior
-    /// cycles plus the final sweep cycle of each window).
-    fused_cycles: Cycle,
-    /// Per-component count of fused-window negotiations this
-    /// component vetoed by declaring no usable window while due.
-    fusion_vetoes: Vec<u64>,
-    /// Multi-member negotiation suppressed until this cycle. Set after
-    /// a failed or under-sized attempt so a phase whose members cannot
-    /// sustain useful windows (a zero-slack lock-step equilibrium) does
-    /// not pay the negotiation query cost every cycle. Purely a host-
-    /// perf policy: whether a window fires never changes simulated
-    /// behavior, only how the same cycles are driven.
-    fusion_backoff_until: Cycle,
     jumps: u64,
     jumped_cycles: Cycle,
     /// Opt-in per-component host-time attribution (see
     /// [`Simulator::set_profiling`]). When off, tick paths pay one
     /// predictable branch and no clock reads.
     profiling: bool,
-    /// Accumulated host nanoseconds inside each component's
-    /// `tick`/`tick_batch` calls (parallel to `components`; only
-    /// written while `profiling` is set).
+    /// Accumulated host nanoseconds inside each component's `tick`
+    /// calls (parallel to `components`; only written while `profiling`
+    /// is set).
     host_ns: Vec<u64>,
     sanitizer: Option<Sanitizer>,
 }
@@ -276,12 +229,9 @@ impl Simulator {
             components: Vec::new(),
             tracer: Tracer::off(),
             scheduler: Scheduler::ActiveSet,
-            batching: true,
-            fusion: true,
             ticks: Vec::new(),
             registered_at: Vec::new(),
             policies: Vec::new(),
-            batchable: Vec::new(),
             polled: Vec::new(),
             hub: WakeHub::new(),
             heap: BinaryHeap::new(),
@@ -290,12 +240,6 @@ impl Simulator {
             carry: BitSet::default(),
             promise: BitSet::default(),
             carried: BitSet::default(),
-            fused: Vec::new(),
-            fused_mask: BitSet::default(),
-            fused_windows: 0,
-            fused_cycles: 0,
-            fusion_vetoes: Vec::new(),
-            fusion_backoff_until: 0,
             jumps: 0,
             jumped_cycles: 0,
             profiling: false,
@@ -333,11 +277,9 @@ impl Simulator {
     pub fn register(&mut self, component: Box<dyn Component>) -> ComponentId {
         let idx = self.components.len();
         let policy = component.wake_sources(&self.hub.waker(idx));
-        self.batchable.push(component.batch_capable());
         self.components.push(component);
         self.ticks.push(0);
         self.host_ns.push(0);
-        self.fusion_vetoes.push(0);
         self.registered_at.push(self.cycle);
         self.policies.push(policy);
         self.scheduled.push(Cycle::MAX);
@@ -369,10 +311,29 @@ impl Simulator {
             return;
         }
         self.scheduler = scheduler;
-        // Drop deadlines accumulated under the old schedule and mark
-        // everything pending for a fresh hint query.
+        self.cold_start();
+    }
+
+    /// The active execution schedule.
+    pub fn scheduler(&self) -> Scheduler {
+        self.scheduler
+    }
+
+    /// Drop every piece of active-set scheduler state — deadlines,
+    /// carried streamers, firm promises — and mark all components
+    /// pending for a fresh hint query on the next stepped cycle. Stale
+    /// wakes already in the hub are subsumed by the wake-all.
+    ///
+    /// Behavior-identical to a warm scheduler, because hints are pure
+    /// functions of component state. Every scheduler cache must be
+    /// cleared here: a stale promise bit would skip the pre-tick hint
+    /// query of a component that may now be idle.
+    fn cold_start(&mut self) {
         self.heap.clear();
         self.carry.clear_all();
+        self.due.clear_all();
+        self.promise.clear_all();
+        self.carried.clear_all();
         for s in &mut self.scheduled {
             *s = Cycle::MAX;
         }
@@ -381,74 +342,16 @@ impl Simulator {
         }
     }
 
-    /// The active execution schedule.
-    pub fn scheduler(&self) -> Scheduler {
-        self.scheduler
-    }
-
-    /// Enable or disable idle fast-forward (enabled by default).
-    ///
-    /// Compatibility wrapper over [`Simulator::set_scheduler`]:
-    /// `true` selects [`Scheduler::ActiveSet`], `false` the reference
-    /// [`Scheduler::Naive`] schedule.
-    pub fn set_fast_forward(&mut self, enabled: bool) {
-        self.set_scheduler(if enabled {
-            Scheduler::ActiveSet
-        } else {
-            Scheduler::Naive
-        });
-    }
-
-    /// Whether any hint-driven schedule (anything but
-    /// [`Scheduler::Naive`]) is active.
-    pub fn fast_forward(&self) -> bool {
-        self.scheduler != Scheduler::Naive
-    }
-
-    /// Enable or disable batched streaming ticks (enabled by default;
-    /// only takes effect under [`Scheduler::ActiveSet`]). Cycle counts
-    /// are identical either way — the toggle exists so the host-perf
-    /// harness can attribute speedup between the active-set scheduler
-    /// and tick batching.
-    pub fn set_batching(&mut self, enabled: bool) {
-        self.batching = enabled;
-    }
-
-    /// Whether batched streaming ticks are enabled.
-    pub fn batching(&self) -> bool {
-        self.batching
-    }
-
-    /// Enable or disable multi-component stream fusion (enabled by
-    /// default; only takes effect under [`Scheduler::ActiveSet`] with
-    /// batching on). When every due component negotiates a batch
-    /// window via [`Component::max_batch`], the kernel advances the
-    /// whole fused set cycle by cycle without re-querying hints or
-    /// re-building the due set, falling back to fine-grained stepping
-    /// the moment a wake escapes the set. Cycle counts and per-
-    /// component tick counts are identical either way — the toggle
-    /// exists so the host-perf harness can attribute speedup between
-    /// solo batching and fusion.
-    pub fn set_fusion(&mut self, enabled: bool) {
-        self.fusion = enabled;
-    }
-
-    /// Whether multi-component stream fusion is enabled.
-    pub fn fusion(&self) -> bool {
-        self.fusion
-    }
-
     /// Enable or disable per-component host-time profiling (disabled
-    /// by default). While enabled, every `tick`/`tick_batch` call is
-    /// bracketed with monotonic-clock reads and the elapsed host time
-    /// is attributed to the component; [`Simulator::kernel_stats`]
-    /// surfaces the totals and
-    /// [`crate::KernelStats::render_tick_costs`] renders them. The
-    /// clock reads cost real time (tens of nanoseconds per tick), so
-    /// profiled runs attribute *shares* faithfully but are not wall-
-    /// clock comparable to unprofiled runs; when disabled, the tick
-    /// paths pay one predictable branch and nothing else. Simulated
-    /// behavior is identical either way.
+    /// by default). While enabled, every `tick` call is bracketed with
+    /// monotonic-clock reads and the elapsed host time is attributed
+    /// to the component; [`Simulator::kernel_stats`] surfaces the
+    /// totals and [`crate::KernelStats::render_tick_costs`] renders
+    /// them. The clock reads cost real time (tens of nanoseconds per
+    /// tick), so profiled runs attribute *shares* faithfully but are
+    /// not wall-clock comparable to unprofiled runs; when disabled, the
+    /// tick paths pay one predictable branch and nothing else.
+    /// Simulated behavior is identical either way.
     pub fn set_profiling(&mut self, enabled: bool) {
         self.profiling = enabled;
     }
@@ -482,7 +385,7 @@ impl Simulator {
     /// [`Component::save_state`] returns `None` is a hard error — a
     /// checkpoint silently missing one component's state would restore
     /// into a subtly wrong system. Scheduler internals (heap, due set,
-    /// pending wakes, fusion scratch) are deliberately *not* captured:
+    /// pending wakes, promises) are deliberately *not* captured:
     /// they are re-derivable from component hints, and
     /// [`Simulator::restore`] rebuilds them with fresh queries, exactly
     /// like [`Simulator::set_scheduler`] does mid-run.
@@ -506,9 +409,6 @@ impl Simulator {
             counters: KernelCounters {
                 jumps: self.jumps,
                 jumped_cycles: self.jumped_cycles,
-                fused_windows: self.fused_windows,
-                fused_cycles: self.fused_cycles,
-                fusion_vetoes: self.fusion_vetoes.clone(),
             },
         })
     }
@@ -525,7 +425,7 @@ impl Simulator {
     /// dropped and every component is marked pending for a fresh hint
     /// query, which is behavior-identical to a warm scheduler because
     /// hints are pure functions of the component state just restored.
-    /// (Jump/fusion *policy counters* may subsequently evolve
+    /// (Jump *policy counters* may subsequently evolve
     /// differently than in an uninterrupted run — that is why
     /// [`KernelCounters`] are excluded from replay parity.)
     pub fn restore(&mut self, state: &SimState) -> Result<(), StateError> {
@@ -548,13 +448,6 @@ impl Simulator {
                     c.name()
                 )));
             }
-        }
-        if state.counters.fusion_vetoes.len() != self.components.len() {
-            return Err(structure(format!(
-                "checkpoint has {} fusion-veto counters, simulator has {} components",
-                state.counters.fusion_vetoes.len(),
-                self.components.len()
-            )));
         }
         match (&self.sanitizer, &state.sanitizer) {
             (Some(_), None) => {
@@ -580,7 +473,6 @@ impl Simulator {
         for (i, cs) in state.components.iter().enumerate() {
             self.ticks[i] = cs.ticks;
             self.registered_at[i] = cs.registered_at;
-            self.fusion_vetoes[i] = state.counters.fusion_vetoes[i];
         }
         // Host-time attribution is a host-side measurement, not
         // simulated state: it is not checkpointed, and restarts at the
@@ -590,29 +482,14 @@ impl Simulator {
         }
         self.jumps = state.counters.jumps;
         self.jumped_cycles = state.counters.jumped_cycles;
-        self.fused_windows = state.counters.fused_windows;
-        self.fused_cycles = state.counters.fused_cycles;
-        // Cold-start the scheduler: drop every deadline and mark all
-        // components pending, exactly like a mid-run scheduler switch.
-        // Stale pre-restore wakes in the hub are subsumed by wake-all.
-        self.heap.clear();
-        self.carry.clear_all();
-        self.due.clear_all();
-        for s in &mut self.scheduled {
-            *s = Cycle::MAX;
-        }
-        self.fused.clear();
-        self.fused_mask.clear_all();
-        self.fusion_backoff_until = 0;
-        for i in 0..self.components.len() {
-            self.hub.wake(i);
-        }
+        // Cold-start the scheduler, exactly like a mid-run switch.
+        self.cold_start();
         Ok(())
     }
 
-    /// Zero the kernel's measurement counters — executed ticks, jump
-    /// and fusion accounting — and rebase skipped-cycle accounting at
-    /// the current cycle, so a subsequent [`Simulator::kernel_stats`]
+    /// Zero the kernel's measurement counters — executed ticks and jump
+    /// accounting — and rebase skipped-cycle accounting at the current
+    /// cycle, so a subsequent [`Simulator::kernel_stats`]
     /// describes only the phase from this call onward (steady-state
     /// numbers unpolluted by boot ticks). Component-owned counters
     /// (MMIO audits, FIFO lifetime totals) are component state, not
@@ -627,27 +504,19 @@ impl Simulator {
         for r in &mut self.registered_at {
             *r = self.cycle;
         }
-        for v in &mut self.fusion_vetoes {
-            *v = 0;
-        }
         self.jumps = 0;
         self.jumped_cycles = 0;
-        self.fused_windows = 0;
-        self.fused_cycles = 0;
     }
 
     /// Advance the simulation by one cycle.
     ///
-    /// Never jumps the clock and never batches (external drivers
-    /// mutate FIFO state between calls), but does skip ticking
-    /// components that are not due.
+    /// Never jumps the clock (external drivers mutate FIFO state
+    /// between calls), but does skip ticking components that are not
+    /// due.
     pub fn step(&mut self) {
         match self.scheduler {
             Scheduler::Naive => self.step_naive(),
-            Scheduler::Scan => self.step_scan(),
-            Scheduler::ActiveSet => {
-                self.step_active(0, 1);
-            }
+            Scheduler::ActiveSet => self.step_active(0),
         }
     }
 
@@ -685,46 +554,9 @@ impl Simulator {
         }
     }
 
-    /// One cycle of the scan schedule: query every hint, skip idle
-    /// ticks. Hints are queried immediately before each component's
-    /// tick slot, so a producer that pushes mid-cycle re-activates its
-    /// consumer in the same cycle.
-    fn step_scan(&mut self) {
-        let now = self.cycle;
-        let mut ctx = TickCtx {
-            cycle: now,
-            tracer: &self.tracer,
-        };
-        if let Some(s) = &self.sanitizer {
-            s.begin_cycle(now);
-        }
-        for ((c, ticks), ns) in self
-            .components
-            .iter_mut()
-            .zip(&mut self.ticks)
-            .zip(&mut self.host_ns)
-        {
-            let idle = matches!(c.next_activity(now), Some(at) if at > now);
-            if !idle {
-                if self.profiling {
-                    let t0 = std::time::Instant::now();
-                    c.tick(&mut ctx);
-                    *ns += t0.elapsed().as_nanos() as u64;
-                } else {
-                    c.tick(&mut ctx);
-                }
-                *ticks += 1;
-            }
-        }
-        self.cycle += 1;
-        if let Some(s) = &self.sanitizer {
-            s.end_cycle();
-        }
-    }
-
     /// Advance by up to `window` cycles (at least one), jumping over
-    /// all-idle stretches when a hint-driven scheduler is active.
-    /// Returns the number of cycles advanced.
+    /// all-idle stretches under [`Scheduler::ActiveSet`]. Returns the
+    /// number of cycles advanced.
     ///
     /// A jump is sound because every component declared its next
     /// activity to be at or after `now + delta`: no tick in the
@@ -740,84 +572,12 @@ impl Simulator {
                 self.step_naive();
                 1
             }
-            Scheduler::Scan => self.advance_scan(window),
             Scheduler::ActiveSet => self.advance_active(window),
         }
     }
 
-    /// Scan-schedule advance: one full hint scan decides between a
-    /// jump and a stepped cycle, and the stepped cycle reuses the
-    /// scan's verdicts for the prefix it already cleared.
-    fn advance_scan(&mut self, window: Cycle) -> Cycle {
-        let now = self.cycle;
-        let mut earliest = Cycle::MAX;
-        let mut first_due = None;
-        for (i, c) in self.components.iter().enumerate() {
-            match c.next_activity(now) {
-                Some(at) if at > now => earliest = earliest.min(at),
-                _ => {
-                    first_due = Some(i);
-                    break;
-                }
-            }
-        }
-        let Some(first) = first_due else {
-            if self.components.is_empty() {
-                self.step_scan();
-                return 1;
-            }
-            let delta = (earliest - now).min(window);
-            self.cycle += delta;
-            self.jumps += 1;
-            self.jumped_cycles += delta;
-            if let Some(s) = &self.sanitizer {
-                s.set_now(self.cycle);
-            }
-            return delta;
-        };
-        // Step one cycle without re-querying what the scan already
-        // answered: components before `first` were idle at cycle start
-        // and nothing ticks before their slots, so their verdicts
-        // stand; `first` itself is known due. Only the tail after
-        // `first` — which mid-cycle pushes may have re-activated —
-        // needs a fresh query.
-        if let Some(s) = &self.sanitizer {
-            s.begin_cycle(now);
-        }
-        let mut ctx = TickCtx {
-            cycle: now,
-            tracer: &self.tracer,
-        };
-        for (i, ((c, ticks), ns)) in self
-            .components
-            .iter_mut()
-            .zip(&mut self.ticks)
-            .zip(&mut self.host_ns)
-            .enumerate()
-            .skip(first)
-        {
-            let idle = i > first && matches!(c.next_activity(now), Some(at) if at > now);
-            if !idle {
-                if self.profiling {
-                    let t0 = std::time::Instant::now();
-                    c.tick(&mut ctx);
-                    *ns += t0.elapsed().as_nanos() as u64;
-                } else {
-                    c.tick(&mut ctx);
-                }
-                *ticks += 1;
-            }
-        }
-        self.cycle += 1;
-        if let Some(s) = &self.sanitizer {
-            s.end_cycle();
-        }
-        1
-    }
-
     /// Active-set advance: jump when nothing is pending and every
-    /// deadline is in the future; otherwise run one stepped cycle
-    /// (which may open with a solo batch).
+    /// deadline is in the future; otherwise run one stepped cycle.
     fn advance_active(&mut self, window: Cycle) -> Cycle {
         let now = self.cycle;
         if self.hub.is_empty() && self.carry.is_empty() && !self.components.is_empty() {
@@ -854,16 +614,19 @@ impl Simulator {
                     // `run_until` contract), which a pure jump cannot
                     // change — so no observation point is lost by not
                     // returning in between.
-                    return delta + self.step_active(0, window - delta);
+                    self.step_active(0);
+                    return delta + 1;
                 }
                 return delta;
             }
             // Not jumping, but the polled prefix `..polled_from` was
             // just verified idle and nothing can tick before its
             // slots, so it keeps its verdict for this cycle.
-            return self.step_active(polled_from, window);
+            self.step_active(polled_from);
+            return 1;
         }
-        self.step_active(0, window)
+        self.step_active(0);
+        1
     }
 
     /// Earliest live heap deadline, discarding stale entries on the
@@ -888,13 +651,11 @@ impl Simulator {
         }
     }
 
-    /// One stepped cycle of the active-set schedule; returns the
-    /// cycles advanced (1, or more when a solo batch ran).
+    /// One stepped cycle of the active-set schedule.
     ///
     /// `polled_from` skips re-querying a prefix of `self.polled` the
-    /// caller has already verified idle this cycle; `window` bounds a
-    /// solo batch (1 = no batching, as in [`Simulator::step`]).
-    fn step_active(&mut self, polled_from: usize, window: Cycle) -> Cycle {
+    /// caller has already verified idle this cycle.
+    fn step_active(&mut self, polled_from: usize) {
         let now = self.cycle;
         if let Some(s) = &self.sanitizer {
             s.begin_cycle(now);
@@ -927,271 +688,10 @@ impl Simulator {
             }
         }
 
-        // The cycle the in-progress tick loop is stamped at: stays
-        // `now` unless a solo batch advances it.
-        let mut cur = now;
-        let mut from = 0;
-
-        // Fused window: in an all-wired system where every due
-        // component negotiates a batch window ([`Component::max_batch`])
-        // and no self-scheduled deadline falls inside it, execute the
-        // quiet stretch in bulk. A single batch-capable member gets the
-        // window as one `tick_batch` call (PR 4's solo path,
-        // generalized); several members — a steady-state stream chain —
-        // are ticked cycle by cycle in registration order without
-        // rebuilding the due set, until the window ends or a wake
-        // escapes the member set.
-        'fusion: {
-            if window < 2 || !self.batching || !self.polled.is_empty() || self.due.is_empty() {
-                break 'fusion;
-            }
-            // With fusion off, only the solo-batch shape is allowed:
-            // skip the negotiation unless exactly one component is due
-            // (this also preserves that mode's per-cycle cost profile).
-            let multi = self.due.count() != 1;
-            if multi && (!self.fusion || now < self.fusion_backoff_until) {
-                break 'fusion;
-            }
-            // The window must end before the next self-scheduled
-            // deadline, so a sleeping component (a CLINT timer edge, a
-            // DDR refresh, a DMA start-up pipeline) re-joins exactly on
-            // time.
-            let horizon = self.heap_next_live().saturating_sub(now).min(window);
-            if horizon < 2 {
-                break 'fusion;
-            }
-            // Negotiate k = min over the due members' windows; any due
-            // component without a usable window vetoes the attempt (the
-            // ordered sweep below handles the cycle as usual).
-            self.fused.clear();
-            let mut k = horizon;
-            let mut scan = 0;
-            while let Some(idx) = self.due.next_at_or_after(scan) {
-                scan = idx + 1;
-                match self.components[idx].max_batch(now) {
-                    Some(w) if w >= 2 => k = k.min(w),
-                    _ => {
-                        // Only a killed multi-member attempt counts as
-                        // a veto: a solo component declining a window
-                        // just means "no batch this cycle".
-                        if multi {
-                            self.fusion_vetoes[idx] += 1;
-                            self.fusion_backoff_until = now + FUSION_BACKOFF;
-                        }
-                        self.fused.clear();
-                        break 'fusion;
-                    }
-                }
-                self.fused.push(idx as u32);
-            }
-
-            // Solo member: offer the whole window as one bulk call.
-            if self.fused.len() == 1 && self.batchable[self.fused[0] as usize] {
-                let idx = self.fused[0] as usize;
-                self.fused.clear();
-                self.due.clear(idx);
-                let c = &mut self.components[idx];
-                debug_assert!(
-                    !matches!(c.next_activity(now), Some(at) if at > now),
-                    "{}: max_batch promised a window while not due",
-                    c.name()
-                );
-                let mut ctx = TickCtx {
-                    cycle: now,
-                    tracer: &self.tracer,
-                };
-                let executed = if self.profiling {
-                    let t0 = std::time::Instant::now();
-                    let executed = c.tick_batch(&mut ctx, k).clamp(1, k);
-                    self.host_ns[idx] += t0.elapsed().as_nanos() as u64;
-                    executed
-                } else {
-                    c.tick_batch(&mut ctx, k).clamp(1, k)
-                };
-                self.ticks[idx] += executed;
-                cur = now + executed - 1;
-                // Reschedule from the batch's final cycle. A hint of
-                // "still due now" is a firm promise for the next cycle
-                // (see `promise`); an exact `cur + 1` deadline is not.
-                match c.next_activity(cur) {
-                    Some(at) if at > cur + 1 => self.schedule(idx, at),
-                    Some(at) if at == cur + 1 => self.carry.set(idx),
-                    _ => {
-                        self.carry.set(idx);
-                        self.promise.set(idx);
-                    }
-                }
-                if let Some(s) = &self.sanitizer {
-                    s.set_now(cur);
-                }
-                // Effects of the final batched cycle may have woken
-                // later-registered components: finish cycle `cur` for
-                // them below, exactly as after a plain tick.
-                self.hub.drain_above_into(idx, &mut self.due);
-                from = idx + 1;
-                break 'fusion;
-            }
-            if !self.fusion {
-                self.fused.clear();
-                break 'fusion;
-            }
-            // A short multi-member window saves fewer hint queries than
-            // the negotiation and interior setup cost; fall back to the
-            // ordered sweep and back off so a zero-slack equilibrium
-            // (every FIFO in the chain pinned full or empty) does not
-            // re-negotiate every cycle.
-            if k < MIN_FUSED_WINDOW {
-                self.fusion_backoff_until = now + FUSION_BACKOFF;
-                self.fused.clear();
-                break 'fusion;
-            }
-
-            // Multi-member fusion: run the interior cycles of the
-            // window here. Members tick every cycle in ascending
-            // registration order without hint queries (their window
-            // promise stands in for the per-cycle due checks; the debug
-            // assert verifies it). A component *outside* the member set
-            // that a member's push wakes mid-window — typically the
-            // consumer at the end of a lock-step chain, whose input
-            // runs empty at every cycle boundary — is *recruited*: it
-            // runs through exactly the hint-checked path the ordered
-            // sweep uses, at its correct position in registration
-            // order, so same-cycle forwarding and tick counts are
-            // identical to per-cycle scheduling. Wakes to earlier-
-            // registered components stay in the hub and are drained at
-            // the next cycle boundary (pipeline latency), just like
-            // the per-cycle schedule. The only thing that ends a
-            // window early is a deadline a recruit self-schedules
-            // *inside* it. The *final* window cycle always runs
-            // through the normal sweep below, so boundary effects —
-            // post-tick hints, completion records, milestone wakes —
-            // are handled by unmodified machinery. The due bits of the
-            // members stay set throughout and feed that final sweep.
-            self.fused_mask.clear_all();
-            for &m in &self.fused {
-                self.fused_mask.set(m as usize);
-            }
-            let members = std::mem::take(&mut self.fused);
-            self.fused_windows += 1;
-            let mut at = now;
-            loop {
-                if at > now {
-                    // A recruit may have scheduled a deadline inside
-                    // the window (the negotiation only saw deadlines
-                    // live at `now`). End the stepped advance *before*
-                    // the deadline cycle: the next `step_active` call
-                    // re-runs the full cycle-start bookkeeping and
-                    // makes the deadline's owner due on time. All
-                    // current due bits (members and carried recruits)
-                    // are due again at `at`, which is exactly what the
-                    // carry set expresses.
-                    if self.heap_next_live() <= at {
-                        debug_assert!(self.carry.is_empty());
-                        std::mem::swap(&mut self.carry, &mut self.due);
-                        self.fused = members;
-                        self.fused_cycles += at - now;
-                        self.cycle = at;
-                        return at - now;
-                    }
-                    if let Some(s) = &self.sanitizer {
-                        s.begin_cycle(at);
-                    }
-                    // Wakes from the previous cycle aimed at earlier-
-                    // registered components (and any wake to a sleeping
-                    // recruit) become due this cycle.
-                    self.hub.drain_all_into(&mut self.due);
-                }
-                if at + 1 == now + k {
-                    break;
-                }
-                // One interior cycle: the sweep loop's shape, with the
-                // hint queries elided for members.
-                let mut i = 0;
-                while let Some(idx) = self.due.next_at_or_after(i) {
-                    i = idx + 1;
-                    if self.fused_mask.get(idx) {
-                        let c = &mut self.components[idx];
-                        debug_assert!(
-                            !matches!(c.next_activity(at), Some(h) if h > at),
-                            "{}: max_batch overcommitted — idle at {at} inside its window",
-                            c.name()
-                        );
-                        let mut ctx = TickCtx {
-                            cycle: at,
-                            tracer: &self.tracer,
-                        };
-                        if self.profiling {
-                            let t0 = std::time::Instant::now();
-                            c.tick(&mut ctx);
-                            self.host_ns[idx] += t0.elapsed().as_nanos() as u64;
-                        } else {
-                            c.tick(&mut ctx);
-                        }
-                        self.ticks[idx] += 1;
-                        // The due bit stays set: the member is due for
-                        // every remaining window cycle.
-                    } else {
-                        // Recruit: hint-check, tick, re-arm — the
-                        // ordered sweep's exact per-component path.
-                        self.due.clear(idx);
-                        let c = &mut self.components[idx];
-                        if let Some(h) = c.next_activity(at) {
-                            if h > at {
-                                if self.policies[idx] == WakePolicy::Wired {
-                                    self.schedule(idx, h);
-                                }
-                                continue;
-                            }
-                        }
-                        let mut ctx = TickCtx {
-                            cycle: at,
-                            tracer: &self.tracer,
-                        };
-                        if self.profiling {
-                            let t0 = std::time::Instant::now();
-                            c.tick(&mut ctx);
-                            self.host_ns[idx] += t0.elapsed().as_nanos() as u64;
-                        } else {
-                            c.tick(&mut ctx);
-                        }
-                        self.ticks[idx] += 1;
-                        if self.policies[idx] == WakePolicy::Wired {
-                            let next = match c.next_activity(at) {
-                                Some(h) => h.max(at + 1),
-                                None => at + 1,
-                            };
-                            if next == at + 1 {
-                                // Due again next cycle: keep the bit in
-                                // `due` (the window's carry set).
-                                self.due.set(idx);
-                            } else {
-                                self.schedule(idx, next);
-                            }
-                        }
-                    }
-                    // A push during this tick wakes subscribers: later
-                    // components join this very cycle, exactly as in
-                    // the sweep.
-                    self.hub.drain_above_into(idx, &mut self.due);
-                }
-                if let Some(s) = &self.sanitizer {
-                    s.end_cycle();
-                }
-                at += 1;
-            }
-            self.fused = members;
-            // The final window cycle `at` is executed by the sweep
-            // below (members are still due, recruits carried in `due`);
-            // it still belongs to the window's advance.
-            self.fused_cycles += at - now + 1;
-            cur = at;
-            from = 0;
-        }
-
         // Ordered sweep over the due set: ascending index is
-        // registration order, so forwarding behaves exactly like the
-        // full scan.
-        let mut i = from;
+        // registration order, so forwarding behaves exactly like
+        // ticking everything.
+        let mut i = 0;
         while let Some(idx) = self.due.next_at_or_after(i) {
             self.due.clear(idx);
             i = idx + 1;
@@ -1202,17 +702,16 @@ impl Simulator {
             // skips the query — its own post-tick hint last cycle
             // promised "due again", and hint monotonicity (the wake
             // contract) means earlier ticks this cycle can only add
-            // work, never retract the promise. Fused-window members
-            // reaching this sweep are likewise window-promised due.
+            // work, never retract the promise.
             if self.carried.get(idx) {
                 debug_assert!(
-                    !matches!(c.next_activity(cur), Some(at) if at > cur),
-                    "{}: post-tick hint promised due at {cur} but the pre-tick \
+                    !matches!(c.next_activity(now), Some(at) if at > now),
+                    "{}: post-tick hint promised due at {now} but the pre-tick \
                      query disagrees (non-monotone hint)",
                     c.name()
                 );
-            } else if let Some(at) = c.next_activity(cur) {
-                if at > cur {
+            } else if let Some(at) = c.next_activity(now) {
+                if at > now {
                     // Not due after all. Wired components sleep until
                     // the declared cycle (or a wake); polled ones are
                     // re-queried next cycle anyway.
@@ -1223,7 +722,7 @@ impl Simulator {
                 }
             }
             let mut ctx = TickCtx {
-                cycle: cur,
+                cycle: now,
                 tracer: &self.tracer,
             };
             if self.profiling {
@@ -1241,11 +740,11 @@ impl Simulator {
                 // — while MAX means "sleep until a wake arrives". A
                 // hint still at `now` (or `None`) additionally records
                 // a firm promise, letting next cycle's sweep skip the
-                // pre-tick re-query; an exact `cur + 1` deadline may
+                // pre-tick re-query; an exact `now + 1` deadline may
                 // be a gate and is carried without the promise.
-                match c.next_activity(cur) {
-                    Some(at) if at > cur + 1 => self.schedule(idx, at),
-                    Some(at) if at == cur + 1 => self.carry.set(idx),
+                match c.next_activity(now) {
+                    Some(at) if at > now + 1 => self.schedule(idx, at),
+                    Some(at) if at == now + 1 => self.carry.set(idx),
                     _ => {
                         self.carry.set(idx);
                         self.promise.set(idx);
@@ -1255,14 +754,13 @@ impl Simulator {
             // A push during this tick wakes its subscribers: later
             // components join this very cycle (same-cycle forwarding),
             // earlier ones wait for the next (pipeline latency) — the
-            // same visibility the full scan gives.
+            // same visibility the naive schedule gives.
             self.hub.drain_above_into(idx, &mut self.due);
         }
-        self.cycle = cur + 1;
+        self.cycle = now + 1;
         if let Some(s) = &self.sanitizer {
             s.end_cycle();
         }
-        self.cycle - now
     }
 
     /// Advance by `n` cycles.
@@ -1385,11 +883,9 @@ impl Simulator {
     pub fn kernel_stats(&self) -> KernelStats {
         KernelStats {
             cycles: self.cycle,
-            fast_forward: self.fast_forward(),
+            fast_forward: self.scheduler == Scheduler::ActiveSet,
             jumps: self.jumps,
             jumped_cycles: self.jumped_cycles,
-            fused_windows: self.fused_windows,
-            fused_cycles: self.fused_cycles,
             protocol_violations: self.sanitizer.as_ref().map_or(0, |s| s.violation_count()),
             profiled: self.profiling,
             components: self
@@ -1401,7 +897,6 @@ impl Simulator {
                     name: c.name().to_string(),
                     ticks_executed: ticks,
                     cycles_skipped: (self.cycle - registered) - ticks,
-                    fusion_vetoes: self.fusion_vetoes[idx],
                     host_ns: self.host_ns[idx],
                     audit: c.mmio_audit(),
                 })
@@ -1441,6 +936,10 @@ mod tests {
                 Some(Cycle::MAX)
             }
         }
+        fn wake_sources(&self, _waker: &crate::Waker) -> WakePolicy {
+            // No inputs: the hint depends on own state only.
+            WakePolicy::Wired
+        }
         fn save_state(&self) -> Option<StateBlob> {
             // The out channel is saved by its consumer.
             let mut b = StateBlob::new("test.producer", 1);
@@ -1477,6 +976,10 @@ mod tests {
             } else {
                 Some(now)
             }
+        }
+        fn wake_sources(&self, waker: &crate::Waker) -> WakePolicy {
+            self.input.subscribe_wake(waker.clone());
+            WakePolicy::Wired
         }
         fn save_state(&self) -> Option<StateBlob> {
             let mut b = StateBlob::new("test.consumer", 1);
@@ -1607,7 +1110,11 @@ mod tests {
     fn timer_fires_identically_with_and_without_fast_forward() {
         let run = |ff: bool| {
             let mut sim = Simulator::new(Freq::FABRIC_100MHZ);
-            sim.set_fast_forward(ff);
+            sim.set_scheduler(if ff {
+                Scheduler::ActiveSet
+            } else {
+                Scheduler::Naive
+            });
             sim.register(Box::new(Timer {
                 period: 64,
                 fired: 0,
@@ -1631,7 +1138,11 @@ mod tests {
     fn fast_forward_skips_idle_gap_but_cycle_counts_match() {
         let run = |ff: bool| {
             let (mut sim, seen) = pipeline(10);
-            sim.set_fast_forward(ff);
+            sim.set_scheduler(if ff {
+                Scheduler::ActiveSet
+            } else {
+                Scheduler::Naive
+            });
             // Drain the pipeline, then sit idle until a far deadline.
             let took = sim.run_until(100_000, || seen.get() >= 10).unwrap();
             sim.step_n(50_000);
@@ -1770,7 +1281,7 @@ mod tests {
 
     #[test]
     fn profiling_attributes_host_time_without_changing_behavior() {
-        for scheduler in [Scheduler::Naive, Scheduler::Scan, Scheduler::ActiveSet] {
+        for scheduler in [Scheduler::Naive, Scheduler::ActiveSet] {
             let run = |profile: bool| {
                 let (mut sim, seen) = pipeline(50);
                 sim.set_scheduler(scheduler);
@@ -1802,7 +1313,7 @@ mod tests {
     }
 
     #[test]
-    fn profiling_covers_solo_batches_and_resets() {
+    fn profiling_resets_with_stats() {
         let (mut sim, _) = pipeline(20);
         sim.set_profiling(true);
         sim.run_until_quiescent(10_000).unwrap();
@@ -1859,6 +1370,65 @@ mod tests {
                 .unwrap()
                 .parity_diff(&b.checkpoint().unwrap()),
             None
+        );
+    }
+
+    fn tick_counts(sim: &Simulator) -> Vec<u64> {
+        sim.kernel_stats()
+            .components
+            .iter()
+            .map(|c| c.ticks_executed)
+            .collect()
+    }
+
+    #[test]
+    fn restore_drops_stale_firm_promises() {
+        let (mut drained, _) = pipeline(100);
+        drained.run_until_quiescent(10_000).unwrap();
+        let drained_checkpoint = drained.checkpoint().unwrap();
+
+        // Reference: the drained checkpoint restored into a fresh rig.
+        let (mut fresh, _) = pipeline(100);
+        fresh.restore(&drained_checkpoint).unwrap();
+        fresh.step_n(10);
+
+        // Same checkpoint restored mid-stream, while the producer holds
+        // a firm "due again" promise from its last post-tick hint. The
+        // restored producer is idle: the promise must not survive.
+        let (mut warm, _) = pipeline(100);
+        warm.step_n(30);
+        warm.restore(&drained_checkpoint).unwrap();
+        warm.step_n(10);
+
+        assert_eq!(tick_counts(&warm), tick_counts(&fresh));
+        assert_eq!(
+            warm.checkpoint()
+                .unwrap()
+                .parity_diff(&fresh.checkpoint().unwrap()),
+            None
+        );
+    }
+
+    #[test]
+    fn scheduler_switch_drops_stale_firm_promises() {
+        // Active set for 30 cycles (the producer ends them promised),
+        // naive until drained, then back to the active set.
+        let run = |first: Scheduler| {
+            let (mut sim, _) = pipeline(100);
+            sim.set_scheduler(first);
+            sim.step_n(30);
+            sim.set_scheduler(Scheduler::Naive);
+            sim.run_until_quiescent(10_000).unwrap();
+            sim.set_scheduler(Scheduler::ActiveSet);
+            sim.reset_stats();
+            sim.step_n(10);
+            tick_counts(&sim)
+        };
+        assert_eq!(run(Scheduler::ActiveSet), run(Scheduler::Naive));
+        assert_eq!(
+            run(Scheduler::ActiveSet),
+            [0, 0],
+            "drained rig ticks nothing"
         );
     }
 

@@ -55,9 +55,8 @@
 //! deadline heap — or, for components that wire their inputs to a
 //! [`wake::Waker`] ([`component::Component::wake_sources`]), until new
 //! input actually arrives. Each cycle only *due* components are
-//! touched, the clock jumps over windows where nothing is due, and a
-//! lone streaming component can be handed a whole quiet window as one
-//! batched call ([`component::Component::tick_batch`]). This recovers
+//! touched and the clock jumps over windows where nothing is due.
+//! This recovers
 //! the main benefit of an event queue (work proportional to activity,
 //! not to simulated time or component count) while keeping cycle
 //! counts bit-identical to the naive schedule — the hints and wake

@@ -475,29 +475,6 @@ impl<T> ChannelMonitor<T> {
         self.state.borrow_mut().on_pop(self.channel, occupancy);
     }
 
-    /// [`ChannelMonitor::record_push`] stamped at an explicit cycle:
-    /// used by the batched FIFO ops so a `tick_batch` replay of `k`
-    /// cycles produces the same per-cycle observations (rate windows,
-    /// progress stamps, violation cycles) as `k` separate ticks. The
-    /// kernel's notion of "now" is restored afterwards.
-    pub(crate) fn record_push_at(&self, meta: PayloadMeta, occupancy: usize, cycle: Cycle) {
-        let mut st = self.state.borrow_mut();
-        let saved = st.now;
-        st.now = cycle;
-        st.on_push(self.channel, meta, occupancy);
-        st.now = saved;
-    }
-
-    /// [`ChannelMonitor::record_pop`] stamped at an explicit cycle
-    /// (see [`ChannelMonitor::record_push_at`]).
-    pub(crate) fn record_pop_at(&self, occupancy: usize, cycle: Cycle) {
-        let mut st = self.state.borrow_mut();
-        let saved = st.now;
-        st.now = cycle;
-        st.on_pop(self.channel, occupancy);
-        st.now = saved;
-    }
-
     pub(crate) fn record_clear(&self) {
         self.state.borrow_mut().on_clear(self.channel);
     }

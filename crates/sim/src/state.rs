@@ -27,7 +27,7 @@
 //! and the kernel's policy counters. [`SimState::parity_diff`] defines
 //! *replay parity*: two states are equivalent when their cycle,
 //! component state, tick accounting and sanitizer verdicts all match —
-//! scheduler policy counters (jump/fusion bookkeeping) are excluded,
+//! scheduler policy counters (jump bookkeeping) are excluded,
 //! because a restored run legitimately re-plans its jumps from a cold
 //! scheduler while producing bit-identical simulated behavior.
 
@@ -475,21 +475,15 @@ pub struct ComponentState {
 
 /// Kernel scheduling-policy counters carried through a checkpoint for
 /// [`crate::KernelStats`] continuity but **excluded from replay
-/// parity**: a restored run re-plans its clock jumps and fusion
-/// windows from a cold scheduler, so these legitimately differ from a
-/// straight run while every simulated observable stays bit-identical.
+/// parity**: a restored run re-plans its clock jumps from a cold
+/// scheduler, so these legitimately differ from a straight run while
+/// every simulated observable stays bit-identical.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KernelCounters {
     /// Whole-system clock jumps taken.
     pub jumps: u64,
     /// Cycles covered by those jumps.
     pub jumped_cycles: Cycle,
-    /// Multi-component fused windows entered.
-    pub fused_windows: u64,
-    /// Cycles advanced inside fused windows.
-    pub fused_cycles: Cycle,
-    /// Per-component fused-window vetoes.
-    pub fusion_vetoes: Vec<u64>,
 }
 
 /// A whole-simulator checkpoint ([`crate::Simulator::checkpoint`]).

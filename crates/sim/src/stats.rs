@@ -137,13 +137,7 @@ pub struct ComponentStats {
     pub ticks_executed: u64,
     /// Cycles skipped as guaranteed no-ops (gating + jumps).
     pub cycles_skipped: u64,
-    /// Fused-window negotiations this component vetoed by declaring
-    /// no usable [`crate::Component::max_batch`] window while due. A
-    /// hot component with a high veto count is the reason fused
-    /// windows stay short on a rig.
-    pub fusion_vetoes: u64,
-    /// Host nanoseconds spent inside this component's `tick` /
-    /// `tick_batch` calls. Accumulated only while profiling is enabled
+    /// Host nanoseconds spent inside this component's `tick` calls. Accumulated only while profiling is enabled
     /// ([`crate::Simulator::set_profiling`]); zero otherwise.
     pub host_ns: u64,
     /// MMIO access audit, for components that decode a register map.
@@ -175,10 +169,6 @@ pub struct KernelStats {
     pub jumps: u64,
     /// Total cycles covered by those jumps.
     pub jumped_cycles: Cycle,
-    /// Multi-component fused windows the kernel entered.
-    pub fused_windows: u64,
-    /// Cycles advanced inside those windows.
-    pub fused_cycles: Cycle,
     /// Bus/stream protocol violations recorded by the attached
     /// sanitizer (zero when no sanitizer is attached).
     pub protocol_violations: u64,
@@ -290,14 +280,6 @@ impl KernelStats {
             self.total_skipped(),
             self.skipped_pct(),
         ));
-        if self.fused_windows > 0 {
-            out.push_str(&format!(
-                "  fusion: {} windows covering {} cycles ({:.1} cycles/window)\n",
-                self.fused_windows,
-                self.fused_cycles,
-                self.fused_cycles as f64 / self.fused_windows as f64,
-            ));
-        }
         let name_w = self
             .components
             .iter()
@@ -307,16 +289,12 @@ impl KernelStats {
             .max(4);
         for c in &self.components {
             out.push_str(&format!(
-                "  {:<name_w$}  {:>12} ticks  {:>12} skipped  {:>6.1} % util",
+                "  {:<name_w$}  {:>12} ticks  {:>12} skipped  {:>6.1} % util\n",
                 c.name,
                 c.ticks_executed,
                 c.cycles_skipped,
                 c.utilization_pct(),
             ));
-            if c.fusion_vetoes > 0 {
-                out.push_str(&format!("  {:>8} vetoes", c.fusion_vetoes));
-            }
-            out.push('\n');
         }
         let audit = self.mmio_audit();
         if audit != MmioAudit::default() {
@@ -458,8 +436,6 @@ mod tests {
             fast_forward: true,
             jumps: 0,
             jumped_cycles: 0,
-            fused_windows: 0,
-            fused_cycles: 0,
             protocol_violations: 0,
             profiled: false,
             components: vec![
@@ -467,7 +443,6 @@ mod tests {
                     name: "a".into(),
                     ticks_executed: 100,
                     cycles_skipped: 0,
-                    fusion_vetoes: 0,
                     host_ns: 0,
                     audit: Some(MmioAudit {
                         reads: 4,
@@ -479,7 +454,6 @@ mod tests {
                     name: "b".into(),
                     ticks_executed: 100,
                     cycles_skipped: 0,
-                    fusion_vetoes: 0,
                     host_ns: 0,
                     audit: None,
                 },
@@ -487,7 +461,6 @@ mod tests {
                     name: "c".into(),
                     ticks_executed: 100,
                     cycles_skipped: 0,
-                    fusion_vetoes: 0,
                     host_ns: 0,
                     audit: Some(MmioAudit {
                         writes: 7,
@@ -511,7 +484,6 @@ mod tests {
             name: name.into(),
             ticks_executed: ticks,
             cycles_skipped: 0,
-            fusion_vetoes: 0,
             host_ns,
             audit: None,
         };
@@ -520,8 +492,6 @@ mod tests {
             fast_forward: true,
             jumps: 0,
             jumped_cycles: 0,
-            fused_windows: 0,
-            fused_cycles: 0,
             protocol_violations: 0,
             profiled: true,
             components: vec![

@@ -243,6 +243,7 @@ impl BitSet {
     }
 
     /// Number of set bits.
+    #[cfg(test)]
     pub(crate) fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }

@@ -10,7 +10,7 @@ use std::rc::Rc;
 
 use proptest::prelude::*;
 use rvcap_sim::component::{Component, TickCtx};
-use rvcap_sim::{Cycle, Freq, Simulator};
+use rvcap_sim::{Cycle, Freq, Scheduler, Simulator};
 
 /// A component driven by a precomputed schedule of active cycles. The
 /// tick records every scheduled cycle it actually executes on;
@@ -69,11 +69,11 @@ impl Component for Scripted {
 fn run(
     schedules: &[Vec<Cycle>],
     hintless_mask: u64,
-    fast_forward: bool,
+    scheduler: Scheduler,
     horizon: Cycle,
 ) -> (Vec<Vec<Cycle>>, Cycle) {
     let mut sim = Simulator::new(Freq::FABRIC_100MHZ);
-    sim.set_fast_forward(fast_forward);
+    sim.set_scheduler(scheduler);
     let mut logs = Vec::new();
     for (i, cycles) in schedules.iter().enumerate() {
         let hinted = hintless_mask & (1 << i) == 0;
@@ -95,8 +95,8 @@ proptest! {
         hintless_mask in 0u64..64,
     ) {
         const HORIZON: Cycle = 400;
-        let (ff_logs, ff_end) = run(&schedules, hintless_mask, true, HORIZON);
-        let (naive_logs, naive_end) = run(&schedules, hintless_mask, false, HORIZON);
+        let (ff_logs, ff_end) = run(&schedules, hintless_mask, Scheduler::ActiveSet, HORIZON);
+        let (naive_logs, naive_end) = run(&schedules, hintless_mask, Scheduler::Naive, HORIZON);
 
         prop_assert_eq!(ff_end, naive_end, "cycle counter diverged");
         for (i, (got, sched)) in ff_logs.iter().zip(&schedules).enumerate() {

@@ -1,8 +1,7 @@
 //! Property test for replay parity: for **random pipeline rigs** and a
 //! **random checkpoint cycle**, `checkpoint → restore into a fresh rig
 //! → continue` is bit-identical to the uninterrupted run under every
-//! scheduler mode (naive, scan, active-set, active-set + batching,
-//! active-set + batching + fusion).
+//! scheduler (naive and active-set).
 //!
 //! The components mirror the randomized graphs of
 //! `scheduler_equivalence.rs` — paced sources, latency stages (wired
@@ -59,10 +58,6 @@ impl Component for Source {
 
     fn wake_sources(&self, _waker: &Waker) -> WakePolicy {
         WakePolicy::Wired
-    }
-
-    fn max_batch(&self, _now: Cycle) -> Option<Cycle> {
-        (self.gap == 0 && self.remaining > 0).then_some(self.remaining)
     }
 
     fn save_state(&self) -> Option<StateBlob> {
@@ -135,14 +130,6 @@ impl Component for Stage {
         }
     }
 
-    fn max_batch(&self, _now: Cycle) -> Option<Cycle> {
-        if self.latency != 0 {
-            return None;
-        }
-        let w = usize::from(self.holding.is_some()) + self.input.len();
-        (w > 0).then_some(w as Cycle)
-    }
-
     fn save_state(&self) -> Option<StateBlob> {
         // Consumer of `input`; `output` is saved downstream.
         let mut b = StateBlob::new("prop.stage", 1);
@@ -205,14 +192,6 @@ impl Component for Sink {
     fn wake_sources(&self, waker: &Waker) -> WakePolicy {
         self.input.subscribe_wake(waker.clone());
         WakePolicy::Wired
-    }
-
-    fn max_batch(&self, now: Cycle) -> Option<Cycle> {
-        if self.period != 1 || now < self.next_pop {
-            return None;
-        }
-        let o = self.input.len() as Cycle;
-        (o > 0).then_some(o)
     }
 
     fn save_state(&self) -> Option<StateBlob> {
@@ -286,22 +265,13 @@ fn chain_strategy() -> impl Strategy<Value = ChainParams> {
         })
 }
 
-/// The five scheduler modes: (scheduler, batching, fusion).
-const MODES: [(Scheduler, bool, bool); 5] = [
-    (Scheduler::Naive, false, false),
-    (Scheduler::Scan, false, false),
-    (Scheduler::ActiveSet, false, false),
-    (Scheduler::ActiveSet, true, false),
-    (Scheduler::ActiveSet, true, true),
-];
+const SCHEDULERS: [Scheduler; 2] = [Scheduler::Naive, Scheduler::ActiveSet];
 
-/// Build a fresh rig for `chains` under `mode` — identical structure
-/// every call, which is the precondition for restore.
-fn build(chains: &[ChainParams], mode: (Scheduler, bool, bool)) -> Simulator {
+/// Build a fresh rig for `chains` under `scheduler` — identical
+/// structure every call, which is the precondition for restore.
+fn build(chains: &[ChainParams], scheduler: Scheduler) -> Simulator {
     let mut sim = Simulator::new(Freq::FABRIC_100MHZ);
-    sim.set_scheduler(mode.0);
-    sim.set_batching(mode.1);
-    sim.set_fusion(mode.2);
+    sim.set_scheduler(scheduler);
     let sanitizer = Sanitizer::new();
     sim.attach_sanitizer(sanitizer.clone());
     for (ci, p) in chains.iter().enumerate() {
@@ -347,17 +317,17 @@ fn build(chains: &[ChainParams], mode: (Scheduler, bool, bool)) -> Simulator {
 /// enough that the naive schedule stays cheap across proptest cases.
 const TOTAL: Cycle = 2_000;
 
-fn straight(chains: &[ChainParams], mode: (Scheduler, bool, bool)) -> SimState {
-    let mut sim = build(chains, mode);
+fn straight(chains: &[ChainParams], scheduler: Scheduler) -> SimState {
+    let mut sim = build(chains, scheduler);
     sim.step_n(TOTAL);
     sim.checkpoint().expect("straight checkpoint")
 }
 
-fn forked(chains: &[ChainParams], mode: (Scheduler, bool, bool), cp: Cycle) -> SimState {
-    let mut a = build(chains, mode);
+fn forked(chains: &[ChainParams], scheduler: Scheduler, cp: Cycle) -> SimState {
+    let mut a = build(chains, scheduler);
     a.step_n(cp);
     let base = a.checkpoint().expect("mid-run checkpoint");
-    let mut b = build(chains, mode);
+    let mut b = build(chains, scheduler);
     b.restore(&base).expect("restore into fresh rig");
     b.step_n(TOTAL - cp);
     b.checkpoint().expect("forked checkpoint")
@@ -365,23 +335,20 @@ fn forked(chains: &[ChainParams], mode: (Scheduler, bool, bool), cp: Cycle) -> S
 
 proptest! {
     /// For a random rig and a random checkpoint cycle, the forked run
-    /// ends parity-equal to the straight run under all five modes —
-    /// and the straight runs agree across modes on everything but
-    /// tick accounting (scheduler equivalence, re-checked here so a
-    /// parity failure can be attributed).
+    /// ends parity-equal to the straight run under both schedulers.
     #[test]
     fn checkpoint_restore_run_equals_straight_run(
         chains in proptest::collection::vec(chain_strategy(), 1..3),
         cp in 0u64..TOTAL,
     ) {
-        for mode in MODES {
-            let s = straight(&chains, mode);
-            let f = forked(&chains, mode, cp);
+        for scheduler in SCHEDULERS {
+            let s = straight(&chains, scheduler);
+            let f = forked(&chains, scheduler, cp);
             prop_assert_eq!(
                 s.parity_diff(&f),
                 None,
                 "replay parity under {:?} with checkpoint at {}",
-                mode,
+                scheduler,
                 cp
             );
         }

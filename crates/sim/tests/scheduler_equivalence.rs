@@ -1,24 +1,19 @@
 //! Observational equivalence of the kernel schedulers.
 //!
-//! Randomized producer → stage… → consumer FIFO graphs run under all
-//! five schedules (naive, full-scan fast-forward, active-set,
-//! active-set with batching, and active-set with stream fusion). The
-//! schedulers may only trade host time: the final cycle, every sink's
-//! `(cycle, value)` log, and the sanitizer's violation count must be
-//! identical across all five, and the per-component
-//! `ticks_executed`/`cycles_skipped` split must be identical between
-//! the hint-driven schedules (naive executes the no-op ticks the
-//! hints rule out, so only its totals are checked).
+//! Randomized producer → stage… → consumer FIFO graphs run under both
+//! schedules (naive and active-set). The schedulers may only trade
+//! host time: the final cycle, every sink's `(cycle, value)` log, and
+//! the sanitizer's violation count must be identical, and the
+//! active-set schedule may only skip ticks the naive one executes as
+//! no-ops (per-component `ticks_executed + cycles_skipped` totals
+//! agree, and the active set never executes more).
 //!
 //! The graphs exercise the scheduler edges that caused bugs during
 //! bring-up: same-cycle producer-before-consumer forwarding, full-FIFO
 //! producer spin (pops fire no wakes), post-tick deadline reschedule,
-//! and `WakePolicy::Poll` components mixed into a wired graph. The
-//! components publish honest `max_batch` windows (gapless sources and
-//! zero-latency stages only — paced ones cannot promise a second due
-//! cycle), and a random FIFO preload gives the fused schedule deep
-//! enough backlogs to negotiate multi-member windows; paced/`Poll`
-//! configurations exercise its veto and backoff paths instead.
+//! firm-promise hint skips, and `WakePolicy::Poll` components mixed
+//! into a wired graph. A random FIFO preload starts the first hop
+//! backlogged, so streaming stretches begin mid-burst.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -73,13 +68,6 @@ impl Component for Source {
     fn wake_sources(&self, _waker: &Waker) -> WakePolicy {
         // Pure time-based deadlines; no external input feeds the hint.
         WakePolicy::Wired
-    }
-
-    fn max_batch(&self, _now: Cycle) -> Option<Cycle> {
-        // Gapless: pushes (or retries against a full FIFO, which is
-        // still due) every cycle until dry. A paced source parks
-        // itself after each push and cannot promise a second cycle.
-        (self.gap == 0 && self.remaining > 0).then_some(self.remaining)
     }
 }
 
@@ -137,19 +125,6 @@ impl Component for Stage {
             WakePolicy::Wired
         }
     }
-
-    fn max_batch(&self, _now: Cycle) -> Option<Cycle> {
-        // A nonzero hold time breaks due-ness after each pop, so only
-        // the zero-latency shape can promise a window: each due cycle
-        // either pushes the held value (a full output only turns that
-        // into a retry, still due) or pops a queued one, and at most
-        // one buffered element leaves per cycle.
-        if self.latency != 0 {
-            return None;
-        }
-        let w = usize::from(self.holding.is_some()) + self.input.len();
-        (w > 0).then_some(w as Cycle)
-    }
 }
 
 /// Pops at most one value every `period` cycles, logging
@@ -190,23 +165,12 @@ impl Component for Sink {
         self.input.subscribe_wake(waker.clone());
         WakePolicy::Wired
     }
-
-    fn max_batch(&self, now: Cycle) -> Option<Cycle> {
-        // A period-1 sink pops one queued value per cycle, so the
-        // occupancy bounds the guaranteed due stretch no matter what
-        // arrives. Longer periods park the sink after every pop.
-        if self.period != 1 || now < self.next_pop {
-            return None;
-        }
-        let o = self.input.len() as Cycle;
-        (o > 0).then_some(o)
-    }
 }
 
 /// One randomized pipeline: source pacing, per-stage latency and wake
 /// policy, sink pacing, the (uniform) FIFO capacity, and how many
 /// values sit in the first hop before cycle 0 (clamped to the
-/// capacity) — the backlog that lets fused windows form.
+/// capacity).
 #[derive(Debug, Clone)]
 struct ChainParams {
     gap: Cycle,
@@ -245,20 +209,13 @@ struct Observed {
 }
 
 /// `(ticks_executed, cycles_skipped)` per component, registration
-/// order — identical between the hint-driven schedules only.
+/// order.
 type TickCounts = Vec<(u64, u64)>;
 
-fn run(
-    chains: &[ChainParams],
-    scheduler: Scheduler,
-    batching: bool,
-    fusion: bool,
-) -> (Observed, TickCounts) {
+fn run(chains: &[ChainParams], scheduler: Scheduler) -> (Observed, TickCounts) {
     const HORIZON: Cycle = 20_000;
     let mut sim = Simulator::new(Freq::FABRIC_100MHZ);
     sim.set_scheduler(scheduler);
-    sim.set_batching(batching);
-    sim.set_fusion(fusion);
     let sanitizer = Sanitizer::new();
     sim.attach_sanitizer(sanitizer.clone());
 
@@ -330,25 +287,15 @@ proptest! {
     fn schedulers_are_observationally_identical(
         chains in proptest::collection::vec(chain_strategy(), 1..3),
     ) {
-        let (naive, naive_ticks) = run(&chains, Scheduler::Naive, false, false);
-        let (scan, scan_ticks) = run(&chains, Scheduler::Scan, false, false);
-        let (active, active_ticks) = run(&chains, Scheduler::ActiveSet, false, false);
-        let (batched, batched_ticks) = run(&chains, Scheduler::ActiveSet, true, false);
-        let (fused, fused_ticks) = run(&chains, Scheduler::ActiveSet, true, true);
+        let (naive, naive_ticks) = run(&chains, Scheduler::Naive);
+        let (active, active_ticks) = run(&chains, Scheduler::ActiveSet);
 
-        // Observations: identical across all five schedules.
-        prop_assert_eq!(&naive, &scan);
         prop_assert_eq!(&naive, &active);
-        prop_assert_eq!(&naive, &batched);
-        prop_assert_eq!(&naive, &fused);
         prop_assert_eq!(naive.violations, 0, "clean graphs must stay clean");
 
-        // Executed-tick accounting: the hint-driven schedules skip
-        // exactly the hint-ruled-out ticks, so their splits agree;
-        // naive executes everything, so only its totals line up.
-        prop_assert_eq!(&scan_ticks, &active_ticks);
-        prop_assert_eq!(&scan_ticks, &batched_ticks);
-        prop_assert_eq!(&scan_ticks, &fused_ticks);
+        // Executed-tick accounting: the active set skips exactly the
+        // hint-ruled-out ticks, naive executes everything, so only the
+        // totals line up.
         for (i, (&(nt, ns), &(ht, hs))) in
             naive_ticks.iter().zip(&active_ticks).enumerate()
         {

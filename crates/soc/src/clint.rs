@@ -234,17 +234,6 @@ impl Component for Clint {
         rvcap_sim::WakePolicy::Wired
     }
 
-    fn max_batch(&self, _now: Cycle) -> Option<Cycle> {
-        // Deliberately no window: the CLINT is due only for one-shot
-        // events — a queued bus access, or the exact divider edge where
-        // `timer_irq` re-latches. Its event horizon caps fused windows
-        // through the kernel's deadline heap instead (`next_activity`
-        // returns the precise interrupt edge while the CLINT sleeps),
-        // so a timer firing mid-stream truncates the window to land on
-        // its exact cycle.
-        None
-    }
-
     fn mmio_audit(&self) -> Option<MmioAudit> {
         Some(self.regs.audit())
     }

@@ -348,96 +348,6 @@ impl Component for Ddr {
         rvcap_sim::WakePolicy::Wired
     }
 
-    fn max_batch(&self, now: Cycle) -> Option<Cycle> {
-        // Fusible only while streaming a read burst with an idle write
-        // queue: `Streaming` pins the hint to "now" until the last beat
-        // is delivered, which takes at least `remaining` respond
-        // attempts at one per cycle (a full response FIFO only
-        // stretches the burst). The window also stops at the next
-        // refresh edge, keeping the tREFI bookkeeping on a negotiation
-        // boundary. A queued read request mid-burst is fine — it stays
-        // queued until the engine idles — but pending writes commit to
-        // memory on their own schedule and are left to per-cycle
-        // stepping.
-        if !self.write_pipe.is_empty() {
-            return None;
-        }
-        // Guaranteed due cycles from the read engine's in-flight work,
-        // and the address where that work's beat stream will end.
-        let (mut w, end) = match self.read {
-            ReadState::Streaming {
-                addr,
-                beat_bytes,
-                remaining,
-            } => (
-                remaining as Cycle,
-                Some(addr + remaining as u64 * beat_bytes as u64),
-            ),
-            ReadState::Latency { until, req } => {
-                // Mid-latency the controller is only due because a
-                // queued *read* pins the hint to "now" (reads are not
-                // accepted while the engine is busy, so it stays queued
-                // and keeps the hint pinned); the in-flight burst's
-                // beats then follow the remaining latency cycles with
-                // no gap. A latency that already elapsed — a stalled
-                // stream start — is due on its own.
-                if until > now {
-                    match self.port.req.peek() {
-                        Some(q) if !matches!(q.op, MmOp::Write { .. }) => {}
-                        _ => return None,
-                    }
-                }
-                let lat = until.saturating_sub(now);
-                match req.op {
-                    MmOp::ReadBurst { beats, beat_bytes }
-                        if self.in_bounds(req.addr, beats as u64 * beat_bytes as u64) =>
-                    {
-                        (
-                            lat + beats as Cycle,
-                            Some(req.addr + beats as u64 * beat_bytes as u64),
-                        )
-                    }
-                    _ => (lat + 1, None),
-                }
-            }
-            // Idle with a row-hit burst at the head of the queue: this
-            // cycle's tick accepts it with zero fresh latency and beats
-            // stream from the next cycle on — due now (queued request)
-            // and due every beat cycle after.
-            ReadState::Idle => match self.port.req.peek() {
-                Some(req) => match req.op {
-                    MmOp::ReadBurst { beats, beat_bytes }
-                        if self.last_read_end == Some(req.addr)
-                            && self.in_bounds(req.addr, beats as u64 * beat_bytes as u64) =>
-                    {
-                        (
-                            1 + beats as Cycle,
-                            Some(req.addr + beats as u64 * beat_bytes as u64),
-                        )
-                    }
-                    _ => return None,
-                },
-                None => return None,
-            },
-        };
-        // A queued read burst continuing exactly where the in-flight
-        // one ends rides the open row: the engine accepts it on the
-        // final beat cycle, the zero-latency `Latency` stage fires the
-        // next cycle, and beats stream again — due-ness runs straight
-        // through the burst boundary. The request is already queued, so
-        // this claims nothing about future input. (A full response FIFO
-        // only stretches the stream, which keeps the controller due.)
-        if let (Some(end), Some(req)) = (end, self.port.req.peek()) {
-            if let MmOp::ReadBurst { beats, beat_bytes } = req.op {
-                if req.addr == end && self.in_bounds(req.addr, beats as u64 * beat_bytes as u64) {
-                    w += beats as Cycle;
-                }
-            }
-        }
-        let w = w.min(self.refresh_at.saturating_sub(now));
-        (w > 0).then_some(w)
-    }
-
     fn save_state(&self) -> Option<StateBlob> {
         let mut b = StateBlob::new("soc.ddr", 1);
         b.put("port_req", self.port.req.save_state());

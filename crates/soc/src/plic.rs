@@ -183,15 +183,6 @@ impl Component for Plic {
         rvcap_sim::WakePolicy::Wired
     }
 
-    fn max_batch(&self, _now: rvcap_sim::Cycle) -> Option<rvcap_sim::Cycle> {
-        // Deliberately no window: the PLIC is due only for one-shot
-        // events (a bus access, a newly pending source line). An IRQ
-        // edge raised by a fused member escapes the member set as a
-        // signal wake, which ends the window on that exact cycle — the
-        // PLIC then samples it with per-cycle timing.
-        None
-    }
-
     fn mmio_audit(&self) -> Option<MmioAudit> {
         Some(self.regs.audit())
     }

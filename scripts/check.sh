@@ -14,39 +14,43 @@ cargo build --release
 echo "== RVCAP_STRICT=1 cargo test -q =="
 RVCAP_STRICT=1 cargo test -q
 
-# Fused parity sweep: the suites that pin all five schedules (naive,
-# scan, active_set, +batching, fused) to bit-identical cycle counts,
-# FIFO contents, sanitizer verdicts and tick accounting — including
-# randomized backpressure / TLAST / decouple-gate toggles over the
-# DMA→ICAP datapath and a CLINT timer firing mid-window.
-echo "== fused parity sweep (five schedules, bit-identical) =="
+# Scheduler parity sweep: the suites that pin both schedules (naive,
+# active_set) to bit-identical cycle counts, FIFO contents and
+# sanitizer verdicts — including randomized backpressure / TLAST /
+# decouple-gate toggles over the DMA→ICAP datapath.
+echo "== scheduler parity sweep (naive vs active_set, bit-identical) =="
 RVCAP_STRICT=1 cargo test -q -p rvcap-sim --test scheduler_equivalence
-RVCAP_STRICT=1 cargo test -q -p rvcap-axi --test fused_parity
-RVCAP_STRICT=1 cargo test -q -p rvcap-soc --test clint_fusion
+RVCAP_STRICT=1 cargo test -q -p rvcap-axi --test datapath_parity
 
 # Replay parity: checkpoint → restore into a fresh rig → continue must
 # be bit-identical to the uninterrupted run — same cycles, component
-# state, MMIO audits, sanitizer verdicts — under every scheduler mode.
+# state, MMIO audits, sanitizer verdicts — under both schedulers.
 # This is the proof obligation behind hostbench warm-boot forking. On
 # a failure the harness bisects the first divergent cycle and writes
 # target/replay-divergence-report.txt, which CI uploads as an artifact.
-echo "== replay parity (checkpoint/restore/continue, five schedules) =="
+echo "== replay parity (checkpoint/restore/continue, both schedules) =="
 RVCAP_STRICT=1 cargo test -q -p rvcap-repro --test replay_parity
 RVCAP_STRICT=1 cargo test -q -p rvcap-sim --test replay_props
 
+# Repository benchmark self-test: builds the standalone benchmark
+# workspace against the current kernel API and checks every workload
+# under the bus sanitizer, so an API change that breaks the benchmark
+# fails here rather than at measurement time.
+echo "== benchmark self-test (RVCAP_STRICT=1) =="
+(cd benchmark && RVCAP_STRICT=1 cargo test --release --offline)
+
 # Host-performance gate: the full median-of-3 grid per rig ×
 # scheduler, written to BENCH_hostbench.json (plus
-# BENCH_hostbench_summary.md with the fused-vs-unfused deltas).
-# Warm-boot forking (each rig boots once; every mode × sample forks
-# from the post-boot checkpoint) makes the robust median affordable
-# here — the old single-sample --smoke run saved little and its fused
-# rows jittered past the 20% baseline tolerance. Two gates, both on
-# the fused rows: a generous pinned cycles/sec floor per rig (~5x
-# under measured — a broken scheduler, not a slow host), and a
-# relative gate against the committed BENCH_hostbench.json baseline
-# (>20% drop after normalizing by the active_set ratio to cancel
-# host-speed differences).
-# --profile adds one profiled fused-mode pass per rig *after* its
+# BENCH_hostbench_summary.md with the active_set-vs-naive speedups).
+# Warm-boot forking (each rig boots once; every scheduler × sample
+# forks from the post-boot checkpoint) makes the robust median
+# affordable here. Two gates, both on the active_set rows: a generous
+# pinned cycles/sec floor per rig (~5x under measured — a broken
+# scheduler, not a slow host), and a relative gate against the
+# committed BENCH_hostbench.json baseline (>20% drop after normalizing
+# by the rig's naive ratio, to cancel host-speed differences; each
+# rig's naive and active_set samples interleave).
+# --profile adds one profiled active_set pass per rig *after* its
 # timed rows (attribution never perturbs the measured medians) and
 # writes BENCH_hostbench_profile.md for the CI job summary.
 echo "== hostbench (host-perf floors + baseline, median of 3) =="

@@ -7,7 +7,8 @@
 #   rig   hostbench rig name (default: rvcap_paper). Run
 #         `hostbench --help` rigs: rvcap_paper, rvcap_deep,
 #         hwicap_paper, hwicap_small, hwicap_multi_rp, sd_staging.
-#   mode  scheduler mode for the timed row (default: active_set).
+#   mode  scheduler for the timed row: naive or active_set
+#         (default: active_set).
 #
 # Always prints the built-in per-component tick-cost attribution
 # (`hostbench --profile`, the table behind BENCH_hostbench_profile.md).
@@ -24,7 +25,7 @@ mode="${2:-active_set}"
 cargo build --release -q -p rvcap-bench --bin hostbench
 bin="$PWD/target/release/hostbench"
 
-echo "== tick-cost attribution: $rig ($mode + profiled fused pass) =="
+echo "== tick-cost attribution: $rig ($mode + profiled active_set pass) =="
 # Write bench artifacts to a scratch dir so a filtered profiling run
 # never clobbers the committed BENCH_* records.
 scratch="$(mktemp -d)"

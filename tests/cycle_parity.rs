@@ -14,11 +14,12 @@
 //! (Table II's two RISC-V rows are the same measurements as Table I —
 //! the paper rig below covers both.)
 
-use rvcap_bench::hostbench::SchedulerMode;
+use rvcap_bench::hostbench::{scheduler_name, SCHEDULERS};
 use rvcap_bench::paper_soc::{self, PaperRig};
 use rvcap_repro::core::drivers::{DmaMode, HwIcapDriver, RvCapDriver};
 use rvcap_repro::core::system::SocBuilder;
 use rvcap_repro::fabric::rp::RpGeometry;
+use rvcap_repro::sim::Scheduler;
 
 /// A paper rig with the protocol sanitizer watching every channel.
 fn sanitized_rig(g: RpGeometry) -> PaperRig {
@@ -27,15 +28,15 @@ fn sanitized_rig(g: RpGeometry) -> PaperRig {
 
 /// RV-CAP reconfiguration on one rig: (Td ticks, Tr ticks, final cycle).
 fn rvcap_point(g: RpGeometry) -> (u64, u64, u64) {
-    rvcap_point_sched(g, SchedulerMode::ActiveSetBatched)
+    rvcap_point_sched(g, Scheduler::ActiveSet)
 }
 
 /// Like [`rvcap_point`] under an explicit kernel scheduler.
-fn rvcap_point_sched(g: RpGeometry, sched: SchedulerMode) -> (u64, u64, u64) {
+fn rvcap_point_sched(g: RpGeometry, scheduler: Scheduler) -> (u64, u64, u64) {
     let PaperRig {
         mut soc, module, ..
     } = sanitized_rig(g);
-    sched.apply(&mut soc.core.sim);
+    soc.core.sim.set_scheduler(scheduler);
     let driver = RvCapDriver::new(0, soc.handles.plic.clone());
     let t = driver.init_reconfig_process(&mut soc.core, &module, DmaMode::NonBlocking);
     let san = soc.handles.sanitizer.as_ref().expect("sanitizer attached");
@@ -50,15 +51,15 @@ fn rvcap_point_sched(g: RpGeometry, sched: SchedulerMode) -> (u64, u64, u64) {
 
 /// HWICAP (Listing 2) reconfiguration on one rig: (ticks, final cycle).
 fn hwicap_point(g: RpGeometry) -> (u64, u64) {
-    hwicap_point_sched(g, SchedulerMode::ActiveSetBatched)
+    hwicap_point_sched(g, Scheduler::ActiveSet)
 }
 
 /// Like [`hwicap_point`] under an explicit kernel scheduler.
-fn hwicap_point_sched(g: RpGeometry, sched: SchedulerMode) -> (u64, u64) {
+fn hwicap_point_sched(g: RpGeometry, scheduler: Scheduler) -> (u64, u64) {
     let PaperRig {
         mut soc, module, ..
     } = sanitized_rig(g);
-    sched.apply(&mut soc.core.sim);
+    soc.core.sim.set_scheduler(scheduler);
     let ddr = soc.handles.ddr.clone();
     let ticks = HwIcapDriver::new().reconfigure_rp(&mut soc.core, &ddr, &module);
     let san = soc.handles.sanitizer.as_ref().expect("sanitizer attached");
@@ -113,38 +114,30 @@ fn fig3_rig_cycle_counts_are_pinned() {
     );
 }
 
-/// The pinned values must not depend on the kernel schedule: every
-/// [`SchedulerMode`] reproduces them bit-identically. The small Fig. 3
-/// rig runs under all four (naive included — affordable at 351 730
-/// cycles even in debug builds); the paper rig runs under the three
-/// hint-driven schedules, its naive reference being the hostbench
-/// harness's job.
+/// The pinned values must not depend on the kernel schedule: both
+/// [`Scheduler`]s reproduce them bit-identically on the small Fig. 3
+/// rig (naive included — affordable at 351 730 cycles even in debug
+/// builds); the paper rig runs under the active set, its naive
+/// reference being the hostbench harness's job.
 #[test]
 fn pinned_rigs_match_under_every_scheduler() {
-    for sched in SchedulerMode::ALL {
+    for scheduler in SCHEDULERS {
         assert_eq!(
-            rvcap_point_sched(RpGeometry::scaled(2, 0, 0), sched),
+            rvcap_point_sched(RpGeometry::scaled(2, 0, 0), scheduler),
             (90, 473, 11330),
             "RV-CAP scaled(2,0,0) drifted under {}",
-            sched.name()
+            scheduler_name(scheduler)
         );
         assert_eq!(
-            hwicap_point_sched(RpGeometry::scaled(2, 0, 0), sched),
+            hwicap_point_sched(RpGeometry::scaled(2, 0, 0), scheduler),
             (17586, 351730),
             "HWICAP scaled(2,0,0) drifted under {}",
-            sched.name()
+            scheduler_name(scheduler)
         );
     }
-    for sched in [
-        SchedulerMode::Scan,
-        SchedulerMode::ActiveSet,
-        SchedulerMode::ActiveSetBatched,
-    ] {
-        assert_eq!(
-            rvcap_point_sched(RpGeometry::paper_rp(), sched),
-            (90, 8245, 166770),
-            "RV-CAP paper-rig ticks drifted under {}",
-            sched.name()
-        );
-    }
+    assert_eq!(
+        rvcap_point_sched(RpGeometry::paper_rp(), Scheduler::ActiveSet),
+        (90, 8245, 166770),
+        "RV-CAP paper-rig ticks drifted under active_set"
+    );
 }

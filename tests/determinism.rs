@@ -10,17 +10,18 @@ use rvcap_repro::core::drivers::{DmaMode, ReconfigModule, RvCapDriver};
 use rvcap_repro::core::system::SocBuilder;
 use rvcap_repro::fabric::bitstream::BitstreamBuilder;
 use rvcap_repro::fabric::rp::RpGeometry;
+use rvcap_repro::sim::Scheduler;
 use rvcap_repro::soc::map::DDR_BASE;
 
 const DIM: usize = 16;
 
 /// One full reconfigure + accelerate run; returns every observable.
 fn one_run() -> (u64, u64, u64, Vec<u8>, u64) {
-    one_run_ff(true)
+    one_run_sched(Scheduler::ActiveSet)
 }
 
-/// Same run with the kernel's idle fast-forward toggled explicitly.
-fn one_run_ff(fast_forward: bool) -> (u64, u64, u64, Vec<u8>, u64) {
+/// Same run under an explicit kernel scheduler.
+fn one_run_sched(scheduler: Scheduler) -> (u64, u64, u64, Vec<u8>, u64) {
     let geometry = RpGeometry::scaled(1, 0, 0);
     let library = filter_library(&geometry, DIM, DIM);
     let img = library.by_name("Gaussian").unwrap().clone();
@@ -28,7 +29,7 @@ fn one_run_ff(fast_forward: bool) -> (u64, u64, u64, Vec<u8>, u64) {
         .with_rps(vec![geometry])
         .with_library(library)
         .build();
-    soc.core.sim.set_fast_forward(fast_forward);
+    soc.core.sim.set_scheduler(scheduler);
     let bs = BitstreamBuilder::kintex7().partial(soc.handles.rps[0].far_base, &img.payload);
     let bytes = bs.to_bytes();
     soc.handles.ddr.write_bytes(DDR_BASE + 0x40_0000, &bytes);
@@ -80,8 +81,8 @@ fn identical_runs_are_bit_identical() {
 /// must be bit-identical with the optimization on or off.
 #[test]
 fn fast_forward_is_bit_identical_to_naive_schedule() {
-    let ff = one_run_ff(true);
-    let naive = one_run_ff(false);
+    let ff = one_run_sched(Scheduler::ActiveSet);
+    let naive = one_run_sched(Scheduler::Naive);
     assert_eq!(ff.0, naive.0, "Td");
     assert_eq!(ff.1, naive.1, "Tr");
     assert_eq!(ff.2, naive.2, "Tc");
@@ -95,8 +96,8 @@ fn fast_forward_is_bit_identical_to_naive_schedule() {
 #[test]
 fn table1_json_is_identical_with_and_without_fast_forward() {
     use rvcap_bench::report::Json;
-    let on = rvcap_bench::tables::table1_run(true);
-    let off = rvcap_bench::tables::table1_run(false);
+    let on = rvcap_bench::tables::table1_run(Scheduler::ActiveSet);
+    let off = rvcap_bench::tables::table1_run(Scheduler::Naive);
     assert_eq!(on.rows.to_json(), off.rows.to_json());
     // And fast-forward actually did something on this workload.
     assert!(

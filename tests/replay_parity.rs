@@ -1,7 +1,7 @@
 //! Replay parity: `checkpoint → restore into a fresh rig → continue`
 //! must be **bit-identical** to the uninterrupted run — same cycles,
 //! same component state, same MMIO audits, same sanitizer verdicts,
-//! same tick accounting — under every kernel scheduler mode.
+//! same tick accounting — under both kernel schedulers.
 //!
 //! This is the proof obligation behind warm-boot forking (the
 //! hostbench builds one SoC per rig, checkpoints it post-boot, and
@@ -15,12 +15,12 @@
 //! `target/replay-divergence-report.txt`, which CI uploads as an
 //! artifact.
 
-use rvcap_bench::hostbench::SchedulerMode;
+use rvcap_bench::hostbench::{scheduler_name, SCHEDULERS};
 use rvcap_bench::paper_soc::{self, PaperRig};
 use rvcap_repro::core::drivers::{DmaMode, RvCapDriver};
 use rvcap_repro::core::system::SocBuilder;
 use rvcap_repro::fabric::rp::RpGeometry;
-use rvcap_repro::sim::{bisect_divergence, Cycle, SimState};
+use rvcap_repro::sim::{bisect_divergence, Cycle, Scheduler, SimState};
 use rvcap_repro::soc::cpu::SocState;
 
 /// Small sweep geometry: full reconfiguration in ~11 k cycles, cheap
@@ -29,11 +29,11 @@ fn small_rp() -> RpGeometry {
     RpGeometry::scaled(2, 0, 0)
 }
 
-/// Build the pinned rig under `mode`, sanitizer attached (so protocol
-/// observation state is inside the parity check too).
-fn mk_rig(mode: SchedulerMode) -> PaperRig {
+/// Build the pinned rig under `scheduler`, sanitizer attached (so
+/// protocol observation state is inside the parity check too).
+fn mk_rig(scheduler: Scheduler) -> PaperRig {
     let mut rig = paper_soc::rig_with_builder(SocBuilder::new().with_sanitizer(), small_rp());
-    mode.apply(&mut rig.soc.core.sim);
+    rig.soc.core.sim.set_scheduler(scheduler);
     rig
 }
 
@@ -65,8 +65,8 @@ const HORIZON: Cycle = 12_000;
 
 /// Fork: build a fresh structurally-identical rig, restore `base` into
 /// it, advance `t` cycles, checkpoint.
-fn fork_run(base: &SocState, mode: SchedulerMode, t: Cycle) -> SocState {
-    let mut rig = mk_rig(mode);
+fn fork_run(base: &SocState, scheduler: Scheduler, t: Cycle) -> SocState {
+    let mut rig = mk_rig(scheduler);
     rig.soc.core.restore(base).expect("restore into fresh rig");
     assert_eq!(rig.soc.core.now(), base.sim.cycle, "restore sets the clock");
     rig.soc.core.compute(t);
@@ -75,8 +75,8 @@ fn fork_run(base: &SocState, mode: SchedulerMode, t: Cycle) -> SocState {
 
 /// Straight re-execution: build a fresh rig, re-run the deterministic
 /// prologue to the base cycle, advance `t` cycles, checkpoint.
-fn straight_run(base_cycle: Cycle, mode: SchedulerMode, t: Cycle) -> SocState {
-    let mut rig = mk_rig(mode);
+fn straight_run(base_cycle: Cycle, scheduler: Scheduler, t: Cycle) -> SocState {
+    let mut rig = mk_rig(scheduler);
     program_transfer(&mut rig);
     let c0 = rig.soc.core.now();
     assert!(c0 <= base_cycle, "prologue overshot the base cycle");
@@ -87,13 +87,13 @@ fn straight_run(base_cycle: Cycle, mode: SchedulerMode, t: Cycle) -> SocState {
 
 /// Assert parity; on failure, bisect the first divergent cycle and
 /// write the CI artifact before panicking.
-fn assert_parity(context: &str, mode: SchedulerMode, base: &SocState, horizon: Cycle) {
-    let straight = straight_run(base.sim.cycle, mode, horizon);
-    let replay = fork_run(base, mode, horizon);
+fn assert_parity(context: &str, scheduler: Scheduler, base: &SocState, horizon: Cycle) {
+    let straight = straight_run(base.sim.cycle, scheduler, horizon);
+    let replay = fork_run(base, scheduler, horizon);
     if let Some(diff) = straight.parity_diff(&replay) {
         let base_clone = base.clone();
-        let probe_straight = |b: &SimState, t: Cycle| straight_run(b.cycle, mode, t).sim;
-        let probe_replay = move |_b: &SimState, t: Cycle| fork_run(&base_clone, mode, t).sim;
+        let probe_straight = |b: &SimState, t: Cycle| straight_run(b.cycle, scheduler, t).sim;
+        let probe_replay = move |_b: &SimState, t: Cycle| fork_run(&base_clone, scheduler, t).sim;
         let report = bisect_divergence(&base.sim, horizon, probe_straight, probe_replay);
         let rendered = match &report {
             Some(r) => r.render(),
@@ -105,12 +105,12 @@ fn assert_parity(context: &str, mode: SchedulerMode, base: &SocState, horizon: C
         let path = std::path::Path::new("target").join("replay-divergence-report.txt");
         let body = format!(
             "context: {context} (scheduler {})\n\n{rendered}\n",
-            mode.name()
+            scheduler_name(scheduler)
         );
         let _ = std::fs::write(&path, &body);
         panic!(
             "replay parity failed [{context}, {}]: {diff}\n{rendered}\n(report: {})",
-            mode.name(),
+            scheduler_name(scheduler),
             path.display()
         );
     }
@@ -148,12 +148,12 @@ fn restore_rejects_mismatched_structure() {
 }
 
 /// A cycle-0 fork replays the *entire* reconfiguration bit-identically
-/// under every scheduler mode: same Td/Tr ticks, same final state.
+/// under both schedulers: same Td/Tr ticks, same final state.
 #[test]
 fn boot_checkpoint_replays_full_reconfiguration() {
-    for mode in SchedulerMode::ALL {
+    for scheduler in SCHEDULERS {
         // Straight run.
-        let mut a = mk_rig(mode);
+        let mut a = mk_rig(scheduler);
         let base = a.soc.core.checkpoint().expect("boot checkpoint");
         let da = RvCapDriver::new(0, a.soc.handles.plic.clone());
         let module = a.module.clone();
@@ -161,19 +161,29 @@ fn boot_checkpoint_replays_full_reconfiguration() {
         let end_a = a.soc.core.checkpoint().expect("straight end");
 
         // Forked run: fresh structure, restored boot state, same driver.
-        let mut b = mk_rig(mode);
+        let mut b = mk_rig(scheduler);
         b.soc.core.restore(&base).expect("restore boot state");
         let db = RvCapDriver::new(0, b.soc.handles.plic.clone());
         let tb = db.init_reconfig_process(&mut b.soc.core, &module, DmaMode::NonBlocking);
         let end_b = b.soc.core.checkpoint().expect("replay end");
 
-        assert_eq!(ta.td_ticks, tb.td_ticks, "Td under {}", mode.name());
-        assert_eq!(ta.tr_ticks, tb.tr_ticks, "Tr under {}", mode.name());
+        assert_eq!(
+            ta.td_ticks,
+            tb.td_ticks,
+            "Td under {}",
+            scheduler_name(scheduler)
+        );
+        assert_eq!(
+            ta.tr_ticks,
+            tb.tr_ticks,
+            "Tr under {}",
+            scheduler_name(scheduler)
+        );
         assert_eq!(
             end_a.parity_diff(&end_b),
             None,
             "boot-fork parity under {}",
-            mode.name()
+            scheduler_name(scheduler)
         );
         let san = a.soc.handles.sanitizer.as_ref().expect("sanitizer");
         assert_eq!(san.violation_count(), 0);
@@ -183,32 +193,36 @@ fn boot_checkpoint_replays_full_reconfiguration() {
 /// The tentpole property: a checkpoint taken *mid-DMA-stream* (bursts
 /// in flight, FIFOs part-full, ICAP mid-bitstream) restores into a
 /// fresh rig and continues bit-identically to the uninterrupted run —
-/// under all five scheduler modes.
+/// under both schedulers.
 #[test]
 fn mid_stream_checkpoint_replays_bit_identical() {
-    for mode in SchedulerMode::ALL {
-        let mut rig = mk_rig(mode);
+    for scheduler in SCHEDULERS {
+        let mut rig = mk_rig(scheduler);
         program_transfer(&mut rig);
         rig.soc.core.compute(MID_STREAM);
         let base = rig.soc.core.checkpoint().expect("mid-stream checkpoint");
         // The checkpoint really is mid-stream: the ICAP has consumed
         // some of the bitstream but not all of it.
         let consumed = rig.soc.handles.icap.words_consumed();
-        assert!(consumed > 0, "stream not started under {}", mode.name());
+        assert!(
+            consumed > 0,
+            "stream not started under {}",
+            scheduler_name(scheduler)
+        );
         assert!(
             consumed < (rig.module.pbit_size / 4) as u64,
             "stream already done under {}",
-            mode.name()
+            scheduler_name(scheduler)
         );
-        assert_parity("mid-stream fork", mode, &base, HORIZON);
+        assert_parity("mid-stream fork", scheduler, &base, HORIZON);
     }
 }
 
-/// Checkpoints are scheduler-portable: a state captured under one mode
-/// restores under any other and produces the same simulated
+/// Checkpoints are scheduler-portable: a state captured under one
+/// scheduler restores under the other and produces the same simulated
 /// observables (scheduler internals are rebuilt cold from component
 /// hints). Executed-tick accounting is schedule policy — naive ticks
-/// idle components that the hint-driven modes skip — so the cross-mode
+/// idle components that the active set skips — so the cross-scheduler
 /// comparison strips it and checks everything a program can observe:
 /// the cycle, every component's state blob, the sanitizer verdict.
 #[test]
@@ -220,18 +234,18 @@ fn checkpoint_is_scheduler_portable() {
         }
         s
     }
-    let mut rig = mk_rig(SchedulerMode::ActiveSetBatched);
+    let mut rig = mk_rig(Scheduler::ActiveSet);
     program_transfer(&mut rig);
     rig.soc.core.compute(MID_STREAM);
     let base = rig.soc.core.checkpoint().expect("checkpoint");
-    let reference = strip_schedule_accounting(fork_run(&base, SchedulerMode::Naive, HORIZON));
-    for mode in SchedulerMode::ALL {
-        let end = strip_schedule_accounting(fork_run(&base, mode, HORIZON));
+    let reference = strip_schedule_accounting(fork_run(&base, Scheduler::Naive, HORIZON));
+    for scheduler in SCHEDULERS {
+        let end = strip_schedule_accounting(fork_run(&base, scheduler, HORIZON));
         assert_eq!(
             reference.parity_diff(&end),
             None,
             "cross-scheduler parity, naive vs {}",
-            mode.name()
+            scheduler_name(scheduler)
         );
     }
 }
@@ -243,7 +257,7 @@ fn checkpoint_is_scheduler_portable() {
 fn vcd_waveform_survives_fork() {
     let build = || {
         let mut rig = paper_soc::rig_with_builder(SocBuilder::new().with_vcd(), small_rp());
-        SchedulerMode::ActiveSetBatched.apply(&mut rig.soc.core.sim);
+        rig.soc.core.sim.set_scheduler(Scheduler::ActiveSet);
         rig
     };
     let mut a = build();
