@@ -12,6 +12,12 @@
 //! leftovers, and the sanitizer verdicts (including the gated-channel
 //! decouple rule) must be identical to the naive reference, and the
 //! active set may only skip ticks the naive schedule runs as no-ops.
+//!
+//! The gapless source keeps most of the chain ticking every cycle, so
+//! the active set runs dense windows of the naive sweep through much of
+//! each stream; `disturbances_hit_dense_windows` replays the property's
+//! own cases and checks that decouple flips and sink stalls land inside
+//! them.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -202,7 +208,7 @@ struct Config {
 
 fn config_strategy() -> impl Strategy<Value = Config> {
     (
-        proptest::collection::vec(any::<bool>(), 8..160),
+        proptest::collection::vec(any::<bool>(), 8..600),
         0usize..48,
         proptest::collection::vec(20u64..2500, 0..6),
         proptest::collection::vec((1u32..16, 0u32..5), 1..4),
@@ -246,8 +252,18 @@ struct Observed {
 /// order.
 type TickCounts = Vec<(u64, u64)>;
 
-fn run(cfg: &Config, scheduler: Scheduler) -> (Observed, TickCounts) {
-    const HORIZON: Cycle = 50_000;
+/// A built datapath rig and the handles its observations read.
+struct Rig {
+    sim: Simulator,
+    sanitizer: Sanitizer,
+    channels: [AxisChannel; 4],
+    log: Rc<RefCell<Vec<(Cycle, AxisBeat)>>>,
+    snap: Rc<RefCell<Option<Snapshot>>>,
+    /// Beats the sink must log before the stream is done.
+    expected: usize,
+}
+
+fn build(cfg: &Config, scheduler: Scheduler) -> Rig {
     let mut sim = Simulator::new(Freq::FABRIC_100MHZ);
     sim.set_scheduler(scheduler);
     let sanitizer = Sanitizer::new();
@@ -310,12 +326,32 @@ fn run(cfg: &Config, scheduler: Scheduler) -> (Observed, TickCounts) {
         at: cfg.snap,
         snap: snap.clone(),
     }));
+    Rig {
+        sim,
+        sanitizer,
+        channels: [ch0, ch1, ch2, ch3],
+        log,
+        snap,
+        expected,
+    }
+}
 
+/// Simulated-cycle bound for one stream to drain.
+const HORIZON: Cycle = 50_000;
+
+fn run(cfg: &Config, scheduler: Scheduler) -> (Observed, TickCounts) {
+    let Rig {
+        mut sim,
+        sanitizer,
+        channels,
+        log,
+        snap,
+        expected,
+    } = build(cfg, scheduler);
     sim.run_until(HORIZON, || log.borrow().len() == expected)
         .expect("the re-coupled stream always drains");
 
     let stats = sim.kernel_stats();
-    let channels = [&ch0, &ch1, &ch2, &ch3];
     let snapshot = snap.borrow().clone();
     let log = log.borrow().clone();
     (
@@ -364,4 +400,55 @@ proptest! {
             prop_assert!(ht <= nt, "component {} executed extra ticks", i);
         }
     }
+}
+
+/// Share of the property's cases, in percent, that must flip the
+/// decouple gate inside a dense window.
+const MIN_FLIP_PCT: u32 = 30;
+/// Share that must stall the sink on queued beats inside one.
+const MIN_STALL_PCT: u32 = 40;
+
+/// The property above only covers dense windows if its disturbances
+/// land inside them. Replay its exact case sequence (same seed, same
+/// draws) under the active set one cycle at a time, note which cycles
+/// ran inside a window, and require a stated share of the cases to
+/// flip the decouple gate, and to stall the sink on queued beats,
+/// inside one.
+#[test]
+fn disturbances_hit_dense_windows() {
+    let mut rng = TestRng::from_name("active_set_matches_naive_across_the_datapath");
+    let strategy = config_strategy();
+    let cases = ProptestConfig::default().cases;
+    let (mut flips, mut stalls) = (0, 0);
+    for _ in 0..cases {
+        let cfg = strategy.generate(&mut rng);
+        let mut rig = build(&cfg, Scheduler::ActiveSet);
+        let mut windowed = Vec::new();
+        let mut stalled = false;
+        while rig.log.borrow().len() < rig.expected {
+            let cycle = rig.sim.now();
+            assert!(cycle < HORIZON, "stream did not drain");
+            let dense = rig.sim.kernel_stats().dense_cycles;
+            let logged = rig.log.borrow().len();
+            let queued = !rig.channels[3].is_empty();
+            rig.sim.step_n(1);
+            if rig.sim.kernel_stats().dense_cycles > dense {
+                windowed.push(cycle);
+                stalled |= queued && rig.log.borrow().len() == logged;
+            }
+        }
+        flips += cfg
+            .toggles
+            .iter()
+            .any(|t| windowed.binary_search(t).is_ok()) as u32;
+        stalls += stalled as u32;
+    }
+    assert!(
+        flips * 100 >= cases * MIN_FLIP_PCT,
+        "only {flips} of {cases} cases flipped decouple inside a dense window"
+    );
+    assert!(
+        stalls * 100 >= cases * MIN_STALL_PCT,
+        "only {stalls} of {cases} cases stalled the sink inside a dense window"
+    );
 }

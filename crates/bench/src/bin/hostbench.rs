@@ -184,6 +184,7 @@ fn warm_grid<S>(
             core.sim.reset_stats();
         },
         &mut run,
+        |p| soc_of(p).core.sim.kernel_stats().dense_cycles,
     );
     // The profiled pass runs after (and outside) every timed row: the
     // clock reads it inserts around each tick would pollute wall-time
@@ -308,12 +309,16 @@ struct Summary {
     active_set_cps: f64,
     /// The active set over the naive reference.
     speedup_vs_naive: f64,
+    /// The active-set run's cycles inside dense windows: the
+    /// deterministic record of where the naive sweep took over.
+    dense_cycles: u64,
 }
 rvcap_bench::impl_json_struct!(Summary {
     rig,
     naive_cps,
     active_set_cps,
-    speedup_vs_naive
+    speedup_vs_naive,
+    dense_cycles
 });
 
 /// One component's share of a rig's profiled tick cost
@@ -382,18 +387,19 @@ fn parse_baseline(json: &str) -> Vec<(String, String, f64)> {
 fn render_markdown(summary: &[Summary], samples: usize) -> String {
     let mut md = String::from(
         "## Host performance (simulated cycles/sec)\n\n\
-         | rig | naive | active_set | active_set vs naive |\n\
-         |---|---:|---:|---:|\n",
+         | rig | naive | active_set | active_set vs naive | dense-window cycles |\n\
+         |---|---:|---:|---:|---:|\n",
     );
     for s in summary {
         md.push_str(&format!(
-            "| {} | {:.0} | {:.0} | {:.1}x |\n",
-            s.rig, s.naive_cps, s.active_set_cps, s.speedup_vs_naive
+            "| {} | {:.0} | {:.0} | {:.1}x | {} |\n",
+            s.rig, s.naive_cps, s.active_set_cps, s.speedup_vs_naive, s.dense_cycles
         ));
     }
     md.push_str(&format!(
         "\nEvery row is the median of {samples} warm-boot forked sample(s); \
-         the regression gates read the `active_set` rows.\n"
+         the regression gates read the `active_set` rows. Dense-window cycles \
+         count the `active_set` run's cycles on the naive sweep (deterministic).\n"
     ));
     md
 }
@@ -522,13 +528,13 @@ fn main() {
         }
     }
 
-    let cps = |rig: &str, scheduler: Scheduler| {
+    let row = |rig: &str, scheduler: Scheduler| {
         results
             .iter()
             .find(|r| r.rig == rig && r.scheduler == scheduler_name(scheduler))
             .expect("measured above")
-            .cycles_per_sec
     };
+    let cps = |rig: &str, scheduler: Scheduler| row(rig, scheduler).cycles_per_sec;
     let summary: Vec<Summary> = rigs
         .iter()
         .filter(|_| full_grid)
@@ -540,6 +546,7 @@ fn main() {
                 naive_cps: naive,
                 active_set_cps: active,
                 speedup_vs_naive: active / naive,
+                dense_cycles: row(rig.name, Scheduler::ActiveSet).dense_cycles,
             }
         })
         .collect();
@@ -547,8 +554,8 @@ fn main() {
     println!();
     for s in &summary {
         println!(
-            "{:<16} active_set: {:>12.0} cyc/s = {:.1}x vs naive",
-            s.rig, s.active_set_cps, s.speedup_vs_naive
+            "{:<16} active_set: {:>12.0} cyc/s = {:.1}x vs naive, {} dense-window cycles",
+            s.rig, s.active_set_cps, s.speedup_vs_naive, s.dense_cycles
         );
     }
 

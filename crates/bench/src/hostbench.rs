@@ -38,6 +38,9 @@ pub struct RigPerf {
     /// Simulated cycles one run of the rig covers (must not depend on
     /// the scheduler — the parity tests pin this).
     pub sim_cycles: u64,
+    /// Cycles of one run spent in the active set's dense windows
+    /// (deterministic; always zero for the naive schedule).
+    pub dense_cycles: u64,
     /// Median wall-clock seconds per run.
     pub wall_s: f64,
     /// `sim_cycles / wall_s`.
@@ -47,6 +50,7 @@ crate::impl_json_struct!(RigPerf {
     rig,
     scheduler,
     sim_cycles,
+    dense_cycles,
     wall_s,
     cycles_per_sec
 });
@@ -55,10 +59,11 @@ impl RigPerf {
     /// Render one result line.
     pub fn render(&self) -> String {
         format!(
-            "{:<24} {:<20} {:>12} cycles {:>10.3} ms {:>12.0} cyc/s",
+            "{:<24} {:<20} {:>12} cycles {:>10} dense {:>10.3} ms {:>12.0} cyc/s",
             self.rig,
             self.scheduler,
             self.sim_cycles,
+            self.dense_cycles,
             self.wall_s * 1e3,
             self.cycles_per_sec
         )
@@ -75,11 +80,13 @@ impl RigPerf {
 /// the scheduler before each sample (untimed — a checkpoint restore
 /// plus a stats reset costs the same under every scheduler and would
 /// dilute the ratio between them); `run` executes the measured phase in
-/// place and returns the simulated cycles covered. `samples` runs per
-/// scheduler are timed and the median reported. Samples interleave the
-/// schedulers round-robin, so a transient host slowdown (a shared or
-/// frequency-scaled core) lands on every row of the rig alike instead
-/// of sinking one row's median, and the rows' ratio stays meaningful.
+/// place and returns the simulated cycles covered; `dense_cycles`
+/// reads the run's dense-window cycle count afterwards (untimed).
+/// `samples` runs per scheduler are timed and the median reported.
+/// Samples interleave the schedulers round-robin, so a transient host
+/// slowdown (a shared or frequency-scaled core) lands on every row of
+/// the rig alike instead of sinking one row's median, and the rows'
+/// ratio stays meaningful.
 ///
 /// The replay-parity suite (`tests/replay_parity.rs`) proves a forked
 /// run is bit-identical to a cold-booted one, so these numbers are
@@ -87,7 +94,8 @@ impl RigPerf {
 /// count is re-asserted identical across samples and schedulers here —
 /// a forked repetition that drifts from the first by even one cycle
 /// means the fork leaked state (or a scheduler changed simulated
-/// timing) and the measurement is invalid.
+/// timing) and the measurement is invalid. The dense-window count is
+/// re-asserted identical across one scheduler's samples the same way.
 pub fn measure_rig_forked<S>(
     rig: &str,
     schedulers: &[Scheduler],
@@ -95,15 +103,18 @@ pub fn measure_rig_forked<S>(
     proto: &mut S,
     mut fork: impl FnMut(&mut S, Scheduler),
     mut run: impl FnMut(&mut S) -> u64,
+    mut dense_cycles: impl FnMut(&mut S) -> u64,
 ) -> Vec<RigPerf> {
     let samples = samples.max(1);
-    let mut runs: Vec<Vec<(Duration, u64)>> = vec![Vec::with_capacity(samples); schedulers.len()];
+    let mut runs: Vec<Vec<(Duration, u64, u64)>> =
+        vec![Vec::with_capacity(samples); schedulers.len()];
     for _ in 0..samples {
         for (&scheduler, row) in schedulers.iter().zip(&mut runs) {
             fork(proto, scheduler);
             let t0 = Instant::now();
             let cycles = run(proto);
-            row.push((t0.elapsed(), cycles));
+            let wall = t0.elapsed();
+            row.push((wall, cycles, dense_cycles(proto)));
         }
     }
     let cycles = runs[0][0].1;
@@ -111,11 +122,13 @@ pub fn measure_rig_forked<S>(
         .iter()
         .zip(runs)
         .map(|(&scheduler, mut row)| {
-            for (_, c) in &row {
+            let dense = row[0].2;
+            for &(_, c, d) in &row {
                 assert_eq!(
-                    *c,
-                    cycles,
-                    "rig {rig}: forked repetitions disagree on simulated cycles under {}",
+                    (c, d),
+                    (cycles, dense),
+                    "rig {rig}: forked repetitions disagree on (simulated, dense-window) \
+                     cycles under {}",
                     scheduler_name(scheduler)
                 );
             }
@@ -125,6 +138,7 @@ pub fn measure_rig_forked<S>(
                 rig: rig.into(),
                 scheduler: scheduler_name(scheduler).into(),
                 sim_cycles: cycles,
+                dense_cycles: dense,
                 wall_s: wall,
                 cycles_per_sec: if wall > 0.0 {
                     cycles as f64 / wall

@@ -12,6 +12,10 @@
 //! the markdown with exactly the cells `render_markdown` would emit,
 //! and vice versa.
 //!
+//! The summary's dense-window column is deterministic, so it is pinned
+//! by rig family as well: the saturated RV-CAP transfers run dense
+//! windows, the MMIO-bound HWICAP and SD-staging rigs never do.
+//!
 //! Both files are hand-parsed (no serde in the build environment),
 //! matching the hand-rolled encoder in `rvcap_bench::report`.
 
@@ -33,6 +37,7 @@ struct SummaryRow {
     naive_cps: f64,
     active_set_cps: f64,
     speedup_vs_naive: f64,
+    dense_cycles: u64,
 }
 
 fn str_field(obj: &str, key: &str) -> Option<String> {
@@ -68,6 +73,7 @@ fn parse_summary(json: &str) -> Vec<SummaryRow> {
                 naive_cps: num_field(obj, "naive_cps")?,
                 active_set_cps: num_field(obj, "active_set_cps")?,
                 speedup_vs_naive: num_field(obj, "speedup_vs_naive")?,
+                dense_cycles: num_field(obj, "dense_cycles")? as u64,
             })
         })
         .collect()
@@ -115,6 +121,7 @@ fn summary_matches_json() {
             format!("{:.0}", s.naive_cps),
             format!("{:.0}", s.active_set_cps),
             format!("{:.1}x", s.speedup_vs_naive),
+            s.dense_cycles.to_string(),
         ];
         assert_eq!(
             row.as_slice(),
@@ -123,4 +130,32 @@ fn summary_matches_json() {
             s.rig
         );
     }
+}
+
+#[test]
+fn dense_windows_engage_only_on_streaming_rigs() {
+    let json = std::fs::read_to_string(repo_root().join("BENCH_hostbench.json"))
+        .expect("committed BENCH_hostbench.json");
+    let summary = parse_summary(&json);
+    for s in &summary {
+        if s.rig.starts_with("rvcap_") {
+            assert!(
+                s.dense_cycles > 0,
+                "{}: the saturated DMA stream never opened a dense window",
+                s.rig
+            );
+        } else if s.rig.starts_with("hwicap_") || s.rig == "sd_staging" {
+            assert_eq!(
+                s.dense_cycles, 0,
+                "{}: a dense window opened on an MMIO-bound rig",
+                s.rig
+            );
+        }
+    }
+    assert!(
+        summary.iter().any(|s| s.rig.starts_with("rvcap_"))
+            && summary.iter().any(|s| s.rig.starts_with("hwicap_"))
+            && summary.iter().any(|s| s.rig == "sd_staging"),
+        "summary lacks a pinned rig family"
+    );
 }

@@ -37,9 +37,9 @@ rvcap_axi::register_map! {
     pub static DMA_MAP: "dma", size 0x1000 {
         /// MM2S control: bit 0 RS (run/stop), bit 12 IOC IRQ enable.
         MM2S_DMACR @ 0x00: 4 RW reset 0x0, "MM2S control (RS, IOC IRQ enable)";
-        /// MM2S status: bit 0 halted, bit 1 idle, bit 4 DMAIntErr
-        /// (sticky until restart), bit 12 IOC (W1C).
-        MM2S_DMASR @ 0x04: 4 W1C reset 0x1, "MM2S status (halted, idle, DMAIntErr, IOC W1C)";
+        /// MM2S status: bit 0 halted, bit 1 idle, bit 4 DMAIntErr and
+        /// bit 6 DMADecErr (sticky until restart), bit 12 IOC (W1C).
+        MM2S_DMASR @ 0x04: 4 W1C reset 0x1, "MM2S status (halted, idle, DMAIntErr, DMADecErr, IOC W1C)";
         /// MM2S source address (low word).
         MM2S_SA @ 0x18: 4 RW reset 0x0, "MM2S source address, low 32 bits";
         /// MM2S source address (high word).
@@ -49,7 +49,7 @@ rvcap_axi::register_map! {
         /// S2MM control register.
         S2MM_DMACR @ 0x30: 4 RW reset 0x0, "S2MM control (RS, IOC IRQ enable)";
         /// S2MM status register.
-        S2MM_DMASR @ 0x34: 4 W1C reset 0x1, "S2MM status (halted, idle, DMAIntErr, IOC W1C)";
+        S2MM_DMASR @ 0x34: 4 W1C reset 0x1, "S2MM status (halted, idle, DMAIntErr, DMADecErr, IOC W1C)";
         /// S2MM destination address (low word).
         S2MM_DA @ 0x48: 4 RW reset 0x0, "S2MM destination address, low 32 bits";
         /// S2MM destination address (high word).
@@ -72,6 +72,12 @@ pub const SR_IDLE: u32 = 1 << 1;
 /// restarted via DMACR.RS (hardware requires a reset; the model has
 /// no soft-reset bit, so RS re-assert stands in for it).
 pub const SR_DMA_INT_ERR: u32 = 1 << 4;
+/// DMASR: DMA decode error — a memory access came back with a bus
+/// error (PG021 DMADecErr). [`MmResp`] carries a single error flag, so
+/// this bit also stands for PG021's DMASlvErr. The channel halts and
+/// RS clears; sticky like [`SR_DMA_INT_ERR`], cleared only by
+/// re-asserting DMACR.RS.
+pub const SR_DMA_DEC_ERR: u32 = 1 << 6;
 /// DMASR: interrupt-on-complete (write 1 to clear).
 pub const SR_IOC: u32 = 1 << 12;
 
@@ -117,6 +123,9 @@ pub struct XilinxDma {
     emit_remaining: u64,
     /// Burst requests in flight (responses pending).
     bursts_in_flight: u8,
+    /// In-flight bursts of a transfer a bus error aborted: their
+    /// responses are consumed and dropped.
+    discard_bursts: u8,
     /// Engine start-up latency (command pipeline), cycles.
     start_latency: Cycle,
     burst_beats: u16,
@@ -158,6 +167,7 @@ impl XilinxDma {
             fetch_remaining: 0,
             emit_remaining: 0,
             bursts_in_flight: 0,
+            discard_bursts: 0,
             // Command processing + MM2S start-up of the soft DMA
             // (register sync through the AXI-Lite domain, engine
             // arbitration): calibrated against the paper's T_r.
@@ -205,7 +215,7 @@ impl XilinxDma {
                 if v & CR_RS != 0 {
                     if self.mm2s_state == Mm2sState::Halted {
                         self.mm2s_state = Mm2sState::Idle;
-                        self.mm2s_sr &= !(SR_HALTED | SR_DMA_INT_ERR);
+                        self.mm2s_sr &= !(SR_HALTED | SR_DMA_INT_ERR | SR_DMA_DEC_ERR);
                         self.mm2s_sr |= SR_IDLE;
                     }
                 } else {
@@ -246,7 +256,7 @@ impl XilinxDma {
             S2MM_DMACR => {
                 self.s2mm_cr = v;
                 if v & CR_RS != 0 {
-                    self.s2mm_sr &= !(SR_HALTED | SR_DMA_INT_ERR);
+                    self.s2mm_sr &= !(SR_HALTED | SR_DMA_INT_ERR | SR_DMA_DEC_ERR);
                     self.s2mm_sr |= SR_IDLE;
                 } else {
                     self.s2mm_sr |= SR_HALTED;
@@ -276,6 +286,34 @@ impl XilinxDma {
             // halted) are accepted writes with no effect.
             _ => {}
         }
+    }
+
+    /// A bus error on the memory port (PG021: DMADecErr/DMASlvErr).
+    /// Read data and errors share the response channel and carry no
+    /// transaction ID: an error while MM2S bursts are outstanding ends
+    /// one of them, any other error answers an S2MM posted write. The
+    /// affected channel halts with RS cleared and drops its transfer;
+    /// MM2S discards the beats of its other in-flight bursts.
+    fn bus_error(&mut self, ctx: &TickCtx<'_>) {
+        let channel = if self.bursts_in_flight > 0 {
+            // The error response terminates its burst.
+            self.discard_bursts = self.bursts_in_flight - 1;
+            self.bursts_in_flight = 0;
+            self.fetch_remaining = 0;
+            self.emit_remaining = 0;
+            self.mm2s_state = Mm2sState::Halted;
+            self.mm2s_cr &= !CR_RS;
+            self.mm2s_sr = (self.mm2s_sr | SR_DMA_DEC_ERR | SR_HALTED) & !SR_IDLE;
+            "MM2S"
+        } else {
+            self.s2mm_remaining = 0;
+            self.s2mm_cr &= !CR_RS;
+            self.s2mm_sr = (self.s2mm_sr | SR_DMA_DEC_ERR | SR_HALTED) & !SR_IDLE;
+            "S2MM"
+        };
+        ctx.tracer.info(ctx.cycle, &self.name, || {
+            format!("{channel} bus error: DMADecErr, channel halted")
+        });
     }
 
     fn mm2s_complete(&mut self, ctx: &TickCtx<'_>) {
@@ -339,30 +377,42 @@ impl Component for XilinxDma {
         }
 
         // ---- MM2S: move fetched beats onto the stream ----
-        // Read beats and S2MM write acks share the response channel;
-        // only consume a head that is actually read data (bytes != 0).
-        if self.emit_remaining > 0
-            && self.mm2s.can_push(cycle)
-            && self.mem.resp.peek().is_some_and(|r| r.bytes != 0)
-        {
-            if let Some(resp) = self.mem.resp.try_pop(cycle) {
-                debug_assert!(!resp.error, "DMA fetch error");
+        // The response channel carries read data and bus errors (S2MM
+        // writes are posted, so no acknowledgements).
+        if self.discard_bursts == 0 && self.emit_remaining > 0 {
+            if self.mm2s.can_push(cycle) {
+                if let Some(resp) = self.mem.resp.try_pop(cycle) {
+                    if resp.error {
+                        self.bus_error(ctx);
+                    } else {
+                        if resp.last {
+                            self.bursts_in_flight = self.bursts_in_flight.saturating_sub(1);
+                        }
+                        let bytes = (resp.bytes as u64).min(self.emit_remaining) as u8;
+                        self.emit_remaining -= bytes as u64;
+                        let last = self.emit_remaining == 0;
+                        let beat = AxisBeat {
+                            data: resp.data,
+                            bytes,
+                            last,
+                        };
+                        self.mm2s.try_push(cycle, beat).expect("can_push checked");
+                        self.beats_streamed += 1;
+                        if last {
+                            self.mm2s_complete(ctx);
+                        }
+                    }
+                }
+            }
+        } else if let Some(resp) = self.mem.resp.try_pop(cycle) {
+            // No transfer to feed: drop the beats of an aborted one, or
+            // take a bus error (an S2MM write's when no burst is out).
+            if self.discard_bursts > 0 {
                 if resp.last {
-                    self.bursts_in_flight = self.bursts_in_flight.saturating_sub(1);
+                    self.discard_bursts -= 1;
                 }
-                let bytes = (resp.bytes as u64).min(self.emit_remaining) as u8;
-                self.emit_remaining -= bytes as u64;
-                let last = self.emit_remaining == 0;
-                let beat = AxisBeat {
-                    data: resp.data,
-                    bytes,
-                    last,
-                };
-                self.mm2s.try_push(cycle, beat).expect("can_push checked");
-                self.beats_streamed += 1;
-                if last {
-                    self.mm2s_complete(ctx);
-                }
+            } else if resp.error {
+                self.bus_error(ctx);
             }
         }
 
@@ -395,6 +445,7 @@ impl Component for XilinxDma {
             self.mm2s_state,
             Mm2sState::Starting { .. } | Mm2sState::Running
         ) || self.s2mm_remaining > 0
+            || self.discard_bursts > 0
     }
 
     fn next_activity(&self, now: Cycle) -> Option<Cycle> {
@@ -411,7 +462,8 @@ impl Component for XilinxDma {
             Mm2sState::Starting { until } => return Some(until.max(now)),
             Mm2sState::Halted | Mm2sState::Idle => {}
         }
-        if self.emit_remaining > 0 && !self.mem.resp.is_empty() {
+        // A response to stream, to drop, or to take as a bus error.
+        if !self.mem.resp.is_empty() {
             return Some(now);
         }
         if self.s2mm_remaining > 0 && !self.s2mm.is_empty() {
@@ -435,7 +487,7 @@ impl Component for XilinxDma {
     }
 
     fn save_state(&self) -> Option<StateBlob> {
-        let mut b = StateBlob::new("core.dma", 1);
+        let mut b = StateBlob::new("core.dma", 2);
         // Channels this component consumes (ownership convention), and
         // the IRQ levels it drives.
         b.put("ctrl_req", self.ctrl.req.save_state());
@@ -459,6 +511,7 @@ impl Component for XilinxDma {
         b.put_u64("fetch_remaining", self.fetch_remaining);
         b.put_u64("emit_remaining", self.emit_remaining);
         b.put_u64("bursts_in_flight", self.bursts_in_flight as u64);
+        b.put_u64("discard_bursts", self.discard_bursts as u64);
         b.put_u64("burst_beats", self.burst_beats as u64);
         b.put_u64("s2mm_cr", self.s2mm_cr as u64);
         b.put_u64("s2mm_sr", self.s2mm_sr as u64);
@@ -470,7 +523,7 @@ impl Component for XilinxDma {
     }
 
     fn restore_state(&mut self, state: &StateBlob) -> Result<(), StateError> {
-        state.expect("core.dma", 1)?;
+        state.expect("core.dma", 2)?;
         if state.get_u64("burst_beats")? != self.burst_beats as u64 {
             return Err(state.structure_error(format!(
                 "burst_beats mismatch: instance {}, state {}",
@@ -506,6 +559,9 @@ impl Component for XilinxDma {
         let bif = state.get_u64("bursts_in_flight")?;
         self.bursts_in_flight = u8::try_from(bif)
             .map_err(|_| state.structure_error(format!("bursts_in_flight {bif} exceeds u8")))?;
+        let discard = state.get_u64("discard_bursts")?;
+        self.discard_bursts = u8::try_from(discard)
+            .map_err(|_| state.structure_error(format!("discard_bursts {discard} exceeds u8")))?;
         self.s2mm_cr = state.get_u32("s2mm_cr")?;
         self.s2mm_sr = state.get_u32("s2mm_sr")?;
         self.s2mm_da = state.get_u64("s2mm_da")?;
@@ -648,6 +704,84 @@ mod tests {
         r.sim
             .run_until(5000, || r.mm2s.len() == 8)
             .expect("recovered transfer completes");
+    }
+
+    #[test]
+    fn fetch_bus_error_halts_with_dec_err() {
+        let mut r = rig();
+        // SA beyond the crossbar's 4 MiB DDR window: every burst fetch
+        // decodes to no slave and comes back as one error response.
+        start_mm2s(&mut r, DDR_BASE + (1 << 23), 64, true);
+        // Pre-fix the error head was never consumed and the channel
+        // stayed Running forever.
+        r.sim
+            .run_until_quiescent(20_000)
+            .expect("a fetch error must halt the channel, not hang it");
+        let sr = rd(&mut r, MM2S_DMASR);
+        assert_ne!(sr & SR_DMA_DEC_ERR, 0, "DMADecErr must be set");
+        assert_ne!(sr & SR_HALTED, 0, "channel must halt");
+        assert_eq!(sr & (SR_IDLE | SR_IOC), 0);
+        assert_eq!(rd(&mut r, MM2S_DMACR) & CR_RS, 0, "RS clears");
+        assert!(!r.irq.get(), "no completion interrupt");
+        assert!(r.mm2s.is_empty());
+        // Sticky across W1C stores; cleared by re-asserting RS, after
+        // which the channel works again.
+        wr(&mut r, MM2S_DMASR, SR_DMA_DEC_ERR | SR_IOC);
+        assert_ne!(rd(&mut r, MM2S_DMASR) & SR_DMA_DEC_ERR, 0);
+        r.ddr.write_bytes(DDR_BASE, &[7u8; 64]);
+        start_mm2s(&mut r, DDR_BASE, 64, false);
+        assert_eq!(rd(&mut r, MM2S_DMASR) & SR_DMA_DEC_ERR, 0);
+        r.sim
+            .run_until(5000, || r.mm2s.len() == 8)
+            .expect("recovered transfer completes");
+    }
+
+    #[test]
+    fn fetch_error_discards_the_other_burst_in_flight() {
+        let mut r = rig();
+        // The first 16-beat burst lies inside the DDR window, the second
+        // starts past its end: the second's decode error comes back
+        // before the first's data, which must be dropped, not streamed.
+        let sa = DDR_BASE + (1 << 22) - 128;
+        r.ddr.write_bytes(sa, &[0x5A; 128]);
+        start_mm2s(&mut r, sa, 256, false);
+        r.sim.run_until_quiescent(20_000).unwrap();
+        assert_ne!(rd(&mut r, MM2S_DMASR) & SR_DMA_DEC_ERR, 0);
+        assert!(r.mm2s.is_empty(), "aborted transfer emitted beats");
+        // No stale beat leaks into the next transfer.
+        let payload: Vec<u8> = (0..64u8).collect();
+        r.ddr.write_bytes(DDR_BASE, &payload);
+        start_mm2s(&mut r, DDR_BASE, 64, false);
+        let mut beats = Vec::new();
+        r.sim
+            .run_until(5000, || {
+                while let Some(b) = r.mm2s.force_pop() {
+                    beats.push(b);
+                }
+                beats.last().is_some_and(|b| b.last)
+            })
+            .unwrap();
+        assert_eq!(rvcap_axi::stream::unpack_bytes(&beats), payload);
+    }
+
+    #[test]
+    fn s2mm_write_bus_error_halts_s2mm() {
+        let mut r = rig();
+        let da = DDR_BASE + (1 << 23);
+        wr(&mut r, S2MM_DMACR, CR_RS);
+        wr(&mut r, S2MM_DA, da as u32);
+        wr(&mut r, S2MM_DA_MSB, (da >> 32) as u32);
+        wr(&mut r, S2MM_LENGTH, 32);
+        for b in rvcap_axi::stream::pack_bytes(&[1u8; 32], 8) {
+            r.s2mm.force_push(b);
+        }
+        r.sim.run_until_quiescent(20_000).unwrap();
+        let sr = rd(&mut r, S2MM_DMASR);
+        assert_ne!(sr & SR_DMA_DEC_ERR, 0);
+        assert_ne!(sr & SR_HALTED, 0);
+        assert_eq!(sr & SR_IOC, 0);
+        // MM2S is unaffected.
+        assert_eq!(rd(&mut r, MM2S_DMASR) & SR_DMA_DEC_ERR, 0);
     }
 
     #[test]

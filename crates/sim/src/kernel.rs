@@ -95,6 +95,29 @@ impl std::error::Error for StallReport {}
 /// How many trailing trace events a [`StallReport`] carries.
 const STALL_TRACE_TAIL: usize = 16;
 
+// Dense-window rule of [`Scheduler::ActiveSet`] (DESIGN.md §2.2; cost
+// model in §2.3). A window costs about one no-op tick per registered
+// component per cycle; a stepped active-set cycle costs per-tick
+// bookkeeping (due-bitset sweep, wake drains, carry and promise bits)
+// for each of its due components. Once a quarter of the system ticks
+// every cycle, the plain index sweep is the cheaper of the two. The
+// constants were chosen on the repository benchmark (2-vCPU Xeon VM,
+// 10 alternating parent/change pairs of 25 s, medians):
+// `rvcap_reconfig` went from 11.41 to 12.42 Mcyc/s and
+// `adaptive_filter` from 7.24 to 8.35, winning every pair, while
+// `hwicap_reconfig` and `sd_stage` never open a window and held
+// (132.2 vs 132.4, 24.16 vs 24.12). The streak keeps short bursts on
+// one- and two-component rigs out of windows.
+
+/// Consecutive dense stepped cycles, with no clock jump between them,
+/// that open a window.
+const DENSE_STREAK: u32 = 16;
+/// Cycles one window runs through the naive sweep.
+const DENSE_WINDOW: Cycle = 256;
+/// A stepped cycle is dense when at least `1 / DENSE_SHARE` of the
+/// registered components ticked.
+const DENSE_SHARE: usize = 4;
+
 /// The execution schedule the kernel uses to decide which components
 /// to tick each cycle. Both produce bit-identical simulations — same
 /// cycle counts, same observable component state, same sanitizer
@@ -111,9 +134,13 @@ pub enum Scheduler {
     /// The default: a wake-queue scheduler that only touches *due*
     /// components — self-scheduled via a min-heap of hint deadlines, or
     /// externally woken through [`crate::Fifo`]/[`crate::Signal`]
-    /// subscriptions (see [`Component::wake_sources`]). Per-cycle work
-    /// is proportional to the number of active components, not to the
-    /// number registered.
+    /// subscriptions (see [`Component::wake_sources`]). A stepped
+    /// cycle's work is proportional to the number of active
+    /// components, not to the number registered. When a quarter or
+    /// more of the system stays busy for a sustained stretch, the
+    /// schedule runs *dense windows* instead: a fixed run of cycles
+    /// through the naive sweep, which is cheaper than the per-tick
+    /// bookkeeping there (see [`Simulator`]).
     ActiveSet,
 }
 
@@ -149,16 +176,26 @@ pub enum Scheduler {
 ///   stepped cycle.
 /// - When nothing is due, the clock jumps straight to the earliest
 ///   deadline.
+/// - After 16 consecutive stepped cycles with no jump between them,
+///   each ticking at least a quarter of the registered components, a
+///   *dense window* opens: the next 256 cycles run the naive sweep,
+///   with no hint queries and no heap, bitset or wake bookkeeping. The
+///   window's last cycle cold-starts the scheduler, so the next
+///   stepped cycle re-queries every hint; one more dense cycle there
+///   re-opens the window, a jump or a sparse cycle resets the streak.
 ///
 /// Hints are queried at most once per component per stepped cycle,
 /// immediately before its tick slot. All of this preserves the exact
 /// cycle-by-cycle behavior of the naive schedule — cycle counts are
 /// bit-identical across schedulers ([`Simulator::set_scheduler`]),
 /// which the `determinism` and `cycle_parity` integration tests pin.
+/// Windows are sound for the same reason the naive schedule is: a tick
+/// the hints rule out is a no-op.
 ///
 /// [`Simulator::step`] never jumps: external drivers (the CPU model
 /// mutates FIFOs between steps) rely on observing every cycle
-/// boundary, so single-step mode only gates individual ticks.
+/// boundary, so single-step mode only gates individual ticks (or runs
+/// the naive sweep inside an open window).
 pub struct Simulator {
     freq: Freq,
     cycle: Cycle,
@@ -209,6 +246,15 @@ pub struct Simulator {
     carried: BitSet,
     jumps: u64,
     jumped_cycles: Cycle,
+    /// End (exclusive) of the open dense window: cycles below it run
+    /// the naive sweep. Checkpointed, because it decides which ticks
+    /// execute.
+    dense_until: Cycle,
+    /// Consecutive dense stepped cycles with no jump between them,
+    /// saturating at [`DENSE_STREAK`]. Checkpointed like `dense_until`.
+    dense_streak: u32,
+    /// Cycles executed inside dense windows (measurement counter).
+    dense_cycles: u64,
     /// Opt-in per-component host-time attribution (see
     /// [`Simulator::set_profiling`]). When off, tick paths pay one
     /// predictable branch and no clock reads.
@@ -242,6 +288,9 @@ impl Simulator {
             carried: BitSet::default(),
             jumps: 0,
             jumped_cycles: 0,
+            dense_until: 0,
+            dense_streak: 0,
+            dense_cycles: 0,
             profiling: false,
             host_ns: Vec::new(),
             sanitizer: None,
@@ -305,12 +354,15 @@ impl Simulator {
     /// trades host time for a simpler execution schedule (useful to
     /// cross-check the hints and wake wiring, and what the determinism
     /// tests and the host-perf harness do). Safe mid-run: scheduler
-    /// state is rebuilt from fresh hint queries on the next cycle.
+    /// state is rebuilt from fresh hint queries on the next cycle, and
+    /// an open dense window closes with its streak.
     pub fn set_scheduler(&mut self, scheduler: Scheduler) {
         if self.scheduler == scheduler {
             return;
         }
         self.scheduler = scheduler;
+        self.dense_until = 0;
+        self.dense_streak = 0;
         self.cold_start();
     }
 
@@ -327,7 +379,9 @@ impl Simulator {
     /// Behavior-identical to a warm scheduler, because hints are pure
     /// functions of component state. Every scheduler cache must be
     /// cleared here: a stale promise bit would skip the pre-tick hint
-    /// query of a component that may now be idle.
+    /// query of a component that may now be idle. The dense-window
+    /// state is not a cache (it decides which ticks execute), so it
+    /// survives; callers that mean to drop it say so.
     fn cold_start(&mut self) {
         self.heap.clear();
         self.carry.clear_all();
@@ -379,16 +433,18 @@ impl Simulator {
 
     /// Capture a whole-simulator checkpoint: every component's state
     /// blob plus the kernel's cycle, tick accounting, policy counters,
-    /// and the sanitizer's observation state.
+    /// dense-window state, and the sanitizer's observation state.
     ///
     /// **Strict completeness**: a component whose
     /// [`Component::save_state`] returns `None` is a hard error — a
     /// checkpoint silently missing one component's state would restore
-    /// into a subtly wrong system. Scheduler internals (heap, due set,
+    /// into a subtly wrong system. Scheduler caches (heap, due set,
     /// pending wakes, promises) are deliberately *not* captured:
     /// they are re-derivable from component hints, and
     /// [`Simulator::restore`] rebuilds them with fresh queries, exactly
-    /// like [`Simulator::set_scheduler`] does mid-run.
+    /// like [`Simulator::set_scheduler`] does mid-run. The dense
+    /// window's end and streak are captured: they are not derivable
+    /// from hints, and they decide which ticks execute.
     pub fn checkpoint(&self) -> Result<SimState, StateError> {
         let mut components = Vec::with_capacity(self.components.len());
         for (i, c) in self.components.iter().enumerate() {
@@ -409,6 +465,9 @@ impl Simulator {
             counters: KernelCounters {
                 jumps: self.jumps,
                 jumped_cycles: self.jumped_cycles,
+                dense_cycles: self.dense_cycles,
+                dense_until: self.dense_until,
+                dense_streak: self.dense_streak,
             },
         })
     }
@@ -425,9 +484,12 @@ impl Simulator {
     /// dropped and every component is marked pending for a fresh hint
     /// query, which is behavior-identical to a warm scheduler because
     /// hints are pure functions of the component state just restored.
-    /// (Jump *policy counters* may subsequently evolve
-    /// differently than in an uninterrupted run — that is why
-    /// [`KernelCounters`] are excluded from replay parity.)
+    /// The dense window's end and streak are restored on top, so an
+    /// active-set run continues its window exactly like the
+    /// uninterrupted run; a [`Scheduler::Naive`] simulator has no
+    /// window and ignores them. (Jump *policy counters* may
+    /// subsequently evolve differently than in an uninterrupted run —
+    /// that is why [`KernelCounters`] are excluded from replay parity.)
     pub fn restore(&mut self, state: &SimState) -> Result<(), StateError> {
         let structure = |detail: String| StateError::Structure {
             tag: "simulator".into(),
@@ -482,18 +544,24 @@ impl Simulator {
         }
         self.jumps = state.counters.jumps;
         self.jumped_cycles = state.counters.jumped_cycles;
+        self.dense_cycles = state.counters.dense_cycles;
         // Cold-start the scheduler, exactly like a mid-run switch.
         self.cold_start();
+        (self.dense_until, self.dense_streak) = match self.scheduler {
+            Scheduler::ActiveSet => (state.counters.dense_until, state.counters.dense_streak),
+            Scheduler::Naive => (0, 0),
+        };
         Ok(())
     }
 
-    /// Zero the kernel's measurement counters — executed ticks and jump
-    /// accounting — and rebase skipped-cycle accounting at the current
-    /// cycle, so a subsequent [`Simulator::kernel_stats`]
-    /// describes only the phase from this call onward (steady-state
-    /// numbers unpolluted by boot ticks). Component-owned counters
-    /// (MMIO audits, FIFO lifetime totals) are component state, not
-    /// kernel measurement, and are untouched.
+    /// Zero the kernel's measurement counters — executed ticks, jump
+    /// and dense-window accounting — and rebase skipped-cycle
+    /// accounting at the current cycle, so a subsequent
+    /// [`Simulator::kernel_stats`] describes only the phase from this
+    /// call onward (steady-state numbers unpolluted by boot ticks).
+    /// Component-owned counters (MMIO audits, FIFO lifetime totals)
+    /// are component state, not kernel measurement, and are untouched.
+    /// The dense-window end and streak are scheduler state and stay.
     pub fn reset_stats(&mut self) {
         for t in &mut self.ticks {
             *t = 0;
@@ -506,16 +574,18 @@ impl Simulator {
         }
         self.jumps = 0;
         self.jumped_cycles = 0;
+        self.dense_cycles = 0;
     }
 
     /// Advance the simulation by one cycle.
     ///
     /// Never jumps the clock (external drivers mutate FIFO state
     /// between calls), but does skip ticking components that are not
-    /// due.
+    /// due — except inside an open dense window, which ticks all.
     pub fn step(&mut self) {
         match self.scheduler {
             Scheduler::Naive => self.step_naive(),
+            Scheduler::ActiveSet if self.cycle < self.dense_until => self.step_dense(),
             Scheduler::ActiveSet => self.step_active(0),
         }
     }
@@ -554,6 +624,22 @@ impl Simulator {
         }
     }
 
+    /// One cycle inside an open dense window: the naive sweep. The
+    /// window's last cycle cold-starts the active set, so the next
+    /// stepped cycle re-queries every hint and decides on the next
+    /// window with the streak left as it was.
+    ///
+    /// Kept out of line so `advance`, which every MMIO round trip
+    /// calls, stays small.
+    #[inline(never)]
+    fn step_dense(&mut self) {
+        self.step_naive();
+        self.dense_cycles += 1;
+        if self.cycle == self.dense_until {
+            self.cold_start();
+        }
+    }
+
     /// Advance by up to `window` cycles (at least one), jumping over
     /// all-idle stretches under [`Scheduler::ActiveSet`]. Returns the
     /// number of cycles advanced.
@@ -570,6 +656,12 @@ impl Simulator {
         match self.scheduler {
             Scheduler::Naive => {
                 self.step_naive();
+                1
+            }
+            // One cycle per call, so run-loop predicates still see
+            // every cycle the window changes state in.
+            Scheduler::ActiveSet if self.cycle < self.dense_until => {
+                self.step_dense();
                 1
             }
             Scheduler::ActiveSet => self.advance_active(window),
@@ -603,6 +695,7 @@ impl Simulator {
                 self.cycle += delta;
                 self.jumps += 1;
                 self.jumped_cycles += delta;
+                self.dense_streak = 0;
                 if let Some(s) = &self.sanitizer {
                     s.set_now(self.cycle);
                 }
@@ -651,7 +744,9 @@ impl Simulator {
         }
     }
 
-    /// One stepped cycle of the active-set schedule.
+    /// One stepped cycle of the active-set schedule. Counts its ticks
+    /// toward the dense-window streak and opens a window once the
+    /// streak is full.
     ///
     /// `polled_from` skips re-querying a prefix of `self.polled` the
     /// caller has already verified idle this cycle.
@@ -692,6 +787,7 @@ impl Simulator {
         // registration order, so forwarding behaves exactly like
         // ticking everything.
         let mut i = 0;
+        let mut ticked = 0;
         while let Some(idx) = self.due.next_at_or_after(i) {
             self.due.clear(idx);
             i = idx + 1;
@@ -733,6 +829,7 @@ impl Simulator {
                 c.tick(&mut ctx);
             }
             self.ticks[idx] += 1;
+            ticked += 1;
             if self.policies[idx] == WakePolicy::Wired {
                 // Reschedule from the post-tick hint. `None` and `now`
                 // both mean "again next cycle" — the carry bitset, not
@@ -761,6 +858,14 @@ impl Simulator {
         if let Some(s) = &self.sanitizer {
             s.end_cycle();
         }
+        if ticked * DENSE_SHARE >= self.components.len() && ticked > 0 {
+            self.dense_streak = (self.dense_streak + 1).min(DENSE_STREAK);
+            if self.dense_streak == DENSE_STREAK {
+                self.dense_until = self.cycle + DENSE_WINDOW;
+            }
+        } else {
+            self.dense_streak = 0;
+        }
     }
 
     /// Advance by `n` cycles.
@@ -777,11 +882,12 @@ impl Simulator {
     /// deadlock or a wiring bug, and a bounded run with a diagnostic
     /// beats an infinite loop.
     ///
-    /// With fast-forward enabled the predicate is not evaluated at
-    /// cycles inside an all-idle jump window. That is behavior-
+    /// Under [`Scheduler::ActiveSet`] the predicate is not evaluated at
+    /// cycles inside an all-idle clock jump. That is behavior-
     /// preserving for predicates that read component-produced state
     /// (FIFOs, signals, handles): no component changes state during
-    /// the window, so the predicate's value is constant across it.
+    /// the jump, so the predicate's value is constant across it. Dense
+    /// windows advance one cycle per check, like the naive schedule.
     pub fn run_until(
         &mut self,
         limit: Cycle,
@@ -873,7 +979,8 @@ impl Simulator {
     }
 
     /// Snapshot of the kernel's activity accounting: total cycles,
-    /// jump counts, and per-component executed/skipped tick counts.
+    /// jump and dense-window counts, and per-component
+    /// executed/skipped tick counts.
     ///
     /// Skipped-cycle counts are derived here rather than accumulated
     /// in the hot loop: a component was skipped on every cycle since
@@ -886,6 +993,7 @@ impl Simulator {
             fast_forward: self.scheduler == Scheduler::ActiveSet,
             jumps: self.jumps,
             jumped_cycles: self.jumped_cycles,
+            dense_cycles: self.dense_cycles,
             protocol_violations: self.sanitizer.as_ref().map_or(0, |s| s.violation_count()),
             profiled: self.profiling,
             components: self
@@ -1429,6 +1537,159 @@ mod tests {
             run(Scheduler::ActiveSet),
             [0, 0],
             "drained rig ticks nothing"
+        );
+    }
+
+    /// Four parallel producer→consumer pipes of `n` items each plus one
+    /// idle timer: 8 of 9 components tick every cycle while the items
+    /// last, and only a dense window ticks the timer in between its
+    /// deadlines — so the timer's tick count pins where windows ran.
+    fn pipes(n: u64) -> (Simulator, Vec<std::rc::Rc<std::cell::Cell<u64>>>) {
+        let mut sim = Simulator::new(Freq::FABRIC_100MHZ);
+        let mut seen = Vec::new();
+        for p in 0..4 {
+            let chan = Fifo::new(format!("p2c{p}"), 2);
+            let s = std::rc::Rc::new(std::cell::Cell::new(0));
+            sim.register(Box::new(Producer {
+                out: chan.clone(),
+                remaining: n,
+            }));
+            sim.register(Box::new(Consumer {
+                input: chan,
+                seen: s.clone(),
+            }));
+            seen.push(s);
+        }
+        sim.register(Box::new(Timer {
+            period: 1 << 40,
+            fired: 0,
+        }));
+        (sim, seen)
+    }
+
+    /// Cycle inside the first window of a [`pipes`] run.
+    const MID_WINDOW: Cycle = 100;
+
+    #[test]
+    fn dense_window_opens_on_parallel_pipes() {
+        let run = |scheduler| {
+            let (mut sim, seen) = pipes(1000);
+            sim.set_scheduler(scheduler);
+            sim.run_until_quiescent(10_000).unwrap();
+            let seen: Vec<u64> = seen.iter().map(|s| s.get()).collect();
+            (sim.now(), seen, sim.kernel_stats())
+        };
+        let (now, seen, stats) = run(Scheduler::ActiveSet);
+        let (now_naive, seen_naive, stats_naive) = run(Scheduler::Naive);
+        assert_eq!((now, &seen), (now_naive, &seen_naive));
+        assert_eq!(seen, [1000; 4]);
+        assert_eq!(stats_naive.dense_cycles, 0);
+        // The first DENSE_STREAK cycles build the streak; after that
+        // every full window is followed by one stepped cycle that
+        // re-opens it.
+        let rest = now - DENSE_STREAK as Cycle;
+        assert_eq!(stats.dense_cycles, rest - rest / (DENSE_WINDOW + 1));
+        // Windows tick the idle timer; stepped cycles do not.
+        let timer = stats.components.last().unwrap();
+        assert_eq!(timer.ticks_executed, 1 + stats.dense_cycles);
+        assert!(stats
+            .render()
+            .contains(&format!("{} dense-window cycles", stats.dense_cycles)));
+        let mut reset = pipes(100).0;
+        reset.run_until_quiescent(10_000).unwrap();
+        assert!(reset.kernel_stats().dense_cycles > 0);
+        reset.reset_stats();
+        assert_eq!(reset.kernel_stats().dense_cycles, 0);
+    }
+
+    #[test]
+    fn checkpoint_inside_dense_window_replays_bit_identical() {
+        let (mut straight, _) = pipes(1000);
+        straight.step_n(MID_WINDOW);
+        let mid = straight.checkpoint().unwrap();
+        assert!(
+            mid.counters.dense_until > mid.cycle,
+            "checkpoint must land inside a window: {:?}",
+            mid.counters
+        );
+        straight.run_until_quiescent(10_000).unwrap();
+
+        let (mut replay, _) = pipes(1000);
+        replay.restore(&mid).unwrap();
+        replay.run_until_quiescent(10_000).unwrap();
+
+        assert_eq!(
+            straight
+                .checkpoint()
+                .unwrap()
+                .parity_diff(&replay.checkpoint().unwrap()),
+            None
+        );
+        assert_eq!(
+            straight.kernel_stats().dense_cycles,
+            replay.kernel_stats().dense_cycles
+        );
+    }
+
+    #[test]
+    fn scheduler_switch_mid_window_stays_parity_clean() {
+        // Straight: switch to naive inside a window and back later.
+        let (mut straight, _) = pipes(1000);
+        straight.step_n(MID_WINDOW);
+        assert!(straight.checkpoint().unwrap().counters.dense_until > MID_WINDOW);
+        straight.set_scheduler(Scheduler::Naive);
+        let switched = straight.checkpoint().unwrap().counters;
+        assert_eq!((switched.dense_until, switched.dense_streak), (0, 0));
+        straight.step_n(50);
+        straight.set_scheduler(Scheduler::ActiveSet);
+        straight.run_until_quiescent(10_000).unwrap();
+
+        // The same switches as fresh rigs restored from checkpoints.
+        let (mut a, _) = pipes(1000);
+        a.step_n(MID_WINDOW);
+        let (mut b, _) = pipes(1000);
+        b.set_scheduler(Scheduler::Naive);
+        b.restore(&a.checkpoint().unwrap()).unwrap();
+        b.step_n(50);
+        let (mut c, _) = pipes(1000);
+        c.restore(&b.checkpoint().unwrap()).unwrap();
+        c.run_until_quiescent(10_000).unwrap();
+
+        assert_eq!(
+            straight
+                .checkpoint()
+                .unwrap()
+                .parity_diff(&c.checkpoint().unwrap()),
+            None
+        );
+    }
+
+    #[test]
+    fn windowed_checkpoint_restores_into_naive() {
+        let (mut a, _) = pipes(1000);
+        a.step_n(MID_WINDOW);
+        let mid = a.checkpoint().unwrap();
+        assert!(mid.counters.dense_until > mid.cycle);
+        a.set_scheduler(Scheduler::Naive);
+        a.run_until_quiescent(10_000).unwrap();
+
+        let (mut b, _) = pipes(1000);
+        b.set_scheduler(Scheduler::Naive);
+        b.restore(&mid).unwrap();
+        let restored = b.checkpoint().unwrap().counters;
+        assert_eq!(
+            (restored.dense_until, restored.dense_streak),
+            (0, 0),
+            "a naive simulator carries no window"
+        );
+        assert_eq!(restored.dense_cycles, mid.counters.dense_cycles);
+        b.run_until_quiescent(10_000).unwrap();
+
+        assert_eq!(
+            a.checkpoint()
+                .unwrap()
+                .parity_diff(&b.checkpoint().unwrap()),
+            None
         );
     }
 

@@ -473,17 +473,30 @@ pub struct ComponentState {
     pub blob: StateBlob,
 }
 
-/// Kernel scheduling-policy counters carried through a checkpoint for
-/// [`crate::KernelStats`] continuity but **excluded from replay
-/// parity**: a restored run re-plans its clock jumps from a cold
-/// scheduler, so these legitimately differ from a straight run while
-/// every simulated observable stays bit-identical.
+/// Kernel scheduling-policy state carried through a checkpoint but
+/// **excluded from replay parity**.
+///
+/// The counters keep [`crate::KernelStats`] continuous: a restored run
+/// re-plans its clock jumps from a cold scheduler, so they
+/// legitimately differ from a straight run while every simulated
+/// observable stays bit-identical. The dense-window end and streak are
+/// restored by an active-set simulator, because they decide which
+/// ticks execute — parity checks those through the per-component tick
+/// counts. A [`crate::Scheduler::Naive`] simulator ignores them on
+/// restore and saves zeros.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KernelCounters {
     /// Whole-system clock jumps taken.
     pub jumps: u64,
     /// Cycles covered by those jumps.
     pub jumped_cycles: Cycle,
+    /// Cycles executed inside dense windows.
+    pub dense_cycles: Cycle,
+    /// End (exclusive) of the open dense window; at or below the
+    /// checkpoint cycle when none is open.
+    pub dense_until: Cycle,
+    /// Consecutive dense stepped cycles toward the next window.
+    pub dense_streak: u32,
 }
 
 /// A whole-simulator checkpoint ([`crate::Simulator::checkpoint`]).

@@ -157,18 +157,24 @@ impl ComponentStats {
     }
 }
 
-/// Snapshot of the kernel's fast-forward accounting
-/// ([`crate::Simulator::kernel_stats`]).
+/// Snapshot of the kernel's work accounting
+/// ([`crate::Simulator::kernel_stats`]): clock jumps, dense windows,
+/// and per-component executed and skipped ticks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelStats {
     /// Total simulated cycles.
     pub cycles: Cycle,
-    /// Whether idle fast-forward was enabled at snapshot time.
+    /// Whether [`crate::Scheduler::ActiveSet`] was selected at
+    /// snapshot time (hint-gated ticks, clock jumps, dense windows);
+    /// false under the naive reference.
     pub fast_forward: bool,
     /// Number of whole-system clock jumps taken.
     pub jumps: u64,
     /// Total cycles covered by those jumps.
     pub jumped_cycles: Cycle,
+    /// Cycles the active set ran inside dense windows, where every
+    /// component ticks (always zero under the naive reference).
+    pub dense_cycles: Cycle,
     /// Bus/stream protocol violations recorded by the attached
     /// sanitizer (zero when no sanitizer is attached).
     pub protocol_violations: u64,
@@ -271,11 +277,12 @@ impl KernelStats {
         let mut out = String::new();
         out.push_str(&format!(
             "kernel: {} cycles, fast-forward {}, {} jumps covering {} cycles, \
-             {} ticks executed / {} skipped ({:.1} % skipped)\n",
+             {} dense-window cycles, {} ticks executed / {} skipped ({:.1} % skipped)\n",
             self.cycles,
             if self.fast_forward { "on" } else { "off" },
             self.jumps,
             self.jumped_cycles,
+            self.dense_cycles,
             self.total_ticks(),
             self.total_skipped(),
             self.skipped_pct(),
@@ -436,6 +443,7 @@ mod tests {
             fast_forward: true,
             jumps: 0,
             jumped_cycles: 0,
+            dense_cycles: 0,
             protocol_violations: 0,
             profiled: false,
             components: vec![
@@ -492,6 +500,7 @@ mod tests {
             fast_forward: true,
             jumps: 0,
             jumped_cycles: 0,
+            dense_cycles: 0,
             protocol_violations: 0,
             profiled: true,
             components: vec![

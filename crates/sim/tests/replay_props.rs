@@ -7,7 +7,11 @@
 //! `scheduler_equivalence.rs` — paced sources, latency stages (wired
 //! or polled), paced sinks — but additionally implement the full
 //! save/restore contract, following the ownership convention: each
-//! FIFO is saved by its unique consumer.
+//! FIFO is saved by its unique consumer. Chains run long enough that
+//! the active set's dense windows open, so some random checkpoints land
+//! inside one and the restored run must continue the window exactly;
+//! `checkpoints_land_inside_dense_windows` replays the property's own
+//! cases and checks that some do.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -249,7 +253,7 @@ struct ChainParams {
 fn chain_strategy() -> impl Strategy<Value = ChainParams> {
     (
         0u64..6,
-        1u64..24,
+        1u64..200,
         1u64..6,
         1usize..16,
         0usize..16,
@@ -323,14 +327,29 @@ fn straight(chains: &[ChainParams], scheduler: Scheduler) -> SimState {
     sim.checkpoint().expect("straight checkpoint")
 }
 
-fn forked(chains: &[ChainParams], scheduler: Scheduler, cp: Cycle) -> SimState {
+/// The rig's checkpoint at cycle `cp`.
+fn checkpoint_at(chains: &[ChainParams], scheduler: Scheduler, cp: Cycle) -> SimState {
     let mut a = build(chains, scheduler);
     a.step_n(cp);
-    let base = a.checkpoint().expect("mid-run checkpoint");
+    a.checkpoint().expect("mid-run checkpoint")
+}
+
+fn forked(chains: &[ChainParams], scheduler: Scheduler, cp: Cycle) -> SimState {
+    let base = checkpoint_at(chains, scheduler, cp);
     let mut b = build(chains, scheduler);
     b.restore(&base).expect("restore into fresh rig");
     b.step_n(TOTAL - cp);
     b.checkpoint().expect("forked checkpoint")
+}
+
+fn rigs_strategy() -> impl Strategy<Value = Vec<ChainParams>> {
+    proptest::collection::vec(chain_strategy(), 1..3)
+}
+
+/// Checkpoint cycles, half of them in the first quarter of the run,
+/// where the streams (and so the dense windows) are.
+fn checkpoint_strategy() -> impl Strategy<Value = Cycle> {
+    prop_oneof![0..TOTAL / 4, 0..TOTAL]
 }
 
 proptest! {
@@ -338,8 +357,8 @@ proptest! {
     /// ends parity-equal to the straight run under both schedulers.
     #[test]
     fn checkpoint_restore_run_equals_straight_run(
-        chains in proptest::collection::vec(chain_strategy(), 1..3),
-        cp in 0u64..TOTAL,
+        chains in rigs_strategy(),
+        cp in checkpoint_strategy(),
     ) {
         for scheduler in SCHEDULERS {
             let s = straight(&chains, scheduler);
@@ -353,4 +372,31 @@ proptest! {
             );
         }
     }
+}
+
+/// Cases of the property above whose active-set checkpoint must land
+/// inside an open dense window.
+const MIN_IN_WINDOW: u32 = 6;
+
+/// Replay the property's exact case sequence (same seed, same draws)
+/// and count the active-set checkpoints taken inside an open dense
+/// window: the restores that must continue a window mid-way.
+#[test]
+fn checkpoints_land_inside_dense_windows() {
+    let mut rng = TestRng::from_name("checkpoint_restore_run_equals_straight_run");
+    let (rigs, cps) = (rigs_strategy(), checkpoint_strategy());
+    let cases = ProptestConfig::default().cases;
+    let inside = (0..cases)
+        .filter(|_| {
+            let chains = rigs.generate(&mut rng);
+            let cp = cps.generate(&mut rng);
+            let base = checkpoint_at(&chains, Scheduler::ActiveSet, cp);
+            base.counters.dense_until > base.cycle
+        })
+        .count() as u32;
+    assert!(
+        inside >= MIN_IN_WINDOW,
+        "only {inside} of {cases} checkpoints landed inside a dense window \
+         (want at least {MIN_IN_WINDOW})"
+    );
 }

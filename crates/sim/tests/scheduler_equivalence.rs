@@ -13,7 +13,11 @@
 //! producer spin (pops fire no wakes), post-tick deadline reschedule,
 //! firm-promise hint skips, and `WakePolicy::Poll` components mixed
 //! into a wired graph. A random FIFO preload starts the first hop
-//! backlogged, so streaming stretches begin mid-burst.
+//! backlogged, so streaming stretches begin mid-burst. Chains run long
+//! enough (up to ~200 values, gapless and unpaced ones included) that
+//! the active set's dense windows open, close and re-open mid-run;
+//! `generated_rigs_open_dense_windows` replays the property's own cases
+//! and checks that they do.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -184,7 +188,7 @@ struct ChainParams {
 fn chain_strategy() -> impl Strategy<Value = ChainParams> {
     (
         0u64..6,
-        1u64..24,
+        1u64..200,
         1u64..6,
         1usize..16,
         0usize..16,
@@ -212,7 +216,9 @@ struct Observed {
 /// order.
 type TickCounts = Vec<(u64, u64)>;
 
-fn run(chains: &[ChainParams], scheduler: Scheduler) -> (Observed, TickCounts) {
+/// Run `chains` to completion: what it observed, its tick accounting,
+/// and the cycles it spent in dense windows.
+fn run(chains: &[ChainParams], scheduler: Scheduler) -> (Observed, TickCounts, Cycle) {
     const HORIZON: Cycle = 20_000;
     let mut sim = Simulator::new(Freq::FABRIC_100MHZ);
     sim.set_scheduler(scheduler);
@@ -279,19 +285,23 @@ fn run(chains: &[ChainParams], scheduler: Scheduler) -> (Observed, TickCounts) {
             .iter()
             .map(|c| (c.ticks_executed, c.cycles_skipped))
             .collect(),
+        stats.dense_cycles,
     )
+}
+
+fn rigs_strategy() -> impl Strategy<Value = Vec<ChainParams>> {
+    proptest::collection::vec(chain_strategy(), 1..3)
 }
 
 proptest! {
     #[test]
-    fn schedulers_are_observationally_identical(
-        chains in proptest::collection::vec(chain_strategy(), 1..3),
-    ) {
-        let (naive, naive_ticks) = run(&chains, Scheduler::Naive);
-        let (active, active_ticks) = run(&chains, Scheduler::ActiveSet);
+    fn schedulers_are_observationally_identical(chains in rigs_strategy()) {
+        let (naive, naive_ticks, naive_dense) = run(&chains, Scheduler::Naive);
+        let (active, active_ticks, _) = run(&chains, Scheduler::ActiveSet);
 
         prop_assert_eq!(&naive, &active);
         prop_assert_eq!(naive.violations, 0, "clean graphs must stay clean");
+        prop_assert_eq!(naive_dense, 0, "the naive schedule has no windows");
 
         // Executed-tick accounting: the active set skips exactly the
         // hint-ruled-out ticks, naive executes everything, so only the
@@ -307,4 +317,25 @@ proptest! {
             prop_assert!(ht <= nt, "component {} executed extra ticks", i);
         }
     }
+}
+
+/// Share of generated rigs that must open a dense window, in percent.
+const MIN_WINDOWED_PCT: u32 = 25;
+
+/// The property above only covers dense windows if its cases open
+/// them: replay its exact case sequence (same seed, same draws) under
+/// the active set and require a stated share to spend cycles in one.
+#[test]
+fn generated_rigs_open_dense_windows() {
+    let mut rng = TestRng::from_name("schedulers_are_observationally_identical");
+    let cases = ProptestConfig::default().cases;
+    let strategy = rigs_strategy();
+    let opened = (0..cases)
+        .filter(|_| run(&strategy.generate(&mut rng), Scheduler::ActiveSet).2 > 0)
+        .count() as u32;
+    assert!(
+        opened * 100 >= cases * MIN_WINDOWED_PCT,
+        "only {opened} of {cases} generated rigs opened a dense window \
+         (want at least {MIN_WINDOWED_PCT}%)"
+    );
 }

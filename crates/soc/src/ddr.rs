@@ -251,8 +251,11 @@ impl Component for Ddr {
                                     } else {
                                         self.read = ReadState::Latency { until, req };
                                     }
-                                } else {
-                                    let _ = self.port.try_respond(cycle, MmResp::err());
+                                } else if self.port.try_respond(cycle, MmResp::err()).is_err() {
+                                    // The response channel took one push
+                                    // this cycle already (a write ack):
+                                    // retry, like the in-bounds arm.
+                                    self.read = ReadState::Latency { until, req };
                                 }
                             }
                             MmOp::ReadBurst { beats, beat_bytes } => {
@@ -264,8 +267,8 @@ impl Component for Ddr {
                                     };
                                     // First beat flows this very cycle.
                                     self.stream_beat(cycle);
-                                } else {
-                                    let _ = self.port.try_respond(cycle, MmResp::err());
+                                } else if self.port.try_respond(cycle, MmResp::err()).is_err() {
+                                    self.read = ReadState::Latency { until, req };
                                 }
                             }
                             MmOp::Write { .. } => unreachable!("write in read engine"),
@@ -605,6 +608,43 @@ mod tests {
         })
         .unwrap();
         assert!(got.unwrap().error);
+    }
+
+    #[test]
+    fn out_of_bounds_read_error_survives_a_same_cycle_write_ack() {
+        // A non-posted write issued `gap` cycles after an out-of-range
+        // read: at gap 16 its ack lands in the cycle the read's error
+        // is due, and the response channel takes one push per cycle.
+        // Pre-fix the error was dropped and the master waited forever.
+        for gap in 0..40u64 {
+            for read in [
+                MmReq::read(DDR_BASE + (1 << 20), 8),
+                MmReq::read_burst(DDR_BASE + (1 << 20), 4, 8),
+            ] {
+                let (mut sim, m, _h) = rig(small_cfg());
+                m.try_issue(0, read).unwrap();
+                let (mut errors, mut acks) = (0, 0);
+                let mut write_pending = true;
+                for _ in 0..200 {
+                    // The request channel takes one push per cycle, so
+                    // a gap-0 write issues a cycle late.
+                    if write_pending && sim.now() >= gap {
+                        write_pending = m
+                            .try_issue(sim.now(), MmReq::write(DDR_BASE, 1, 8))
+                            .is_err();
+                    }
+                    sim.step();
+                    while let Some(r) = m.resp.force_pop() {
+                        if r.error {
+                            errors += 1;
+                        } else {
+                            acks += 1;
+                        }
+                    }
+                }
+                assert_eq!((errors, acks), (1, 1), "gap {gap}, {read:?}");
+            }
+        }
     }
 
     #[test]

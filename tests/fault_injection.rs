@@ -272,6 +272,44 @@ fn cpu_bus_error_on_unmapped_address() {
     assert!(v < u64::MAX);
 }
 
+/// A reconfiguration transfer whose source address decodes to no slave
+/// ends in a DMASR error the driver can read, not in a silent stall:
+/// the fetch bus error halts MM2S with DMADecErr and the ICAP never
+/// sees a word.
+#[test]
+fn dma_fetch_from_unmapped_address_sets_dmasr_error() {
+    use rvcap_repro::core::dma::*;
+    use rvcap_repro::soc::map::{DDR_DEFAULT_SIZE, DMA_BASE};
+
+    let (mut soc, _) = rig();
+    let driver = RvCapDriver::new(0, soc.handles.plic.clone());
+    driver.decouple_accel(&mut soc.core, true);
+    driver.select_icap(&mut soc.core, true);
+    driver.dma_config(&mut soc.core, DmaMode::NonBlocking);
+    // One byte past the end of DDR: no crossbar region claims it.
+    driver.dma_write_stream(&mut soc.core, DDR_BASE + DDR_DEFAULT_SIZE, 4096);
+
+    let mut sr = 0;
+    for _ in 0..2_000 {
+        sr = soc.core.read_reg(DMA_BASE + MM2S_DMASR);
+        if sr & SR_HALTED != 0 {
+            break;
+        }
+    }
+    assert_ne!(sr & SR_HALTED, 0, "MM2S never halted: DMASR {sr:#x}");
+    assert_ne!(sr & SR_DMA_DEC_ERR, 0, "DMADecErr missing: DMASR {sr:#x}");
+    assert_eq!(sr & (SR_IDLE | SR_IOC), 0, "no completion: DMASR {sr:#x}");
+    assert_eq!(soc.core.read_reg(DMA_BASE + MM2S_DMACR) & CR_RS, 0);
+    assert!(
+        !soc.handles
+            .plic
+            .is_pending(rvcap_repro::soc::map::IRQ_DMA_MM2S),
+        "no completion interrupt for an aborted transfer"
+    );
+    assert_eq!(soc.handles.icap.words_consumed(), 0);
+    assert_eq!(soc.handles.rm_hosts[0].active_module(), None);
+}
+
 #[test]
 fn oversized_module_rejected_by_partition_check() {
     let (soc, _) = rig();
