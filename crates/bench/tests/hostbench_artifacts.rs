@@ -16,6 +16,10 @@
 //! by rig family as well: the saturated RV-CAP transfers run dense
 //! windows, the MMIO-bound HWICAP and SD-staging rigs never do.
 //!
+//! `BENCH_hostbench_profile.md` heads each rig's table with its
+//! profiled pass's wall time and outside-tick share; those headers
+//! must match the JSON's `profile_passes` records the same way.
+//!
 //! Both files are hand-parsed (no serde in the build environment),
 //! matching the hand-rolled encoder in `rvcap_bench::report`.
 
@@ -55,17 +59,22 @@ fn num_field(obj: &str, key: &str) -> Option<f64> {
     rest[..end].trim().parse().ok()
 }
 
-/// Extract the summary records from a full `BENCH_hostbench.json`.
-/// The `"summary"` array holds flat objects (no nested arrays), so
-/// the slice between `"summary":[` and the next `]` contains exactly
-/// the records.
-fn parse_summary(json: &str) -> Vec<SummaryRow> {
+/// The body of the JSON array under `key`. The report's arrays hold
+/// flat objects (no nested arrays), so the slice between `"key":[` and
+/// the next `]` contains exactly the records.
+fn array_body<'a>(json: &'a str, key: &str) -> &'a str {
+    let pat = format!("\"{key}\":[");
     let start = json
-        .find("\"summary\":[")
-        .expect("JSON has a summary array")
-        + "\"summary\":[".len();
-    let end = json[start..].find(']').expect("summary array closes");
-    json[start..start + end]
+        .find(&pat)
+        .unwrap_or_else(|| panic!("JSON has a {key} array"))
+        + pat.len();
+    let end = json[start..].find(']').expect("array closes");
+    &json[start..start + end]
+}
+
+/// Extract the summary records from a full `BENCH_hostbench.json`.
+fn parse_summary(json: &str) -> Vec<SummaryRow> {
+    array_body(json, "summary")
         .split('{')
         .filter_map(|obj| {
             Some(SummaryRow {
@@ -157,5 +166,37 @@ fn dense_windows_engage_only_on_streaming_rigs() {
             && summary.iter().any(|s| s.rig.starts_with("hwicap_"))
             && summary.iter().any(|s| s.rig == "sd_staging"),
         "summary lacks a pinned rig family"
+    );
+}
+
+#[test]
+fn profile_headers_match_json() {
+    let root = repo_root();
+    let json = std::fs::read_to_string(root.join("BENCH_hostbench.json"))
+        .expect("committed BENCH_hostbench.json");
+    let md = std::fs::read_to_string(root.join("BENCH_hostbench_profile.md"))
+        .expect("committed BENCH_hostbench_profile.md");
+    let expect: Vec<String> = array_body(&json, "profile_passes")
+        .split('{')
+        .filter_map(|obj| {
+            let outside = num_field(obj, "outside_tick_pct")?;
+            assert!(
+                (0.0..=100.0).contains(&outside),
+                "outside-tick share {outside} is not a percentage"
+            );
+            Some(format!(
+                "### {} — {:.3} ms pass, {:.1}% outside tick calls",
+                str_field(obj, "rig")?,
+                num_field(obj, "wall_ms")?,
+                outside
+            ))
+        })
+        .collect();
+    assert!(!expect.is_empty(), "JSON records no profiled pass");
+    let headers: Vec<&str> = md.lines().filter(|l| l.starts_with("### ")).collect();
+    assert_eq!(
+        headers, expect,
+        "profile markdown headers disagree with the JSON's profiled passes — \
+         regenerate both with one `hostbench --profile` run"
     );
 }

@@ -325,15 +325,26 @@ impl Simulator {
     /// exactly once, with its [`crate::Waker`].
     pub fn register(&mut self, component: Box<dyn Component>) -> ComponentId {
         let idx = self.components.len();
-        let policy = component.wake_sources(&self.hub.waker(idx));
+        // The wake hub and the four scheduler sets widen here together
+        // and nowhere else, so the per-cycle bit operations and drains
+        // never resize, and no set is empty while a component is
+        // registered (DESIGN.md §2.3).
+        let waker = self.hub.waker(idx);
+        for set in [
+            &mut self.due,
+            &mut self.carry,
+            &mut self.promise,
+            &mut self.carried,
+        ] {
+            set.grow_to(idx);
+        }
+        let policy = component.wake_sources(&waker);
         self.components.push(component);
         self.ticks.push(0);
         self.host_ns.push(0);
         self.registered_at.push(self.cycle);
         self.policies.push(policy);
         self.scheduled.push(Cycle::MAX);
-        self.due.grow_to(idx);
-        self.carry.grow_to(idx);
         if policy == WakePolicy::Poll {
             self.polled.push(idx as u32);
         }
@@ -1750,5 +1761,38 @@ mod tests {
             assert_eq!(c.ticks_executed, 0, "{}", c.name);
             assert_eq!(c.cycles_skipped, 300, "{}", c.name);
         }
+    }
+
+    #[test]
+    fn scheduler_sets_are_sized_at_registration() {
+        // Polled timers never make a firm promise, so nothing but
+        // registration can widen `promise` and `carried` here.
+        let timers = || {
+            let mut sim = Simulator::new(Freq::FABRIC_100MHZ);
+            for i in 0..70 {
+                sim.register(Box::new(Timer {
+                    period: 16 + i,
+                    fired: 0,
+                }));
+            }
+            sim
+        };
+        // Widths in words of the four scheduler sets.
+        let set_widths =
+            |sim: &Simulator| [&sim.due, &sim.carry, &sim.promise, &sim.carried].map(|s| s.width());
+        let mut sim = timers();
+        sim.step_n(1000);
+        assert_eq!(set_widths(&sim), [2; 4]);
+
+        // A cold start — restore or a scheduler switch — keeps them.
+        let mut restored = timers();
+        restored.restore(&sim.checkpoint().unwrap()).unwrap();
+        restored.step_n(1000);
+        assert_eq!(set_widths(&restored), [2; 4]);
+        sim.set_scheduler(Scheduler::Naive);
+        sim.step_n(10);
+        sim.set_scheduler(Scheduler::ActiveSet);
+        sim.step_n(1000);
+        assert_eq!(set_widths(&sim), [2; 4]);
     }
 }

@@ -46,11 +46,11 @@ pub enum WakePolicy {
 
 #[derive(Debug, Default)]
 struct HubShared {
-    /// Pending-wake bitset over component indices. Guarded by a
-    /// `RefCell` only for growth and the drain loops; the emptiness
-    /// flag lives outside it so the kernel's after-every-tick drain
+    /// Pending-wake bitset over component indices, widened only at
+    /// registration ([`WakeHub::waker`]). The emptiness flag lives
+    /// outside the `RefCell` so the kernel's after-every-tick drain
     /// call is a plain load when nothing is pending.
-    words: RefCell<Vec<u64>>,
+    pending: RefCell<BitSet>,
     /// Fast emptiness check (cleared only by full drains).
     any: Cell<bool>,
 }
@@ -67,28 +67,21 @@ impl WakeHub {
         WakeHub::default()
     }
 
-    /// Make room for component index `index`.
-    pub(crate) fn grow_to(&self, index: usize) {
-        let mut words = self.inner.words.borrow_mut();
-        let need = index / 64 + 1;
-        if words.len() < need {
-            words.resize(need, 0);
-        }
-    }
-
-    /// A waker for component `index`.
+    /// Register component `index`: widen the pending set to cover it
+    /// and hand out its waker. The kernel widens its own scheduler sets
+    /// in the same step, so every drain sees equal widths.
     pub fn waker(&self, index: usize) -> Waker {
-        self.grow_to(index);
+        self.inner.pending.borrow_mut().grow_to(index);
         Waker {
-            hub: self.inner.clone(),
+            hub: self.clone(),
             index,
         }
     }
 
     /// Mark component `index` pending.
+    #[inline]
     pub(crate) fn wake(&self, index: usize) {
-        self.grow_to(index);
-        self.inner.words.borrow_mut()[index / 64] |= 1 << (index % 64);
+        self.inner.pending.borrow_mut().set(index);
         self.inner.any.set(true);
     }
 
@@ -104,9 +97,9 @@ impl WakeHub {
         if !self.inner.any.get() {
             return;
         }
-        let mut words = self.inner.words.borrow_mut();
-        due.grow_to_words(words.len());
-        for (d, w) in due.words.iter_mut().zip(words.iter_mut()) {
+        let mut pending = self.inner.pending.borrow_mut();
+        debug_assert_eq!(due.words.len(), pending.words.len());
+        for (d, w) in due.words.iter_mut().zip(&mut pending.words) {
             *d |= *w;
             *w = 0;
         }
@@ -127,12 +120,11 @@ impl WakeHub {
     }
 
     fn drain_above_slow(&self, threshold: usize, due: &mut BitSet) {
-        let mut words = self.inner.words.borrow_mut();
-        due.grow_to_words(words.len());
-        let word = threshold / 64;
-        let bit = threshold % 64;
+        let mut pending = self.inner.pending.borrow_mut();
+        debug_assert_eq!(due.words.len(), pending.words.len());
+        let (word, bit) = (threshold / 64, threshold % 64);
         let mut below = false;
-        for (i, (d, w)) in due.words.iter_mut().zip(words.iter_mut()).enumerate() {
+        for (i, (d, w)) in due.words.iter_mut().zip(&mut pending.words).enumerate() {
             if i < word {
                 below |= *w != 0;
                 continue;
@@ -156,7 +148,7 @@ impl WakeHub {
 /// [`crate::Signal`]s via their `subscribe_wake` methods.
 #[derive(Debug, Clone)]
 pub struct Waker {
-    hub: Rc<HubShared>,
+    hub: WakeHub,
     index: usize,
 }
 
@@ -165,11 +157,7 @@ impl Waker {
     /// free; safe to call from any context (ticked code or host).
     #[inline]
     pub fn wake(&self) {
-        let mut words = self.hub.words.borrow_mut();
-        debug_assert!(self.index / 64 < words.len());
-        words[self.index / 64] |= 1 << (self.index % 64);
-        drop(words);
-        self.hub.any.set(true);
+        self.hub.wake(self.index);
     }
 
     /// The component index this waker targets.
@@ -180,43 +168,41 @@ impl Waker {
 
 /// A reusable bitset over component indices (the kernel's per-cycle
 /// due set). Not a general-purpose container — just enough for the
-/// scheduler's zero-allocation inner loop.
+/// scheduler's zero-allocation inner loop, at a width fixed at
+/// registration ([`BitSet::grow_to`]).
 #[derive(Debug, Default)]
 pub(crate) struct BitSet {
     words: Vec<u64>,
 }
 
 impl BitSet {
-    pub(crate) fn grow_to_words(&mut self, words: usize) {
-        if self.words.len() < words {
-            self.words.resize(words, 0);
+    /// Widen to cover `index`. Registration only.
+    pub(crate) fn grow_to(&mut self, index: usize) {
+        let need = (index / 64 + 1).max(self.words.len());
+        self.words.resize(need, 0);
+    }
+
+    /// Zero every word. A loop, not `fill`: LLVM guards the loop's
+    /// `memset` with a length test, while `fill` on an empty `Vec`
+    /// calls `memset` on its dangling pointer (~160 ns, DESIGN.md §2.3).
+    pub(crate) fn clear_all(&mut self) {
+        for w in &mut self.words {
+            *w = 0;
         }
     }
 
-    pub(crate) fn grow_to(&mut self, index: usize) {
-        self.grow_to_words(index / 64 + 1);
-    }
-
-    pub(crate) fn clear_all(&mut self) {
-        self.words.fill(0);
-    }
-
+    #[inline]
     pub(crate) fn set(&mut self, index: usize) {
-        self.grow_to(index);
         self.words[index / 64] |= 1 << (index % 64);
     }
 
     pub(crate) fn clear(&mut self, index: usize) {
-        if index / 64 < self.words.len() {
-            self.words[index / 64] &= !(1 << (index % 64));
-        }
+        self.words[index / 64] &= !(1 << (index % 64));
     }
 
     /// True when `index` is set.
     pub(crate) fn get(&self, index: usize) -> bool {
-        self.words
-            .get(index / 64)
-            .is_some_and(|w| w & (1 << (index % 64)) != 0)
+        self.words[index / 64] & (1 << (index % 64)) != 0
     }
 
     /// Smallest set index `>= from`, if any.
@@ -247,6 +233,12 @@ impl BitSet {
     pub(crate) fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
+
+    /// Width in 64-bit words.
+    #[cfg(test)]
+    pub(crate) fn width(&self) -> usize {
+        self.words.len()
+    }
 }
 
 #[cfg(test)]
@@ -262,6 +254,7 @@ mod tests {
         w.wake(); // idempotent
         assert!(!hub.is_empty());
         let mut due = BitSet::default();
+        due.grow_to(70);
         hub.drain_all_into(&mut due);
         assert!(hub.is_empty());
         assert_eq!(due.next_at_or_after(0), Some(70));
@@ -275,6 +268,7 @@ mod tests {
             hub.waker(i).wake();
         }
         let mut due = BitSet::default();
+        due.grow_to(130);
         // Threshold 64: 3 and 64 stay pending, 65 and 130 become due.
         hub.drain_above_into(64, &mut due);
         assert_eq!(due.next_at_or_after(0), Some(65));
@@ -282,6 +276,7 @@ mod tests {
         assert_eq!(due.count(), 2);
         assert!(!hub.is_empty());
         let mut rest = BitSet::default();
+        rest.grow_to(130);
         hub.drain_all_into(&mut rest);
         assert_eq!(rest.next_at_or_after(0), Some(3));
         assert_eq!(rest.next_at_or_after(4), Some(64));
@@ -294,6 +289,7 @@ mod tests {
         let hub = WakeHub::new();
         hub.waker(10).wake();
         let mut due = BitSet::default();
+        due.grow_to(10);
         hub.drain_above_into(5, &mut due);
         assert!(hub.is_empty(), "10 > 5 was fully drained");
         assert_eq!(due.next_at_or_after(0), Some(10));
@@ -302,6 +298,7 @@ mod tests {
     #[test]
     fn bitset_iterates_ascending() {
         let mut b = BitSet::default();
+        b.grow_to(200);
         for i in [0usize, 1, 63, 64, 127, 200] {
             b.set(i);
         }

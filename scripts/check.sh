@@ -39,6 +39,15 @@ RVCAP_STRICT=1 cargo test -q -p rvcap-sim --test replay_props
 echo "== benchmark self-test (RVCAP_STRICT=1) =="
 (cd benchmark && RVCAP_STRICT=1 cargo test --release --offline)
 
+# Lints and formatting run before the host-performance gate: its
+# baseline gate depends on the host's clock state, and `set -e` would
+# otherwise skip them whenever it fails.
+echo "== cargo clippy (deny warnings) =="
+cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo fmt --check =="
+cargo fmt --all -- --check
+
 # Host-performance gate: the full median-of-3 grid per rig ×
 # scheduler, written to BENCH_hostbench.json (plus
 # BENCH_hostbench_summary.md with the active_set-vs-naive speedups).
@@ -55,11 +64,5 @@ echo "== benchmark self-test (RVCAP_STRICT=1) =="
 # writes BENCH_hostbench_profile.md for the CI job summary.
 echo "== hostbench (host-perf floors + baseline, median of 3) =="
 cargo run --release -q -p rvcap-bench --bin hostbench -- --profile
-
-echo "== cargo clippy (deny warnings) =="
-cargo clippy --workspace --all-targets -- -D warnings
-
-echo "== cargo fmt --check =="
-cargo fmt --all -- --check
 
 echo "All checks passed."
