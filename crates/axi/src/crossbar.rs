@@ -430,19 +430,19 @@ impl Component for Crossbar {
         })
     }
 
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+    fn next_activity(&self, now: Cycle) -> Cycle {
         let mut at = Cycle::MAX;
         for m in &self.masters {
             // A queued request is arbitrated this cycle.
             if !m.port.req.is_empty() {
-                return Some(now);
+                return now;
             }
             // A pipelined response delivers at its ready cycle — and
             // must keep retrying every cycle once ready, because a
             // full downstream FIFO blocks the push until drained.
             if let Some(head) = m.resp_pipe.front() {
                 if head.ready_at <= now {
-                    return Some(now);
+                    return now;
                 }
                 at = at.min(head.ready_at);
             }
@@ -457,7 +457,7 @@ impl Component for Crossbar {
             mask &= mask - 1;
             // A slave response beat is collected this cycle.
             if !self.slaves[si].port.resp.is_empty() {
-                return Some(now);
+                return now;
             }
             // A non-empty scoreboard alone is pure waiting: the wake
             // comes from the slave's response FIFO becoming non-empty
@@ -472,14 +472,14 @@ impl Component for Crossbar {
                 .front()
                 .expect("mask bit implies an entry");
             if head.ready_at <= now {
-                return Some(now);
+                return now;
             }
             at = at.min(head.ready_at);
         }
-        Some(at)
+        at
     }
 
-    fn wake_sources(&self, waker: &rvcap_sim::Waker) -> rvcap_sim::WakePolicy {
+    fn wake_sources(&self, waker: &rvcap_sim::Waker) {
         // Every lane that can deliver new work: master requests in,
         // slave responses back. Pipe-head deadlines are time-based and
         // covered by the post-tick hint.
@@ -489,7 +489,6 @@ impl Component for Crossbar {
         for s in &self.slaves {
             s.port.resp.subscribe_wake(waker.clone());
         }
-        rvcap_sim::WakePolicy::Wired
     }
 
     fn save_state(&self) -> Option<StateBlob> {
@@ -713,22 +712,21 @@ impl Component for RamSlave {
         self.active.is_some()
     }
 
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+    fn next_activity(&self, now: Cycle) -> Cycle {
         if let Some((ready, _)) = &self.active {
             // Streams one beat per cycle once the service delay has
             // elapsed (retrying while the response FIFO is full).
-            Some((*ready).max(now))
+            (*ready).max(now)
         } else if self.port.req.is_empty() {
-            Some(Cycle::MAX)
+            Cycle::MAX
         } else {
-            Some(now)
+            now
         }
     }
 
-    fn wake_sources(&self, waker: &rvcap_sim::Waker) -> rvcap_sim::WakePolicy {
+    fn wake_sources(&self, waker: &rvcap_sim::Waker) {
         // An active burst self-reschedules via its ready-cycle hint.
         self.port.req.subscribe_wake(waker.clone());
-        rvcap_sim::WakePolicy::Wired
     }
 
     fn save_state(&self) -> Option<StateBlob> {

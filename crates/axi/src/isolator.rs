@@ -87,23 +87,22 @@ impl Component for StreamIsolator {
         !self.decouple.get() && !self.input.is_empty()
     }
 
-    fn next_activity(&self, now: rvcap_sim::Cycle) -> Option<rvcap_sim::Cycle> {
+    fn next_activity(&self, now: rvcap_sim::Cycle) -> rvcap_sim::Cycle {
         // A decoupled tick with a queued beat is NOT a no-op: it
         // increments `blocked_cycles`. Any queued input therefore
         // means activity now, coupled or not.
         if self.input.is_empty() {
-            Some(rvcap_sim::Cycle::MAX)
+            rvcap_sim::Cycle::MAX
         } else {
-            Some(now)
+            now
         }
     }
 
-    fn wake_sources(&self, waker: &rvcap_sim::Waker) -> rvcap_sim::WakePolicy {
+    fn wake_sources(&self, waker: &rvcap_sim::Waker) {
         // The decouple signal needs no subscription: with an empty
         // input a decouple flip changes nothing observable, and with a
         // queued beat the hint is already "now".
         self.input.subscribe_wake(waker.clone());
-        rvcap_sim::WakePolicy::Wired
     }
 
     fn save_state(&self) -> Option<StateBlob> {
@@ -199,18 +198,17 @@ impl Component for MmIsolator {
         false
     }
 
-    fn next_activity(&self, now: rvcap_sim::Cycle) -> Option<rvcap_sim::Cycle> {
+    fn next_activity(&self, now: rvcap_sim::Cycle) -> rvcap_sim::Cycle {
         if self.upstream.req.is_empty() && self.downstream.resp.is_empty() {
-            Some(rvcap_sim::Cycle::MAX)
+            rvcap_sim::Cycle::MAX
         } else {
-            Some(now)
+            now
         }
     }
 
-    fn wake_sources(&self, waker: &rvcap_sim::Waker) -> rvcap_sim::WakePolicy {
+    fn wake_sources(&self, waker: &rvcap_sim::Waker) {
         self.upstream.req.subscribe_wake(waker.clone());
         self.downstream.resp.subscribe_wake(waker.clone());
-        rvcap_sim::WakePolicy::Wired
     }
 
     fn save_state(&self) -> Option<StateBlob> {

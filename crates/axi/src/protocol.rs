@@ -164,9 +164,9 @@ impl Component for MmAdapter {
         !self.req_pipe.is_empty() || !self.resp_pipe.is_empty()
     }
 
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+    fn next_activity(&self, now: Cycle) -> Cycle {
         if !self.upstream.req.is_empty() || !self.downstream.resp.is_empty() {
-            return Some(now);
+            return now;
         }
         // Pipe heads deliver at their ready cycle, then retry every
         // cycle while the destination FIFO refuses the push.
@@ -177,19 +177,18 @@ impl Component for MmAdapter {
         ];
         for ready in heads.into_iter().flatten() {
             if ready <= now {
-                return Some(now);
+                return now;
             }
             at = at.min(ready);
         }
-        Some(at)
+        at
     }
 
-    fn wake_sources(&self, waker: &rvcap_sim::Waker) -> rvcap_sim::WakePolicy {
+    fn wake_sources(&self, waker: &rvcap_sim::Waker) {
         // Pipe-head deadlines are time-based and covered by the
         // post-tick hint; only new bus traffic needs a wake.
         self.upstream.req.subscribe_wake(waker.clone());
         self.downstream.resp.subscribe_wake(waker.clone());
-        rvcap_sim::WakePolicy::Wired
     }
 
     fn save_state(&self) -> Option<StateBlob> {

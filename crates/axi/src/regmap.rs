@@ -10,7 +10,7 @@
 //!
 //! * a [`RegisterMap`] declares each register once — name, offset,
 //!   width, access policy, reset value, one-line description — via the
-//!   [`register_map!`] macro, which also emits the offset constants
+//!   [`register_map!`](crate::register_map) macro, which also emits the offset constants
 //!   the drivers already import;
 //! * a [`RegisterFile`] performs the device-side decode of raw
 //!   [`MmReq`]s against the map, rejecting unmapped, misaligned,
@@ -34,7 +34,7 @@
 //! * Burst operations never target register space.
 //!
 //! Rejections produce [`Decoded::Reject`]; the device answers with
-//! [`MmResp::err`] and must leave its state untouched (the regmap
+//! [`MmResp::err`](crate::mm::MmResp::err) and must leave its state untouched (the regmap
 //! proptests pin this for every registered map).
 
 use rvcap_sim::state::{StateBlob, StateError, StateValue};

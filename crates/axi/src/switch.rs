@@ -94,25 +94,24 @@ impl Component for StreamSwitch {
         self.mid_packet || !self.input.is_empty()
     }
 
-    fn next_activity(&self, now: rvcap_sim::Cycle) -> Option<rvcap_sim::Cycle> {
+    fn next_activity(&self, now: rvcap_sim::Cycle) -> rvcap_sim::Cycle {
         // With no queued beat a tick only re-latches the route from
         // the select signal — which the first forwarding tick does
         // anyway before routing, so skipping the idle latch is
         // unobservable. (Mid-packet with a starved input is the same:
         // nothing moves until a beat arrives.)
         if self.input.is_empty() {
-            Some(rvcap_sim::Cycle::MAX)
+            rvcap_sim::Cycle::MAX
         } else {
-            Some(now)
+            now
         }
     }
 
-    fn wake_sources(&self, waker: &rvcap_sim::Waker) -> rvcap_sim::WakePolicy {
+    fn wake_sources(&self, waker: &rvcap_sim::Waker) {
         // The select signal needs no subscription: an idle re-latch is
         // unobservable (see `next_activity`), and mid-packet routing
         // ignores select until the next beat — which wakes us.
         self.input.subscribe_wake(waker.clone());
-        rvcap_sim::WakePolicy::Wired
     }
 
     fn save_state(&self) -> Option<StateBlob> {

@@ -101,21 +101,20 @@ impl Component for Narrower {
         self.carry.is_some() || !self.input.is_empty()
     }
 
-    fn next_activity(&self, now: rvcap_sim::Cycle) -> Option<rvcap_sim::Cycle> {
+    fn next_activity(&self, now: rvcap_sim::Cycle) -> rvcap_sim::Cycle {
         // A carried high word retries its push every cycle until the
         // output accepts it, so it pins activity to "now".
         if self.carry.is_some() || !self.input.is_empty() {
-            Some(now)
+            now
         } else {
-            Some(rvcap_sim::Cycle::MAX)
+            rvcap_sim::Cycle::MAX
         }
     }
 
-    fn wake_sources(&self, waker: &rvcap_sim::Waker) -> rvcap_sim::WakePolicy {
+    fn wake_sources(&self, waker: &rvcap_sim::Waker) {
         // Only a new input beat can make an empty narrower runnable; a
         // buffered carry self-reschedules via the post-tick "now" hint.
         self.input.subscribe_wake(waker.clone());
-        rvcap_sim::WakePolicy::Wired
     }
 
     fn save_state(&self) -> Option<StateBlob> {
@@ -201,20 +200,19 @@ impl Component for Widener {
         self.half.is_some() || !self.input.is_empty()
     }
 
-    fn next_activity(&self, now: rvcap_sim::Cycle) -> Option<rvcap_sim::Cycle> {
+    fn next_activity(&self, now: rvcap_sim::Cycle) -> rvcap_sim::Cycle {
         // A lone buffered half-word moves only when its partner beat
         // arrives, so an empty input means nothing can happen yet.
         if self.input.is_empty() {
-            Some(rvcap_sim::Cycle::MAX)
+            rvcap_sim::Cycle::MAX
         } else {
-            Some(now)
+            now
         }
     }
 
-    fn wake_sources(&self, waker: &rvcap_sim::Waker) -> rvcap_sim::WakePolicy {
+    fn wake_sources(&self, waker: &rvcap_sim::Waker) {
         // The hint depends only on input emptiness.
         self.input.subscribe_wake(waker.clone());
-        rvcap_sim::WakePolicy::Wired
     }
 
     fn save_state(&self) -> Option<StateBlob> {

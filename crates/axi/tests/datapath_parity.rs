@@ -27,7 +27,7 @@ use rvcap_axi::sanitizer::{watch_stream, watch_stream_gated};
 use rvcap_axi::{AxisBeat, AxisChannel, Narrower, StreamIsolator, Widener};
 use rvcap_sim::component::{Component, TickCtx};
 use rvcap_sim::sanitizer::Sanitizer;
-use rvcap_sim::{Cycle, Fifo, Freq, Scheduler, Signal, Simulator, WakePolicy, Waker};
+use rvcap_sim::{Cycle, Fifo, Freq, Scheduler, Signal, Simulator, Waker};
 
 /// Gapless DMA-shaped source: one prepared beat per cycle.
 struct BeatSource {
@@ -53,16 +53,12 @@ impl Component for BeatSource {
         self.next < self.beats.len()
     }
 
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+    fn next_activity(&self, now: Cycle) -> Cycle {
         if self.next < self.beats.len() {
-            Some(now)
+            now
         } else {
-            Some(Cycle::MAX)
+            Cycle::MAX
         }
-    }
-
-    fn wake_sources(&self, _waker: &Waker) -> WakePolicy {
-        WakePolicy::Wired
     }
 }
 
@@ -90,15 +86,11 @@ impl Component for Toggler {
         self.next < self.at.len()
     }
 
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+    fn next_activity(&self, now: Cycle) -> Cycle {
         match self.at.get(self.next) {
-            Some(&at) => Some(at.max(now)),
-            None => Some(Cycle::MAX),
+            Some(&at) => at.max(now),
+            None => Cycle::MAX,
         }
-    }
-
-    fn wake_sources(&self, _waker: &Waker) -> WakePolicy {
-        WakePolicy::Wired
     }
 }
 
@@ -138,17 +130,16 @@ impl Component for BpSink {
         !self.input.is_empty()
     }
 
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+    fn next_activity(&self, now: Cycle) -> Cycle {
         if self.input.is_empty() {
-            Some(Cycle::MAX)
+            Cycle::MAX
         } else {
-            Some(self.resume_at.max(now))
+            self.resume_at.max(now)
         }
     }
 
-    fn wake_sources(&self, waker: &Waker) -> WakePolicy {
+    fn wake_sources(&self, waker: &Waker) {
         self.input.subscribe_wake(waker.clone());
-        WakePolicy::Wired
     }
 }
 
@@ -175,16 +166,12 @@ impl Component for Probe {
         }
     }
 
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+    fn next_activity(&self, now: Cycle) -> Cycle {
         if self.snap.borrow().is_some() || now > self.at {
-            Some(Cycle::MAX)
+            Cycle::MAX
         } else {
-            Some(self.at)
+            self.at
         }
-    }
-
-    fn wake_sources(&self, _waker: &Waker) -> WakePolicy {
-        WakePolicy::Wired
     }
 }
 

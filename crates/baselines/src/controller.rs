@@ -131,19 +131,15 @@ impl Component for PacedSource {
         self.pos < self.words.len()
     }
 
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+    fn next_activity(&self, now: Cycle) -> Cycle {
         if self.pos >= self.words.len() {
-            return Some(Cycle::MAX);
+            return Cycle::MAX;
         }
         // Due at the pace deadline; a full output channel retries via
-        // the post-tick "now" hint until the push lands.
-        Some(self.next_at.max(now))
-    }
-
-    fn wake_sources(&self, _waker: &rvcap_sim::Waker) -> rvcap_sim::WakePolicy {
-        // Purely time-paced: the hint reads only internal state, so
-        // there is nothing to subscribe.
-        rvcap_sim::WakePolicy::Wired
+        // the post-tick "now" hint until the push lands. Purely
+        // time-paced: the hint reads only internal state, so the
+        // default `wake_sources` (nothing subscribed) is exact.
+        self.next_at.max(now)
     }
 }
 

@@ -9,8 +9,9 @@
 //!
 //! JSON encoding is hand-rolled (the build environment has no registry
 //! access for serde): the [`Json`] trait covers the primitive types,
-//! collections and tuples the binaries use, and [`impl_json_struct!`]
-//! derives object encoding for row structs.
+//! collections and tuples the binaries use, and
+//! [`impl_json_struct!`](crate::impl_json_struct) derives object
+//! encoding for row structs.
 
 /// Types that can encode themselves as a JSON value.
 pub trait Json {

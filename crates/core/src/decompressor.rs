@@ -144,22 +144,21 @@ impl Component for RleDecompressor {
         !matches!(self.state, State::Count) || !self.input.is_empty()
     }
 
-    fn next_activity(&self, now: rvcap_sim::Cycle) -> Option<rvcap_sim::Cycle> {
+    fn next_activity(&self, now: rvcap_sim::Cycle) -> rvcap_sim::Cycle {
         // Emit pushes (or retries a full output) every cycle; the
         // other states only move when a compressed word is queued.
         if matches!(self.state, State::Emit { .. }) || !self.input.is_empty() {
-            Some(now)
+            now
         } else {
-            Some(rvcap_sim::Cycle::MAX)
+            rvcap_sim::Cycle::MAX
         }
     }
 
-    fn wake_sources(&self, waker: &rvcap_sim::Waker) -> rvcap_sim::WakePolicy {
+    fn wake_sources(&self, waker: &rvcap_sim::Waker) {
         // Emit self-reschedules via the "now" hint (and can only be
         // entered by consuming input); everything else waits on a
         // compressed word arriving.
         self.input.subscribe_wake(waker.clone());
-        rvcap_sim::WakePolicy::Wired
     }
 
     fn save_state(&self) -> Option<StateBlob> {

@@ -448,38 +448,37 @@ impl Component for XilinxDma {
             || self.discard_bursts > 0
     }
 
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+    fn next_activity(&self, now: Cycle) -> Cycle {
         if !self.ctrl.req.is_empty() {
-            return Some(now);
+            return now;
         }
         match self.mm2s_state {
             // Running covers the whole fetch/emit pipeline: burst
             // issue retries every cycle and the state only leaves
             // Running once the final beat is emitted.
-            Mm2sState::Running => return Some(now),
+            Mm2sState::Running => return now,
             // The command pipeline wakes exactly at its deadline; the
             // ticks in between only re-check `until`.
-            Mm2sState::Starting { until } => return Some(until.max(now)),
+            Mm2sState::Starting { until } => return until.max(now),
             Mm2sState::Halted | Mm2sState::Idle => {}
         }
         // A response to stream, to drop, or to take as a bus error.
         if !self.mem.resp.is_empty() {
-            return Some(now);
+            return now;
         }
         if self.s2mm_remaining > 0 && !self.s2mm.is_empty() {
-            return Some(now);
+            return now;
         }
-        Some(Cycle::MAX)
+        Cycle::MAX
     }
 
-    fn wake_sources(&self, waker: &rvcap_sim::Waker) -> rvcap_sim::WakePolicy {
+    fn wake_sources(&self, waker: &rvcap_sim::Waker) {
         // External inputs: register traffic, burst read data coming
         // back from memory, and the RM's return stream. The start-up
         // deadline is time-based (post-tick hint).
         self.ctrl.req.subscribe_wake(waker.clone());
         self.mem.resp.subscribe_wake(waker.clone());
         self.s2mm.subscribe_wake(waker.clone());
-        rvcap_sim::WakePolicy::Wired
     }
 
     fn mmio_audit(&self) -> Option<MmioAudit> {

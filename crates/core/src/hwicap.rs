@@ -252,21 +252,20 @@ impl Component for AxiHwicap {
         self.writing || self.reading_remaining > 0
     }
 
-    fn next_activity(&self, now: rvcap_sim::Cycle) -> Option<rvcap_sim::Cycle> {
+    fn next_activity(&self, now: rvcap_sim::Cycle) -> rvcap_sim::Cycle {
         // Both engines move (or retry) a word every cycle while
         // active, and a queued register access must be serviced now.
         if self.writing || self.reading_remaining > 0 || !self.port.req.is_empty() {
-            Some(now)
+            now
         } else {
-            Some(rvcap_sim::Cycle::MAX)
+            rvcap_sim::Cycle::MAX
         }
     }
 
-    fn wake_sources(&self, waker: &rvcap_sim::Waker) -> rvcap_sim::WakePolicy {
+    fn wake_sources(&self, waker: &rvcap_sim::Waker) {
         // Both engines are armed by register writes (bus traffic) and
         // then self-reschedule via the "now" hint until they drain.
         self.port.req.subscribe_wake(waker.clone());
-        rvcap_sim::WakePolicy::Wired
     }
 
     fn mmio_audit(&self) -> Option<MmioAudit> {

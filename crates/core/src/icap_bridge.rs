@@ -64,11 +64,11 @@ impl Component for Axis2Icap {
         self.inner.busy()
     }
 
-    fn next_activity(&self, now: rvcap_sim::Cycle) -> Option<rvcap_sim::Cycle> {
+    fn next_activity(&self, now: rvcap_sim::Cycle) -> rvcap_sim::Cycle {
         self.inner.next_activity(now)
     }
 
-    fn wake_sources(&self, waker: &rvcap_sim::Waker) -> rvcap_sim::WakePolicy {
+    fn wake_sources(&self, waker: &rvcap_sim::Waker) {
         self.inner.wake_sources(waker)
     }
 

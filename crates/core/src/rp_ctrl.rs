@@ -158,17 +158,16 @@ impl Component for RpController {
         }
     }
 
-    fn next_activity(&self, now: rvcap_sim::Cycle) -> Option<rvcap_sim::Cycle> {
+    fn next_activity(&self, now: rvcap_sim::Cycle) -> rvcap_sim::Cycle {
         if self.port.req.is_empty() {
-            Some(rvcap_sim::Cycle::MAX)
+            rvcap_sim::Cycle::MAX
         } else {
-            Some(now)
+            now
         }
     }
 
-    fn wake_sources(&self, waker: &rvcap_sim::Waker) -> rvcap_sim::WakePolicy {
+    fn wake_sources(&self, waker: &rvcap_sim::Waker) {
         self.port.req.subscribe_wake(waker.clone());
-        rvcap_sim::WakePolicy::Wired
     }
 
     fn mmio_audit(&self) -> Option<MmioAudit> {

@@ -159,19 +159,19 @@ impl Component for RmHost {
         self.active.as_ref().is_some_and(|b| b.busy())
     }
 
-    fn next_activity(&self, now: rvcap_sim::Cycle) -> Option<rvcap_sim::Cycle> {
+    fn next_activity(&self, now: rvcap_sim::Cycle) -> rvcap_sim::Cycle {
         // An unseen ICAP load must be evaluated now. A hosted
         // behaviour is opaque (the `RmBehavior` trait declares no
         // activity), so an occupied partition is conservatively always
         // active; only an empty/inert partition can be skipped.
         if self.icap.load_count() != self.seen_loads || self.active.is_some() {
-            Some(now)
+            now
         } else {
-            Some(rvcap_sim::Cycle::MAX)
+            rvcap_sim::Cycle::MAX
         }
     }
 
-    fn wake_sources(&self, waker: &rvcap_sim::Waker) -> rvcap_sim::WakePolicy {
+    fn wake_sources(&self, waker: &rvcap_sim::Waker) {
         // The hint has two inputs: unseen ICAP load records (covered
         // by the handle's record-push notify) and a hosted behaviour —
         // which only ever appears by processing a load record, and
@@ -179,7 +179,6 @@ impl Component for RmHost {
         // The stream channels need no subscription: an inert partition
         // ignores them, an occupied one is always-now anyway.
         self.icap.subscribe_wake(waker.clone());
-        rvcap_sim::WakePolicy::Wired
     }
 
     fn save_state(&self) -> Option<StateBlob> {

@@ -328,19 +328,18 @@ impl Component for Icap {
         self.state != State::Desynced || !self.input.is_empty()
     }
 
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+    fn next_activity(&self, now: Cycle) -> Cycle {
         // The FSM advances only when a word arrives; a synced-but-
         // starved ICAP tick is a pure no-op.
         if self.input.is_empty() {
-            Some(Cycle::MAX)
+            Cycle::MAX
         } else {
-            Some(now)
+            now
         }
     }
 
-    fn wake_sources(&self, waker: &rvcap_sim::Waker) -> rvcap_sim::WakePolicy {
+    fn wake_sources(&self, waker: &rvcap_sim::Waker) {
         self.input.subscribe_wake(waker.clone());
-        rvcap_sim::WakePolicy::Wired
     }
 
     fn save_state(&self) -> Option<StateBlob> {

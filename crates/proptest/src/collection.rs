@@ -3,7 +3,7 @@
 use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 
-/// A length range for [`vec`]; converts from `a..b` and `a..=b`.
+/// A length range for [`vec()`]; converts from `a..b` and `a..=b`.
 #[derive(Debug, Clone, Copy)]
 pub struct SizeRange {
     min: usize,

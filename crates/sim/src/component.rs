@@ -3,7 +3,7 @@
 use crate::state::{StateBlob, StateError};
 use crate::time::Cycle;
 use crate::trace::Tracer;
-use crate::wake::{WakePolicy, Waker};
+use crate::wake::Waker;
 
 /// Context handed to every component on every tick.
 ///
@@ -27,11 +27,32 @@ impl<'a> TickCtx<'a> {
 
 /// A clocked hardware block.
 ///
-/// The simulator calls [`Component::tick`] exactly once per cycle, in
-/// registration order. Components must be **quiescent-safe**: calling
-/// `tick` while the component has no work must be cheap and must not
-/// change observable state, because the kernel has no sensitivity
-/// lists — everything ticks every cycle.
+/// The simulator ticks components in registration order, at most once
+/// per cycle each. Under the default schedule it skips every tick the
+/// component's [`Component::next_activity`] hint rules out, so `tick`
+/// must be **quiescent-safe**: a tick while the component has no work
+/// must not change observable state, because the reference schedule
+/// ([`crate::Scheduler::Naive`]) runs those ticks and the two schedules
+/// must agree cycle for cycle.
+///
+/// # The scheduling contract
+///
+/// A component's hint and its wake subscriptions together obey one
+/// rule:
+///
+/// - **Subscribe every input that feeds the hint.** Any channel or
+///   signal whose state [`Component::next_activity`] reads gets the
+///   component's waker in [`Component::wake_sources`], and the hint
+///   may sleep on a channel only while it is empty (see
+///   [`crate::Fifo::subscribe_wake`]). Time-based deadlines (a DDR
+///   refresh, a busy-until counter) need no subscription: the hint
+///   names them.
+/// - **Keep the hint true after your own tick.** The kernel queries the
+///   hint right before a tick slot and again right after the tick, and
+///   sleeps the component on the post-tick answer. A post-tick hint of
+///   `now` is a firm promise of work next cycle, so the hint must
+///   follow the component's state, not just the cycle number: a timer
+///   that fired at `now` must not still answer `now` once it has.
 pub trait Component {
     /// Stable instance name for traces and diagnostics.
     fn name(&self) -> &str;
@@ -48,56 +69,37 @@ pub trait Component {
         false
     }
 
-    /// The earliest future cycle at which this component may do
-    /// observable work, given the current cycle `now`.
+    /// The earliest cycle at or after `now` at which this component may
+    /// do observable work.
     ///
-    /// This is the idle fast-forward hint. The contract:
+    /// - `now` (the default) means "tick me this cycle". A component
+    ///   that keeps the default ticks every cycle and keeps the clock
+    ///   from jumping while registered.
+    /// - A future cycle `c` **guarantees** that ticking at any cycle in
+    ///   `now..c` is a no-op (no state change, no FIFO/Signal traffic):
+    ///   the kernel sleeps the component until `c` or a wake, whichever
+    ///   comes first, and jumps the clock across windows where every
+    ///   component sleeps.
+    /// - `Cycle::MAX` means "sleep until a wake": only a subscribed
+    ///   input (see [`Component::wake_sources`]) can make the component
+    ///   runnable again.
     ///
-    /// - `Some(c)` with `c > now` **guarantees** that ticking this
-    ///   component at any cycle in `now..c` is a no-op (no state
-    ///   change, no FIFO/Signal traffic). The kernel may skip those
-    ///   ticks, and may jump the clock across a window where *every*
-    ///   component declares a future cycle.
-    /// - `Some(c)` with `c <= now` means "I have work this cycle".
-    /// - `Some(Cycle::MAX)` means "idle until external input arrives"
-    ///   (a new request pushed into one of my FIFOs re-activates me —
-    ///   and also changes what this method returns, which is why the
-    ///   kernel re-queries the hint every cycle rather than caching
-    ///   it).
-    /// - `None` is the conservative default: no hint, tick me every
-    ///   cycle. A component returning `None` never has ticks skipped
-    ///   and disables whole-system jumps while registered.
-    ///
-    /// Correctness rule of thumb: return `now` whenever in doubt. An
-    /// over-eager hint (claiming idleness while a tick would have done
-    /// work) breaks the bit-identical-cycle-count guarantee of the
-    /// fast-forward mode; an over-conservative one only costs host
-    /// time.
-    fn next_activity(&self, _now: Cycle) -> Option<Cycle> {
-        None
+    /// An over-eager hint (claiming idleness while a tick would have
+    /// done work) breaks the bit-identical cycle counts of the two
+    /// schedules; an over-conservative one only costs host time.
+    fn next_activity(&self, now: Cycle) -> Cycle {
+        now
     }
 
-    /// Subscribe the component's wake sources and declare its
-    /// [`WakePolicy`]. Called once by the kernel at registration time
-    /// with this component's [`Waker`].
+    /// Subscribe the component's wake sources: called once by the
+    /// kernel at registration time with this component's [`Waker`].
     ///
-    /// A component returning [`WakePolicy::Wired`] promises that every
-    /// external input whose state feeds its [`Component::next_activity`]
-    /// hint has the waker subscribed
-    /// ([`crate::Fifo::subscribe_wake`] /
-    /// [`crate::Signal::subscribe_wake`] / a handle-specific notify).
-    /// The active-set scheduler then sleeps the component until its
-    /// declared hint cycle or a wake — whichever comes first — instead
-    /// of re-querying the hint every cycle. Time-based deadlines (a DDR
-    /// refresh, a busy-until timer) need no subscription: they are
-    /// covered by the post-tick hint the kernel reschedules from.
-    ///
-    /// The default, [`WakePolicy::Poll`], makes no promise: the kernel
-    /// re-queries the hint every stepped cycle, exactly like the
-    /// pre-active-set kernel. Always correct, merely slower.
-    fn wake_sources(&self, _waker: &Waker) -> WakePolicy {
-        WakePolicy::Poll
-    }
+    /// Subscribe the waker to every external input whose state feeds
+    /// [`Component::next_activity`] ([`crate::Fifo::subscribe_wake`],
+    /// [`crate::Signal::subscribe_wake`], or a handle-specific notify).
+    /// The default subscribes nothing, which is exact for a component
+    /// whose hint reads only its own state.
+    fn wake_sources(&self, _waker: &Waker) {}
 
     /// MMIO access audit for register-mapped devices.
     ///

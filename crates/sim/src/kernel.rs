@@ -9,7 +9,7 @@ use crate::state::{ComponentState, KernelCounters, SimState, StateError};
 use crate::stats::{ComponentStats, KernelStats, MmioAudit};
 use crate::time::{Cycle, Freq};
 use crate::trace::{TraceEvent, TraceLevel, Tracer};
-use crate::wake::{BitSet, WakeHub, WakePolicy};
+use crate::wake::{BitSet, WakeHub};
 
 /// Identifies a registered component within a [`Simulator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -166,14 +166,14 @@ pub enum Scheduler {
 ///   cycle sleep in a min-heap keyed by that cycle (ties broken by
 ///   registration index, preserving the ordering contract) and are
 ///   re-examined exactly when it arrives.
-/// - Components that declared [`crate::WakePolicy::Wired`] sleep on
-///   `Some(Cycle::MAX)` until one of their subscribed inputs fires
-///   their waker. Wakes landing mid-cycle from an earlier-registered
-///   component join the *same* cycle (same-cycle forwarding); wakes
-///   from a later one are deferred to the next cycle (pipeline
-///   latency) — exactly the visibility ticking everything gives.
-/// - [`crate::WakePolicy::Poll`] components are re-queried every
-///   stepped cycle.
+/// - Components whose hint is `Cycle::MAX` sleep until one of their
+///   subscribed inputs fires their waker. Wakes landing mid-cycle from
+///   an earlier-registered component join the *same* cycle (same-cycle
+///   forwarding); wakes from a later one are deferred to the next cycle
+///   (pipeline latency) — exactly the visibility ticking everything
+///   gives.
+/// - Components whose post-tick hint is `now` or `now + 1` are carried
+///   into the next cycle without touching the heap.
 /// - When nothing is due, the clock jumps straight to the earliest
 ///   deadline.
 /// - After 16 consecutive stepped cycles with no jump between them,
@@ -209,10 +209,6 @@ pub struct Simulator {
     ticks: Vec<u64>,
     /// Cycle at which each component was registered.
     registered_at: Vec<Cycle>,
-    /// Wake policy each component declared at registration.
-    policies: Vec<WakePolicy>,
-    /// Indices of `WakePolicy::Poll` components, ascending.
-    polled: Vec<u32>,
     /// Pending external wakes (shared with `Waker`s via `Rc`).
     hub: WakeHub,
     /// Self-scheduled deadlines: `(cycle, index)` min-heap with lazy
@@ -224,12 +220,12 @@ pub struct Simulator {
     scheduled: Vec<Cycle>,
     /// Reusable per-cycle due set.
     due: BitSet,
-    /// Wired components whose post-tick hint said "again next cycle".
+    /// Components whose post-tick hint said "again next cycle".
     /// A streaming component re-arms every cycle while it drains;
     /// carrying it in a bitset instead of the heap keeps the dense
     /// phases free of per-cycle heap traffic.
     carry: BitSet,
-    /// Subset of `carry` whose post-tick hint was `now` (or `None`):
+    /// Subset of `carry` whose post-tick hint was `now`:
     /// the component still had unfinished work *at query time*, not a
     /// future deadline to re-examine. That work lives in the
     /// component's own state or in channels it solely consumes, and
@@ -277,8 +273,6 @@ impl Simulator {
             scheduler: Scheduler::ActiveSet,
             ticks: Vec::new(),
             registered_at: Vec::new(),
-            policies: Vec::new(),
-            polled: Vec::new(),
             hub: WakeHub::new(),
             heap: BinaryHeap::new(),
             scheduled: Vec::new(),
@@ -338,18 +332,14 @@ impl Simulator {
         ] {
             set.grow_to(idx);
         }
-        let policy = component.wake_sources(&waker);
+        component.wake_sources(&waker);
         self.components.push(component);
         self.ticks.push(0);
         self.host_ns.push(0);
         self.registered_at.push(self.cycle);
-        self.policies.push(policy);
         self.scheduled.push(Cycle::MAX);
-        if policy == WakePolicy::Poll {
-            self.polled.push(idx as u32);
-        }
         // Every component starts pending so its first hint query
-        // happens on the next stepped cycle regardless of policy.
+        // happens on the next stepped cycle.
         self.hub.wake(idx);
         ComponentId(idx)
     }
@@ -419,11 +409,6 @@ impl Simulator {
     /// Simulated behavior is identical either way.
     pub fn set_profiling(&mut self, enabled: bool) {
         self.profiling = enabled;
-    }
-
-    /// Whether per-component host-time profiling is enabled.
-    pub fn profiling(&self) -> bool {
-        self.profiling
     }
 
     /// Attach a bus sanitizer (see [`crate::sanitizer`]). The kernel
@@ -597,7 +582,7 @@ impl Simulator {
         match self.scheduler {
             Scheduler::Naive => self.step_naive(),
             Scheduler::ActiveSet if self.cycle < self.dense_until => self.step_dense(),
-            Scheduler::ActiveSet => self.step_active(0),
+            Scheduler::ActiveSet => self.step_active(),
         }
     }
 
@@ -681,26 +666,13 @@ impl Simulator {
 
     /// Active-set advance: jump when nothing is pending and every
     /// deadline is in the future; otherwise run one stepped cycle.
+    ///
+    /// Kept out of line, like `step_dense`, so `advance` stays small.
+    #[inline(never)]
     fn advance_active(&mut self, window: Cycle) -> Cycle {
         let now = self.cycle;
         if self.hub.is_empty() && self.carry.is_empty() && !self.components.is_empty() {
-            let mut next_due = self.heap_next_live();
-            let mut polled_from = 0;
-            if next_due > now {
-                for (pos, &i) in self.polled.iter().enumerate() {
-                    match self.components[i as usize].next_activity(now) {
-                        Some(at) if at > now => {
-                            next_due = next_due.min(at);
-                            polled_from = pos + 1;
-                        }
-                        _ => {
-                            next_due = now;
-                            polled_from = pos;
-                            break;
-                        }
-                    }
-                }
-            }
+            let next_due = self.heap_next_live();
             if next_due > now {
                 let delta = (next_due - now).min(window);
                 self.cycle += delta;
@@ -718,18 +690,13 @@ impl Simulator {
                     // `run_until` contract), which a pure jump cannot
                     // change — so no observation point is lost by not
                     // returning in between.
-                    self.step_active(0);
+                    self.step_active();
                     return delta + 1;
                 }
                 return delta;
             }
-            // Not jumping, but the polled prefix `..polled_from` was
-            // just verified idle and nothing can tick before its
-            // slots, so it keeps its verdict for this cycle.
-            self.step_active(polled_from);
-            return 1;
         }
-        self.step_active(0);
+        self.step_active();
         1
     }
 
@@ -758,16 +725,13 @@ impl Simulator {
     /// One stepped cycle of the active-set schedule. Counts its ticks
     /// toward the dense-window streak and opens a window once the
     /// streak is full.
-    ///
-    /// `polled_from` skips re-querying a prefix of `self.polled` the
-    /// caller has already verified idle this cycle.
-    fn step_active(&mut self, polled_from: usize) {
+    fn step_active(&mut self) {
         let now = self.cycle;
         if let Some(s) = &self.sanitizer {
             s.begin_cycle(now);
         }
-        // Build the due set: carried-over streamers, polled
-        // components, pending wakes, and deadlines that have arrived.
+        // Build the due set: carried-over streamers, pending wakes, and
+        // deadlines that have arrived.
         // The sweep below fully drains `due`, so the swap hands the
         // carry bits over and leaves `carry` empty for this cycle's
         // refills.
@@ -778,9 +742,6 @@ impl Simulator {
         // query below.
         std::mem::swap(&mut self.carried, &mut self.promise);
         self.promise.clear_all();
-        for &i in &self.polled[polled_from..] {
-            self.due.set(i as usize);
-        }
         self.hub.drain_all_into(&mut self.due);
         while let Some(&Reverse((at, idx))) = self.heap.peek() {
             if at > now {
@@ -812,19 +773,17 @@ impl Simulator {
             // work, never retract the promise.
             if self.carried.get(idx) {
                 debug_assert!(
-                    !matches!(c.next_activity(now), Some(at) if at > now),
+                    c.next_activity(now) <= now,
                     "{}: post-tick hint promised due at {now} but the pre-tick \
                      query disagrees (non-monotone hint)",
                     c.name()
                 );
-            } else if let Some(at) = c.next_activity(now) {
+            } else {
+                let at = c.next_activity(now);
                 if at > now {
-                    // Not due after all. Wired components sleep until
-                    // the declared cycle (or a wake); polled ones are
-                    // re-queried next cycle anyway.
-                    if self.policies[idx] == WakePolicy::Wired {
-                        self.schedule(idx, at);
-                    }
+                    // Not due after all: sleep until the declared cycle
+                    // or a wake.
+                    self.schedule(idx, at);
                     continue;
                 }
             }
@@ -841,22 +800,19 @@ impl Simulator {
             }
             self.ticks[idx] += 1;
             ticked += 1;
-            if self.policies[idx] == WakePolicy::Wired {
-                // Reschedule from the post-tick hint. `None` and `now`
-                // both mean "again next cycle" — the carry bitset, not
-                // the heap, so a streaming drain costs no heap traffic
-                // — while MAX means "sleep until a wake arrives". A
-                // hint still at `now` (or `None`) additionally records
-                // a firm promise, letting next cycle's sweep skip the
-                // pre-tick re-query; an exact `now + 1` deadline may
-                // be a gate and is carried without the promise.
-                match c.next_activity(now) {
-                    Some(at) if at > now + 1 => self.schedule(idx, at),
-                    Some(at) if at == now + 1 => self.carry.set(idx),
-                    _ => {
-                        self.carry.set(idx);
-                        self.promise.set(idx);
-                    }
+            // Reschedule from the post-tick hint. `now` means "again
+            // next cycle" — the carry bitset, not the heap, so a
+            // streaming drain costs no heap traffic — while MAX means
+            // "sleep until a wake arrives". A hint still at `now`
+            // additionally records a firm promise, letting next cycle's
+            // sweep skip the pre-tick re-query; an exact `now + 1`
+            // deadline may be a gate and is carried without the promise.
+            match c.next_activity(now) {
+                at if at > now + 1 => self.schedule(idx, at),
+                at if at == now + 1 => self.carry.set(idx),
+                _ => {
+                    self.carry.set(idx);
+                    self.promise.set(idx);
                 }
             }
             // A push during this tick wakes its subscribers: later
@@ -980,15 +936,6 @@ impl Simulator {
         total
     }
 
-    /// Names of components currently reporting busy (diagnostics).
-    pub fn busy_components(&self) -> Vec<&str> {
-        self.components
-            .iter()
-            .filter(|c| c.busy())
-            .map(|c| c.name())
-            .collect()
-    }
-
     /// Snapshot of the kernel's activity accounting: total cycles,
     /// jump and dense-window counts, and per-component
     /// executed/skipped tick counts.
@@ -1048,16 +995,13 @@ mod tests {
         fn busy(&self) -> bool {
             self.remaining > 0
         }
-        fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-            if self.remaining > 0 {
-                Some(now)
-            } else {
-                Some(Cycle::MAX)
-            }
-        }
-        fn wake_sources(&self, _waker: &crate::Waker) -> WakePolicy {
+        fn next_activity(&self, now: Cycle) -> Cycle {
             // No inputs: the hint depends on own state only.
-            WakePolicy::Wired
+            if self.remaining > 0 {
+                now
+            } else {
+                Cycle::MAX
+            }
         }
         fn save_state(&self) -> Option<StateBlob> {
             // The out channel is saved by its consumer.
@@ -1089,16 +1033,15 @@ mod tests {
         fn busy(&self) -> bool {
             !self.input.is_empty()
         }
-        fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+        fn next_activity(&self, now: Cycle) -> Cycle {
             if self.input.is_empty() {
-                Some(Cycle::MAX)
+                Cycle::MAX
             } else {
-                Some(now)
+                now
             }
         }
-        fn wake_sources(&self, waker: &crate::Waker) -> WakePolicy {
+        fn wake_sources(&self, waker: &crate::Waker) {
             self.input.subscribe_wake(waker.clone());
-            WakePolicy::Wired
         }
         fn save_state(&self) -> Option<StateBlob> {
             let mut b = StateBlob::new("test.consumer", 1);
@@ -1118,6 +1061,17 @@ mod tests {
     struct Timer {
         period: Cycle,
         fired: u64,
+        /// Cycle of the last fire: keeps the hint true after the tick.
+        last_fire: Option<Cycle>,
+    }
+    impl Timer {
+        fn new(period: Cycle) -> Self {
+            Timer {
+                period,
+                fired: 0,
+                last_fire: None,
+            }
+        }
     }
     impl Component for Timer {
         fn name(&self) -> &str {
@@ -1126,19 +1080,28 @@ mod tests {
         fn tick(&mut self, ctx: &mut TickCtx<'_>) {
             if ctx.cycle.is_multiple_of(self.period) {
                 self.fired += 1;
+                self.last_fire = Some(ctx.cycle);
             }
         }
-        fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-            Some(now.next_multiple_of(self.period))
+        fn next_activity(&self, now: Cycle) -> Cycle {
+            // Once `now` has fired, the next fire is a period later.
+            let from = if self.last_fire == Some(now) {
+                now + 1
+            } else {
+                now
+            };
+            from.next_multiple_of(self.period)
         }
         fn save_state(&self) -> Option<StateBlob> {
             let mut b = StateBlob::new("test.timer", 1);
             b.put_u64("fired", self.fired);
+            b.put_opt_u64("last_fire", self.last_fire);
             Some(b)
         }
         fn restore_state(&mut self, state: &StateBlob) -> Result<(), StateError> {
             state.expect("test.timer", 1)?;
             self.fired = state.get_u64("fired")?;
+            self.last_fire = state.get_opt_u64("last_fire")?;
             Ok(())
         }
     }
@@ -1211,14 +1174,6 @@ mod tests {
     }
 
     #[test]
-    fn busy_components_lists_names() {
-        let (mut sim, _) = pipeline(3);
-        assert_eq!(sim.busy_components(), vec!["producer"]);
-        sim.run_until_quiescent(100).unwrap();
-        assert!(sim.busy_components().is_empty());
-    }
-
-    #[test]
     fn step_n_advances_clock() {
         let mut sim = Simulator::new(Freq::FABRIC_100MHZ);
         sim.step_n(17);
@@ -1234,10 +1189,7 @@ mod tests {
             } else {
                 Scheduler::Naive
             });
-            sim.register(Box::new(Timer {
-                period: 64,
-                fired: 0,
-            }));
+            sim.register(Box::new(Timer::new(64)));
             sim.step_n(1000);
             let stats = sim.kernel_stats();
             (sim.now(), stats.components[0].ticks_executed)
@@ -1571,10 +1523,7 @@ mod tests {
             }));
             seen.push(s);
         }
-        sim.register(Box::new(Timer {
-            period: 1 << 40,
-            fired: 0,
-        }));
+        sim.register(Box::new(Timer::new(1 << 40)));
         (sim, seen)
     }
 
@@ -1729,21 +1678,12 @@ mod tests {
         let state = sim.checkpoint().unwrap();
 
         let mut other = Simulator::new(Freq::FABRIC_100MHZ);
-        other.register(Box::new(Timer {
-            period: 8,
-            fired: 0,
-        }));
+        other.register(Box::new(Timer::new(8)));
         assert!(other.restore(&state).is_err(), "component count differs");
 
         let mut two = Simulator::new(Freq::FABRIC_100MHZ);
-        two.register(Box::new(Timer {
-            period: 8,
-            fired: 0,
-        }));
-        two.register(Box::new(Timer {
-            period: 9,
-            fired: 0,
-        }));
+        two.register(Box::new(Timer::new(8)));
+        two.register(Box::new(Timer::new(9)));
         assert!(two.restore(&state).is_err(), "component names differ");
     }
 
@@ -1765,15 +1705,13 @@ mod tests {
 
     #[test]
     fn scheduler_sets_are_sized_at_registration() {
-        // Polled timers never make a firm promise, so nothing but
-        // registration can widen `promise` and `carried` here.
+        // Timers never make a firm promise (their post-tick hint is a
+        // period ahead), so nothing but registration can widen
+        // `promise` and `carried` here.
         let timers = || {
             let mut sim = Simulator::new(Freq::FABRIC_100MHZ);
             for i in 0..70 {
-                sim.register(Box::new(Timer {
-                    period: 16 + i,
-                    fired: 0,
-                }));
+                sim.register(Box::new(Timer::new(16 + i)));
             }
             sim
         };

@@ -31,7 +31,8 @@
 //!   for the waveform-style dumps used in the examples.
 //! * [`vcd`] — value-change-dump recording: real waveforms (GTKWave-
 //!   compatible) from any signal or FIFO in the system.
-//! * [`stats`] — counters and histograms used by the benchmark harness.
+//! * [`stats`] — the kernel's work accounting ([`stats::KernelStats`])
+//!   and per-device MMIO audits.
 //!
 //! ## Determinism
 //!
@@ -50,13 +51,13 @@
 //! waits (a DDR round trip, a DMA start latency, the CPU polling a
 //! status register) — is addressed without giving up the flat
 //! schedule: components *declare* their next activity cycle via
-//! [`component::Component::next_activity`], and the default active-set
-//! scheduler ([`kernel::Scheduler::ActiveSet`]) keeps them asleep in a
-//! deadline heap — or, for components that wire their inputs to a
-//! [`wake::Waker`] ([`component::Component::wake_sources`]), until new
-//! input actually arrives. Each cycle only *due* components are
-//! touched and the clock jumps over windows where nothing is due.
-//! This recovers
+//! [`component::Component::next_activity`] and wire the inputs that
+//! feed it to a [`wake::Waker`] ([`component::Component::wake_sources`]),
+//! and the default active-set scheduler
+//! ([`kernel::Scheduler::ActiveSet`]) keeps them asleep in a deadline
+//! heap until that cycle or until new input actually arrives. Each
+//! cycle only *due* components are touched and the clock jumps over
+//! windows where nothing is due. This recovers
 //! the main benefit of an event queue (work proportional to activity,
 //! not to simulated time or component count) while keeping cycle
 //! counts bit-identical to the naive schedule — the hints and wake
@@ -95,4 +96,4 @@ pub use stats::{ComponentStats, KernelStats, MmioAudit};
 pub use time::{Cycle, Freq};
 pub use trace::{TraceEvent, TraceLevel, Tracer};
 pub use vcd::{VcdHandle, VcdRecorder};
-pub use wake::{WakeHub, WakePolicy, Waker};
+pub use wake::Waker;

@@ -590,7 +590,8 @@ impl Sanitizer {
         self.state.borrow().counts[kind.index()]
     }
 
-    /// The retained violation records (first [`MAX_RECORDED`]).
+    /// The retained violation records: the first 64, while
+    /// [`Sanitizer::violation_count`] counts them all.
     pub fn violations(&self) -> Vec<ProtocolViolation> {
         self.state.borrow().recorded.clone()
     }

@@ -65,45 +65,6 @@ impl<T: Copy + Default> Default for Signal<T> {
     }
 }
 
-/// An edge-detecting wrapper for interrupt-style signals: remembers the
-/// last sampled level so a consumer can act once per rising edge.
-#[derive(Debug)]
-pub struct EdgeDetector {
-    line: Signal<bool>,
-    last: bool,
-}
-
-impl EdgeDetector {
-    /// Watch `line` for rising edges. The initial "last seen" level is
-    /// the line's current level, so an already-high line does not
-    /// produce a spurious edge.
-    pub fn new(line: Signal<bool>) -> Self {
-        let last = line.get();
-        EdgeDetector { line, last }
-    }
-
-    /// Sample the line; returns `true` exactly when the level went
-    /// low→high since the previous call.
-    pub fn rising_edge(&mut self) -> bool {
-        let now = self.line.get();
-        let edge = now && !self.last;
-        self.last = now;
-        edge
-    }
-
-    /// The last sampled level — checkpoint state: whether the *next*
-    /// sample reports an edge depends on it, so the owning component
-    /// saves and restores it alongside the line level.
-    pub fn last_level(&self) -> bool {
-        self.last
-    }
-
-    /// Restore the last sampled level from a checkpoint.
-    pub fn set_last_level(&mut self, last: bool) {
-        self.last = last;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,26 +84,5 @@ mod tests {
     fn default_is_type_default() {
         let s: Signal<u8> = Signal::default();
         assert_eq!(s.get(), 0);
-    }
-
-    #[test]
-    fn edge_detector_fires_once_per_edge() {
-        let line = Signal::new(false);
-        let mut ed = EdgeDetector::new(line.clone());
-        assert!(!ed.rising_edge());
-        line.set(true);
-        assert!(ed.rising_edge());
-        assert!(!ed.rising_edge()); // still high: no new edge
-        line.set(false);
-        assert!(!ed.rising_edge());
-        line.set(true);
-        assert!(ed.rising_edge());
-    }
-
-    #[test]
-    fn edge_detector_ignores_initially_high_line() {
-        let line = Signal::new(true);
-        let mut ed = EdgeDetector::new(line);
-        assert!(!ed.rising_edge());
     }
 }

@@ -1,68 +1,6 @@
-//! Counters and small statistics helpers used by the benchmark harness.
+//! Kernel work accounting ([`KernelStats`]) and per-device MMIO audits.
 
-use crate::time::{Cycle, Freq};
-
-/// A named monotone counter (beats transferred, stall cycles, IRQs).
-#[derive(Debug, Default, Clone)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// New counter at zero.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Add `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Increment by one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-}
-
-/// Measurement of one timed interval of simulation, in cycles, with
-/// the conversions the paper's tables use.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Interval {
-    /// First cycle of the interval.
-    pub start: Cycle,
-    /// One past the last cycle of the interval.
-    pub end: Cycle,
-    /// Clock the interval was measured against.
-    pub freq: Freq,
-}
-
-impl Interval {
-    /// Length in cycles.
-    pub fn cycles(&self) -> Cycle {
-        self.end.saturating_sub(self.start)
-    }
-
-    /// Length in microseconds.
-    pub fn us(&self) -> f64 {
-        self.freq.cycles_to_us(self.cycles())
-    }
-
-    /// Length in milliseconds.
-    pub fn ms(&self) -> f64 {
-        self.freq.cycles_to_ms(self.cycles())
-    }
-
-    /// Throughput in MB/s for `bytes` moved during the interval.
-    pub fn throughput_mbs(&self, bytes: u64) -> f64 {
-        self.freq.throughput_mbs(bytes, self.cycles())
-    }
-}
+use crate::time::Cycle;
 
 /// MMIO access accounting for one register-mapped device.
 ///
@@ -330,90 +268,9 @@ impl KernelStats {
     }
 }
 
-/// Running min/max/mean over f64 samples (used to summarize sweeps).
-#[derive(Debug, Default, Clone)]
-pub struct Summary {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Empty summary.
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Record one sample.
-    pub fn add(&mut self, sample: f64) {
-        self.count += 1;
-        self.sum += sample;
-        self.min = self.min.min(sample);
-        self.max = self.max.max(sample);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the samples (`None` when empty).
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// Smallest sample (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-    }
-
-    #[test]
-    fn interval_conversions() {
-        let i = Interval {
-            start: 100,
-            end: 165_200,
-            freq: Freq::FABRIC_100MHZ,
-        };
-        assert_eq!(i.cycles(), 165_100);
-        assert!((i.us() - 1651.0).abs() < 1e-9);
-        assert!((i.ms() - 1.651).abs() < 1e-9);
-        // 650 892 bytes over 1651 µs ≈ 394.2 MB/s.
-        assert!((i.throughput_mbs(650_892) - 394.24).abs() < 0.01);
-    }
-
-    #[test]
-    fn interval_is_safe_when_reversed() {
-        let i = Interval {
-            start: 10,
-            end: 5,
-            freq: Freq::FABRIC_100MHZ,
-        };
-        assert_eq!(i.cycles(), 0);
-    }
 
     #[test]
     fn mmio_audit_merges_and_counts_violations() {
@@ -522,18 +379,5 @@ mod tests {
             ..stats
         };
         assert_eq!(empty.render_tick_costs(), "");
-    }
-
-    #[test]
-    fn summary_tracks_min_max_mean() {
-        let mut s = Summary::new();
-        assert_eq!(s.mean(), None);
-        for v in [2.0, 4.0, 6.0] {
-            s.add(v);
-        }
-        assert_eq!(s.count(), 3);
-        assert_eq!(s.mean(), Some(4.0));
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(6.0));
     }
 }

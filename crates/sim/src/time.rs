@@ -83,22 +83,6 @@ impl Freq {
     }
 }
 
-/// Quantize a cycle count the way the paper's measurements are
-/// quantized: to the granularity of the CLINT timer (`timer_freq`
-/// ticks), then convert back to fabric cycles.
-///
-/// The paper measures with a 5 MHz timer on a 100 MHz fabric, so every
-/// reported duration is a multiple of 20 fabric cycles. Reproducing
-/// that quantization keeps our µs figures directly comparable.
-pub fn quantize_to_timer(cycles: Cycle, fabric: Freq, timer: Freq) -> Cycle {
-    let ratio = fabric.0 / timer.0;
-    debug_assert!(ratio > 0, "timer faster than fabric clock");
-    // Round to nearest timer tick, matching a read-timer-before /
-    // read-timer-after measurement whose start is phase-aligned.
-    let ticks = (cycles + ratio / 2) / ratio;
-    ticks * ratio
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,18 +122,6 @@ mod tests {
     #[test]
     fn zero_cycles_is_zero_throughput() {
         assert_eq!(Freq::FABRIC_100MHZ.throughput_mbs(1000, 0), 0.0);
-    }
-
-    #[test]
-    fn quantization_is_timer_granular() {
-        let f = Freq::FABRIC_100MHZ;
-        let t = Freq::CLINT_5MHZ;
-        // 20 fabric cycles per timer tick.
-        assert_eq!(quantize_to_timer(0, f, t), 0);
-        assert_eq!(quantize_to_timer(9, f, t), 0);
-        assert_eq!(quantize_to_timer(10, f, t), 20);
-        assert_eq!(quantize_to_timer(20, f, t), 20);
-        assert_eq!(quantize_to_timer(165_100, f, t) % 20, 0);
     }
 
     #[test]

@@ -6,18 +6,17 @@
 //! because new input arrived. This module carries the "externally
 //! woken" half:
 //!
-//! * A [`WakeHub`] is owned by the simulator — one pending-wake bitset
-//!   over component indices.
+//! * The simulator owns one pending-wake bitset over component
+//!   indices, the wake hub.
 //! * A [`Waker`] is a cheap handle to one component's bit. The kernel
 //!   hands each component its waker at registration time
 //!   ([`crate::Component::wake_sources`]); the component subscribes it
-//!   to every input channel that can make it runnable
+//!   to every input channel whose state feeds its hint
 //!   ([`crate::Fifo::subscribe_wake`], [`crate::Signal::subscribe_wake`]).
-//! * [`WakePolicy`] is the component's promise: [`WakePolicy::Wired`]
-//!   means *every* external input is subscribed, so the kernel may
-//!   trust the wake queue and sleep the component between hints;
-//!   [`WakePolicy::Poll`] (the default) means the kernel re-queries the
-//!   hint every stepped cycle, exactly like the pre-active-set kernel.
+//!   That is the wake half of the one scheduling rule (see
+//!   [`crate::Component`]): with every such input subscribed, the
+//!   kernel may sleep the component between hints and trust the hub
+//!   to wake it.
 //!
 //! Wakes are level-cheap: firing a waker sets one bit in the hub (no
 //! allocation, idempotent within a cycle). The kernel drains the hub at
@@ -27,22 +26,6 @@
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-
-/// A component's promise about its external inputs, returned from
-/// [`crate::Component::wake_sources`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WakePolicy {
-    /// No promise: the kernel re-queries the component's
-    /// [`crate::Component::next_activity`] hint every stepped cycle.
-    /// Always correct; this is the default and matches the pre-wake
-    /// kernel exactly.
-    Poll,
-    /// Every channel or signal whose state can change the component's
-    /// hint has the waker subscribed. The kernel may sleep the
-    /// component until its declared hint cycle or a wake, whichever
-    /// comes first.
-    Wired,
-}
 
 #[derive(Debug, Default)]
 struct HubShared {
@@ -57,20 +40,20 @@ struct HubShared {
 
 /// The simulator-owned pending-wake set. Cloning shares the set.
 #[derive(Debug, Clone, Default)]
-pub struct WakeHub {
+pub(crate) struct WakeHub {
     inner: Rc<HubShared>,
 }
 
 impl WakeHub {
     /// An empty hub.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         WakeHub::default()
     }
 
     /// Register component `index`: widen the pending set to cover it
     /// and hand out its waker. The kernel widens its own scheduler sets
     /// in the same step, so every drain sees equal widths.
-    pub fn waker(&self, index: usize) -> Waker {
+    pub(crate) fn waker(&self, index: usize) -> Waker {
         self.inner.pending.borrow_mut().grow_to(index);
         Waker {
             hub: self.clone(),
@@ -143,8 +126,8 @@ impl WakeHub {
     }
 }
 
-/// Handle that marks one component pending in its simulator's
-/// [`WakeHub`]. Stored inside [`crate::Fifo`]s and
+/// Handle that marks one component pending in its simulator's wake
+/// hub. Stored inside [`crate::Fifo`]s and
 /// [`crate::Signal`]s via their `subscribe_wake` methods.
 #[derive(Debug, Clone)]
 pub struct Waker {
@@ -158,11 +141,6 @@ impl Waker {
     #[inline]
     pub fn wake(&self) {
         self.hub.wake(self.index);
-    }
-
-    /// The component index this waker targets.
-    pub fn index(&self) -> usize {
-        self.index
     }
 }
 

@@ -14,9 +14,10 @@ use rvcap_sim::{Cycle, Freq, Scheduler, Simulator};
 
 /// A component driven by a precomputed schedule of active cycles. The
 /// tick records every scheduled cycle it actually executes on;
-/// `next_activity` points at the next scheduled cycle (or idles at
-/// `Cycle::MAX` once the schedule is exhausted). With `hinted` off it
-/// declares nothing, which must disable jumps but change nothing else.
+/// `next_activity` points at the next scheduled cycle not yet executed
+/// (or idles at `Cycle::MAX` once the schedule is exhausted). With
+/// `hinted` off it keeps the default hint, always due, which must
+/// disable jumps but change nothing else.
 struct Scripted {
     name: String,
     schedule: BTreeSet<Cycle>,
@@ -50,17 +51,20 @@ impl Component for Scripted {
         }
     }
 
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+    fn next_activity(&self, now: Cycle) -> Cycle {
         if !self.hinted {
-            return None;
+            return now;
         }
-        Some(
-            self.schedule
-                .range(now..)
-                .next()
-                .copied()
-                .unwrap_or(Cycle::MAX),
-        )
+        // The last executed cycle keeps the hint true after the tick.
+        let from = match self.executed.borrow().last() {
+            Some(&last) if last == now => now + 1,
+            _ => now,
+        };
+        self.schedule
+            .range(from..)
+            .next()
+            .copied()
+            .unwrap_or(Cycle::MAX)
     }
 }
 

@@ -5,7 +5,7 @@
 //!
 //! The components mirror the randomized graphs of
 //! `scheduler_equivalence.rs` — paced sources, latency stages (wired
-//! or polled), paced sinks — but additionally implement the full
+//! or always due), paced sinks — but additionally implement the full
 //! save/restore contract, following the ownership convention: each
 //! FIFO is saved by its unique consumer. Chains run long enough that
 //! the active set's dense windows open, so some random checkpoints land
@@ -20,8 +20,7 @@ use proptest::prelude::*;
 use rvcap_sim::component::{Component, TickCtx};
 use rvcap_sim::sanitizer::{ChannelKind, Sanitizer};
 use rvcap_sim::state::{SimState, StateBlob, StateError, StateValue};
-use rvcap_sim::wake::{WakePolicy, Waker};
-use rvcap_sim::{Cycle, Fifo, Freq, Scheduler, Simulator};
+use rvcap_sim::{Cycle, Fifo, Freq, Scheduler, Simulator, Waker};
 
 struct Source {
     name: String,
@@ -52,16 +51,12 @@ impl Component for Source {
         self.remaining > 0
     }
 
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+    fn next_activity(&self, now: Cycle) -> Cycle {
         if self.remaining == 0 {
-            Some(Cycle::MAX)
+            Cycle::MAX
         } else {
-            Some(self.next_push.max(now))
+            self.next_push.max(now)
         }
-    }
-
-    fn wake_sources(&self, _waker: &Waker) -> WakePolicy {
-        WakePolicy::Wired
     }
 
     fn save_state(&self) -> Option<StateBlob> {
@@ -92,7 +87,7 @@ struct Stage {
     output: Fifo<u64>,
     latency: Cycle,
     holding: Option<(Cycle, u64)>,
-    polled: bool,
+    always_due: bool,
 }
 
 impl Component for Stage {
@@ -117,20 +112,20 @@ impl Component for Stage {
         self.holding.is_some() || !self.input.is_empty()
     }
 
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+    fn next_activity(&self, now: Cycle) -> Cycle {
+        if self.always_due {
+            return now;
+        }
         match self.holding {
-            Some((ready, _)) => Some(ready.max(now)),
-            None if self.input.is_empty() => Some(Cycle::MAX),
-            None => Some(now),
+            Some((ready, _)) => ready.max(now),
+            None if self.input.is_empty() => Cycle::MAX,
+            None => now,
         }
     }
 
-    fn wake_sources(&self, waker: &Waker) -> WakePolicy {
-        if self.polled {
-            WakePolicy::Poll
-        } else {
+    fn wake_sources(&self, waker: &Waker) {
+        if !self.always_due {
             self.input.subscribe_wake(waker.clone());
-            WakePolicy::Wired
         }
     }
 
@@ -139,7 +134,7 @@ impl Component for Stage {
         let mut b = StateBlob::new("prop.stage", 1);
         b.put("input", self.input.save_state());
         b.put_u64("latency", self.latency);
-        b.put_bool("polled", self.polled);
+        b.put_bool("always_due", self.always_due);
         let (ready, val) = match self.holding {
             Some((r, v)) => (Some(r), v),
             None => (None, 0),
@@ -151,7 +146,9 @@ impl Component for Stage {
 
     fn restore_state(&mut self, state: &StateBlob) -> Result<(), StateError> {
         state.expect("prop.stage", 1)?;
-        if state.get_u64("latency")? != self.latency || state.get_bool("polled")? != self.polled {
+        if state.get_u64("latency")? != self.latency
+            || state.get_bool("always_due")? != self.always_due
+        {
             return Err(state.structure_error("stage config mismatch"));
         }
         self.input.restore_state(state.get("input")?)?;
@@ -183,19 +180,18 @@ impl Component for Sink {
         }
     }
 
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+    fn next_activity(&self, now: Cycle) -> Cycle {
         if now < self.next_pop {
-            Some(self.next_pop)
+            self.next_pop
         } else if self.input.is_empty() {
-            Some(Cycle::MAX)
+            Cycle::MAX
         } else {
-            Some(now)
+            now
         }
     }
 
-    fn wake_sources(&self, waker: &Waker) -> WakePolicy {
+    fn wake_sources(&self, waker: &Waker) {
         self.input.subscribe_wake(waker.clone());
-        WakePolicy::Wired
     }
 
     fn save_state(&self) -> Option<StateBlob> {
@@ -296,14 +292,14 @@ fn build(chains: &[ChainParams], scheduler: Scheduler) -> Simulator {
             next_val: 1 + ci as u64 * 1000,
             next_push: 0,
         }));
-        for (si, &(latency, polled)) in p.stages.iter().enumerate() {
+        for (si, &(latency, always_due)) in p.stages.iter().enumerate() {
             sim.register(Box::new(Stage {
                 name: format!("c{ci}.stage{si}"),
                 input: fifos[si].clone(),
                 output: fifos[si + 1].clone(),
                 latency,
                 holding: None,
-                polled,
+                always_due,
             }));
         }
         sim.register(Box::new(Sink {

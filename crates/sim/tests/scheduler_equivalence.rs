@@ -11,9 +11,10 @@
 //! The graphs exercise the scheduler edges that caused bugs during
 //! bring-up: same-cycle producer-before-consumer forwarding, full-FIFO
 //! producer spin (pops fire no wakes), post-tick deadline reschedule,
-//! firm-promise hint skips, and `WakePolicy::Poll` components mixed
-//! into a wired graph. A random FIFO preload starts the first hop
-//! backlogged, so streaming stretches begin mid-burst. Chains run long
+//! firm-promise hint skips, and always-due components (the default
+//! hint, nothing subscribed) mixed into a wired graph. A random FIFO
+//! preload starts the first hop backlogged, so streaming stretches
+//! begin mid-burst. Chains run long
 //! enough (up to ~200 values, gapless and unpaced ones included) that
 //! the active set's dense windows open, close and re-open mid-run;
 //! `generated_rigs_open_dense_windows` replays the property's own cases
@@ -25,8 +26,7 @@ use std::rc::Rc;
 use proptest::prelude::*;
 use rvcap_sim::component::{Component, TickCtx};
 use rvcap_sim::sanitizer::{ChannelKind, Sanitizer};
-use rvcap_sim::wake::{WakePolicy, Waker};
-use rvcap_sim::{Cycle, Fifo, Freq, Scheduler, Simulator};
+use rvcap_sim::{Cycle, Fifo, Freq, Scheduler, Simulator, Waker};
 
 /// Pushes `count` increasing values into `out`, waiting `gap` cycles
 /// between successful pushes. A full FIFO holds the value with a `now`
@@ -61,31 +61,28 @@ impl Component for Source {
         self.remaining > 0
     }
 
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        if self.remaining == 0 {
-            Some(Cycle::MAX)
-        } else {
-            Some(self.next_push.max(now))
-        }
-    }
-
-    fn wake_sources(&self, _waker: &Waker) -> WakePolicy {
+    fn next_activity(&self, now: Cycle) -> Cycle {
         // Pure time-based deadlines; no external input feeds the hint.
-        WakePolicy::Wired
+        if self.remaining == 0 {
+            Cycle::MAX
+        } else {
+            self.next_push.max(now)
+        }
     }
 }
 
 /// Pops one value, holds it `latency` cycles, pushes a transformed
-/// copy downstream. With `polled` set it declares `WakePolicy::Poll`
-/// instead of subscribing its input — semantically identical, but it
-/// takes the kernel's per-cycle re-query path.
+/// copy downstream. With `always_due` set it keeps the trait-default
+/// hint (`now`, every cycle) and subscribes nothing — semantically
+/// identical, but it ticks every cycle and keeps the clock from
+/// jumping.
 struct Stage {
     name: String,
     input: Fifo<u64>,
     output: Fifo<u64>,
     latency: Cycle,
     holding: Option<(Cycle, u64)>,
-    polled: bool,
+    always_due: bool,
 }
 
 impl Component for Stage {
@@ -110,23 +107,23 @@ impl Component for Stage {
         self.holding.is_some() || !self.input.is_empty()
     }
 
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+    fn next_activity(&self, now: Cycle) -> Cycle {
+        if self.always_due {
+            return now;
+        }
         match self.holding {
             // Holding: nothing happens before the value is ready (the
             // input stays queued); once ready, spin until the push
             // lands.
-            Some((ready, _)) => Some(ready.max(now)),
-            None if self.input.is_empty() => Some(Cycle::MAX),
-            None => Some(now),
+            Some((ready, _)) => ready.max(now),
+            None if self.input.is_empty() => Cycle::MAX,
+            None => now,
         }
     }
 
-    fn wake_sources(&self, waker: &Waker) -> WakePolicy {
-        if self.polled {
-            WakePolicy::Poll
-        } else {
+    fn wake_sources(&self, waker: &Waker) {
+        if !self.always_due {
             self.input.subscribe_wake(waker.clone());
-            WakePolicy::Wired
         }
     }
 }
@@ -155,24 +152,23 @@ impl Component for Sink {
         }
     }
 
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+    fn next_activity(&self, now: Cycle) -> Cycle {
         if now < self.next_pop {
-            Some(self.next_pop)
+            self.next_pop
         } else if self.input.is_empty() {
-            Some(Cycle::MAX)
+            Cycle::MAX
         } else {
-            Some(now)
+            now
         }
     }
 
-    fn wake_sources(&self, waker: &Waker) -> WakePolicy {
+    fn wake_sources(&self, waker: &Waker) {
         self.input.subscribe_wake(waker.clone());
-        WakePolicy::Wired
     }
 }
 
-/// One randomized pipeline: source pacing, per-stage latency and wake
-/// policy, sink pacing, the (uniform) FIFO capacity, and how many
+/// One randomized pipeline: source pacing, per-stage latency and
+/// always-due flag, sink pacing, the (uniform) FIFO capacity, and how many
 /// values sit in the first hop before cycle 0 (clamped to the
 /// capacity).
 #[derive(Debug, Clone)]
@@ -247,14 +243,14 @@ fn run(chains: &[ChainParams], scheduler: Scheduler) -> (Observed, TickCounts, C
             next_val: 1 + ci as u64 * 1000,
             next_push: 0,
         }));
-        for (si, &(latency, polled)) in p.stages.iter().enumerate() {
+        for (si, &(latency, always_due)) in p.stages.iter().enumerate() {
             sim.register(Box::new(Stage {
                 name: format!("c{ci}.stage{si}"),
                 input: fifos[si].clone(),
                 output: fifos[si + 1].clone(),
                 latency,
                 holding: None,
-                polled,
+                always_due,
             }));
         }
         let log = Rc::new(RefCell::new(Vec::new()));

@@ -195,9 +195,9 @@ impl Component for Clint {
         }
     }
 
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+    fn next_activity(&self, now: Cycle) -> Cycle {
         if !self.port.req.is_empty() {
-            return Some(now);
+            return now;
         }
         // `mtime` is derived on demand, so the only event that needs a
         // tick with no bus traffic is a `timer_irq` level change — and
@@ -208,12 +208,12 @@ impl Component for Clint {
         if level != want {
             // A write moved the comparison mid-interval: re-latch on
             // the next edge, like the eager timer would.
-            return Some(self.edge_at_or_after(now));
+            return self.edge_at_or_after(now);
         }
         if level {
             // High, and mtime only grows: the level holds until a
             // write, which arrives through the request channel.
-            return Some(Cycle::MAX);
+            return Cycle::MAX;
         }
         // Low and rising when mtime reaches mtimecmp: that takes
         // `cmp - base_mtime` edges past the base point, landing on
@@ -224,14 +224,13 @@ impl Component for Clint {
             .and_then(|need| self.base_edges.checked_add(need))
             .and_then(|k| k.checked_mul(self.divider))
             .and_then(|c| c.checked_sub(1));
-        Some(at.unwrap_or(Cycle::MAX))
+        at.unwrap_or(Cycle::MAX)
     }
 
-    fn wake_sources(&self, waker: &rvcap_sim::Waker) -> rvcap_sim::WakePolicy {
+    fn wake_sources(&self, waker: &rvcap_sim::Waker) {
         // The timer edge is a pure time-based deadline (post-tick
         // hint); bus reads/writes are the only external input.
         self.port.req.subscribe_wake(waker.clone());
-        rvcap_sim::WakePolicy::Wired
     }
 
     fn mmio_audit(&self) -> Option<MmioAudit> {

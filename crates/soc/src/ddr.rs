@@ -321,9 +321,9 @@ impl Component for Ddr {
         !matches!(self.read, ReadState::Idle) || !self.write_pipe.is_empty()
     }
 
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+    fn next_activity(&self, now: Cycle) -> Cycle {
         if !self.port.req.is_empty() {
-            return Some(now);
+            return now;
         }
         // The refresh schedule is observable work (it moves
         // `refresh_at` forward and shifts future stalls), so its next
@@ -335,20 +335,19 @@ impl Component for Ddr {
             ReadState::Latency { until, .. } => at = at.min((*until).max(now)),
             // A streaming burst moves a beat (or retries a full
             // response FIFO) every cycle.
-            ReadState::Streaming { .. } => return Some(now),
+            ReadState::Streaming { .. } => return now,
         }
         if let Some(&(done, _)) = self.write_pipe.front() {
             at = at.min(done.max(now));
         }
-        Some(at)
+        at
     }
 
-    fn wake_sources(&self, waker: &rvcap_sim::Waker) -> rvcap_sim::WakePolicy {
+    fn wake_sources(&self, waker: &rvcap_sim::Waker) {
         // Refresh edges, read latency, and write drains are all
         // time-based deadlines covered by the post-tick hint; the only
         // external input is the request channel.
         self.port.req.subscribe_wake(waker.clone());
-        rvcap_sim::WakePolicy::Wired
     }
 
     fn save_state(&self) -> Option<StateBlob> {

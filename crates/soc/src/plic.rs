@@ -151,9 +151,9 @@ impl Component for Plic {
         }
     }
 
-    fn next_activity(&self, now: rvcap_sim::Cycle) -> Option<rvcap_sim::Cycle> {
+    fn next_activity(&self, now: rvcap_sim::Cycle) -> rvcap_sim::Cycle {
         if !self.port.req.is_empty() {
-            return Some(now);
+            return now;
         }
         // A tick changes state only when some enabled, not-in-service,
         // not-yet-pending source line is high — the exact condition
@@ -166,13 +166,13 @@ impl Component for Plic {
             sig.get() && sh.enabled & bit != 0 && sh.in_service & bit == 0 && sh.pending & bit == 0
         });
         if newly_pending {
-            Some(now)
+            now
         } else {
-            Some(rvcap_sim::Cycle::MAX)
+            rvcap_sim::Cycle::MAX
         }
     }
 
-    fn wake_sources(&self, waker: &rvcap_sim::Waker) -> rvcap_sim::WakePolicy {
+    fn wake_sources(&self, waker: &rvcap_sim::Waker) {
         // Level sources re-evaluate the hint on every signal edge (a
         // rising line may newly pend; enable/claim traffic arrives via
         // the bus request channel, which is also subscribed).
@@ -180,7 +180,6 @@ impl Component for Plic {
         for (_, sig) in &self.sources {
             sig.subscribe_wake(waker.clone());
         }
-        rvcap_sim::WakePolicy::Wired
     }
 
     fn mmio_audit(&self) -> Option<MmioAudit> {

@@ -152,24 +152,23 @@ impl<D: BlockDevice> Component for Spi<D> {
         self.busy_until.is_some()
     }
 
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+    fn next_activity(&self, now: Cycle) -> Cycle {
         // A queued register access is serviced (or back-pressured into
         // a retry) this cycle — status reads work while the shifter is
         // busy, so any pending request means activity now.
         if !self.port.req.is_empty() {
-            return Some(now);
+            return now;
         }
         match self.busy_until {
-            Some((done, _)) => Some(done.max(now)),
-            None => Some(Cycle::MAX),
+            Some((done, _)) => done.max(now),
+            None => Cycle::MAX,
         }
     }
 
-    fn wake_sources(&self, waker: &rvcap_sim::Waker) -> rvcap_sim::WakePolicy {
+    fn wake_sources(&self, waker: &rvcap_sim::Waker) {
         // Register traffic arrives on the request channel; the shift
         // completion is a time-based deadline the hint already names.
         self.port.req.subscribe_wake(waker.clone());
-        rvcap_sim::WakePolicy::Wired
     }
 
     fn mmio_audit(&self) -> Option<MmioAudit> {

@@ -222,6 +222,28 @@ impl<D: BlockDevice> Fat32Volume<D> {
         if geo.sectors_per_cluster == 0 || geo.num_fats == 0 {
             return Err(FsError::NotFat32);
         }
+        // The cluster arithmetic trusts the geometry, so reject any
+        // that is impossible: the data region, with at least one
+        // cluster, must lie inside `total_sectors`, which must fit on
+        // the device; the FAT must map every cluster; and the root
+        // directory must start on one.
+        let data_end = geo
+            .num_fats
+            .checked_mul(geo.fat_sectors)
+            .and_then(|fats| fats.checked_add(geo.reserved_sectors))
+            .and_then(|data| data.checked_add(geo.sectors_per_cluster));
+        if data_end.is_none_or(|end| end > geo.total_sectors)
+            || u64::from(geo.total_sectors) > dev.num_blocks()
+        {
+            return Err(FsError::NotFat32);
+        }
+        // FAT entries 0..=max_cluster, four bytes each.
+        let fat_entries = u64::from(geo.fat_sectors) * (BLOCK_SIZE / 4) as u64;
+        if fat_entries <= u64::from(geo.max_cluster())
+            || !(2..=geo.max_cluster()).contains(&geo.root_cluster)
+        {
+            return Err(FsError::NotFat32);
+        }
         Ok(Fat32Volume {
             dev,
             geo,
@@ -662,6 +684,51 @@ mod tests {
     fn mount_rejects_blank_device() {
         assert_eq!(
             Fat32Volume::mount(MemBlockDevice::with_mib(1)).err(),
+            Some(FsError::NotFat32)
+        );
+    }
+
+    /// A formatted 8 MiB volume's device with the little-endian `u32`
+    /// BPB field at `offset` overwritten by `value`.
+    fn patched_bpb(offset: usize, value: u32) -> MemBlockDevice {
+        let mut dev = volume().into_device();
+        let mut bpb = [0u8; BLOCK_SIZE];
+        dev.read_block(0, &mut bpb);
+        bpb[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
+        dev.write_block(0, &bpb);
+        dev
+    }
+
+    #[test]
+    fn mount_rejects_zero_total_sectors() {
+        assert_eq!(
+            Fat32Volume::mount(patched_bpb(32, 0)).err(),
+            Some(FsError::NotFat32)
+        );
+    }
+
+    #[test]
+    fn mount_rejects_total_sectors_past_the_device() {
+        // 9 MiB of sectors on the 8 MiB device.
+        assert_eq!(
+            Fat32Volume::mount(patched_bpb(32, 9 * 2048)).err(),
+            Some(FsError::NotFat32)
+        );
+    }
+
+    #[test]
+    fn mount_rejects_root_cluster_outside_the_data_region() {
+        assert_eq!(
+            Fat32Volume::mount(patched_bpb(44, 0)).err(),
+            Some(FsError::NotFat32)
+        );
+    }
+
+    #[test]
+    fn mount_rejects_a_fat_too_small_for_its_clusters() {
+        // One FAT sector maps 128 clusters; the volume has ~2000.
+        assert_eq!(
+            Fat32Volume::mount(patched_bpb(36, 1)).err(),
             Some(FsError::NotFat32)
         );
     }

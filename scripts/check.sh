@@ -39,7 +39,7 @@ RVCAP_STRICT=1 cargo test -q -p rvcap-sim --test replay_props
 echo "== benchmark self-test (RVCAP_STRICT=1) =="
 (cd benchmark && RVCAP_STRICT=1 cargo test --release --offline)
 
-# Lints and formatting run before the host-performance gate: its
+# Lints, formatting and docs run before the host-performance gate: its
 # baseline gate depends on the host's clock state, and `set -e` would
 # otherwise skip them whenever it fails.
 echo "== cargo clippy (deny warnings) =="
@@ -47,6 +47,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
+
+# API docs must build without warnings: a renamed or deleted item then
+# cannot leave a dangling intra-doc link behind.
+echo "== cargo doc (deny warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Host-performance gate: the full median-of-3 grid per rig ×
 # scheduler, written to BENCH_hostbench.json (plus

@@ -9,6 +9,11 @@
 //! the SPI staging path never do. A change that stops the window from
 //! opening, or opens it on the MMIO rigs, fails here instead of showing
 //! up only as wall-clock drift.
+//!
+//! The same rigs also pin the active set's whole work count exactly:
+//! simulated cycles, executed ticks, clock jumps, jumped cycles and
+//! dense-window cycles. A scheduler change that executes one tick more
+//! or jumps once less fails here on any host.
 
 use rvcap_bench::paper_soc::{self, STAGE_ADDR};
 use rvcap_bench::runner;
@@ -92,4 +97,39 @@ fn dense_windows_engage_on_rvcap_transfers_only() {
         "a dense window opened on SD staging:\n{}",
         staging.render()
     );
+}
+
+#[test]
+fn active_set_work_is_pinned() {
+    for (rig, stats, want) in [
+        (
+            "RV-CAP",
+            rvcap_stats(Scheduler::ActiveSet),
+            [11_330, 137_417, 100, 3_832, 7_168],
+        ),
+        (
+            "HWICAP unroll 16",
+            hwicap_stats(),
+            [351_730, 82_162, 51_788, 292_955, 0],
+        ),
+        (
+            "SD staging",
+            sd_staging_stats(),
+            [2_157_618, 932_999, 751_412, 1_403_509, 0],
+        ),
+    ] {
+        let work = [
+            stats.cycles,
+            stats.total_ticks(),
+            stats.jumps,
+            stats.jumped_cycles,
+            stats.dense_cycles,
+        ];
+        assert_eq!(
+            work,
+            want,
+            "{rig}: [cycles, ticks, jumps, jumped cycles, dense cycles] moved:\n{}",
+            stats.render()
+        );
+    }
 }
