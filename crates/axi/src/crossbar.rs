@@ -118,15 +118,13 @@ struct MasterLane {
 /// * Responses: slaves answer in order, so a per-slave scoreboard of
 ///   master indices routes each response transaction back; burst beats
 ///   stay attributed to their transaction until `last`.
-/// * Latency: `req_latency` cycles on the request path and
-///   `resp_latency` on the response path (address decode + register
-///   slices).
+/// * Latency: [`Crossbar::REQ_LATENCY`] cycles on the request path
+///   and [`Crossbar::RESP_LATENCY`] on the response path (address
+///   decode + register slices).
 pub struct Crossbar {
     name: String,
     masters: Vec<MasterLane>,
     slaves: Vec<SlaveLane>,
-    req_latency: Cycle,
-    resp_latency: Cycle,
     decode_errors: u64,
     /// Last slave index a request decoded to — bus traffic is extremely
     /// local (fill loops, DMA streams), so checking the previous hit
@@ -146,10 +144,10 @@ pub struct Crossbar {
 }
 
 impl Crossbar {
-    /// Default request-path latency (address decode + register slice).
-    pub const DEFAULT_REQ_LATENCY: Cycle = 2;
-    /// Default response-path latency.
-    pub const DEFAULT_RESP_LATENCY: Cycle = 2;
+    /// Request-path latency (address decode + register slice).
+    pub const REQ_LATENCY: Cycle = 2;
+    /// Response-path latency.
+    pub const RESP_LATENCY: Cycle = 2;
 
     /// Build a crossbar.
     ///
@@ -197,8 +195,6 @@ impl Crossbar {
                     rr_next: 0,
                 })
                 .collect(),
-            req_latency: Self::DEFAULT_REQ_LATENCY,
-            resp_latency: Self::DEFAULT_RESP_LATENCY,
             decode_errors: 0,
             decode_hint: std::cell::Cell::new(0),
             arb_scratch: Vec::new(),
@@ -227,14 +223,6 @@ impl Crossbar {
                 lane.region.name
             );
         }
-    }
-
-    /// Override the pipeline latencies (used by baseline models whose
-    /// interconnects differ from the Ariane SoC's).
-    pub fn with_latency(mut self, req: Cycle, resp: Cycle) -> Self {
-        self.req_latency = req;
-        self.resp_latency = resp;
-        self
     }
 
     /// Requests that decoded to no slave region.
@@ -275,7 +263,7 @@ impl Crossbar {
                     // immediate error response.
                     if self.masters[mi].port.req.try_pop(cycle).is_some() {
                         self.decode_errors += 1;
-                        let ready_at = cycle + self.resp_latency;
+                        let ready_at = cycle + Self::RESP_LATENCY;
                         self.masters[mi].resp_pipe.push_back(Delayed {
                             ready_at,
                             item: MmResp::err(),
@@ -313,7 +301,7 @@ impl Crossbar {
             // already have consumed this master's budget.
             if let Some(req) = self.masters[win].port.req.try_pop(cycle) {
                 let posted = matches!(req.op, MmOp::Write { posted: true, .. });
-                let ready_at = cycle + self.req_latency;
+                let ready_at = cycle + Self::REQ_LATENCY;
                 let lane = &mut self.slaves[si];
                 lane.req_pipe.push_back(Delayed {
                     ready_at,
@@ -377,7 +365,7 @@ impl Crossbar {
                     }
                 }
                 self.masters[mi].resp_pipe.push_back(Delayed {
-                    ready_at: cycle + self.resp_latency,
+                    ready_at: cycle + Self::RESP_LATENCY,
                     item: resp,
                 });
             }
@@ -405,7 +393,7 @@ impl Component for Crossbar {
         &self.name
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         #[cfg(debug_assertions)]
         self.debug_check_masks();
         // Response-before-request ordering drains the system monotonically.
@@ -603,14 +591,13 @@ impl Component for Crossbar {
 }
 
 /// A simple RAM slave used by interconnect tests and small systems
-/// (boot memory). Services one request per `service_latency` and
-/// streams burst beats back-to-back.
+/// (boot memory). Answers each request one cycle after accepting it
+/// and streams burst beats back-to-back.
 pub struct RamSlave {
     name: String,
     port: SlavePort,
     base: u64,
     mem: Vec<u8>,
-    service_latency: Cycle,
     /// (ready_at, remaining beat responses)
     active: Option<(Cycle, VecDeque<MmResp>)>,
 }
@@ -623,15 +610,8 @@ impl RamSlave {
             port,
             base,
             mem: vec![0; size],
-            service_latency: 1,
             active: None,
         }
-    }
-
-    /// Adjust the first-access service latency.
-    pub fn with_latency(mut self, latency: Cycle) -> Self {
-        self.service_latency = latency;
-        self
     }
 
     /// Direct (zero-time) memory access for initialization and test
@@ -685,7 +665,7 @@ impl Component for RamSlave {
         &self.name
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         // Stream pending response beats, one per cycle.
         if let Some((ready_at, pending)) = &mut self.active {
             if *ready_at <= ctx.cycle {
@@ -703,7 +683,7 @@ impl Component for RamSlave {
         if self.active.is_none() {
             if let Some(req) = self.port.try_take(ctx.cycle) {
                 let pending = self.serve(req);
-                self.active = Some((ctx.cycle + self.service_latency, pending));
+                self.active = Some((ctx.cycle + 1, pending));
             }
         }
     }

@@ -63,7 +63,7 @@ impl Component for StreamIsolator {
         &self.name
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         if self.decouple.get() {
             if !self.input.is_empty() {
                 self.blocked_cycles += 1;
@@ -164,7 +164,7 @@ impl Component for MmIsolator {
         &self.name
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         let cycle = ctx.cycle;
         // Responses always flow back (a transaction that entered the
         // RP before decoupling completes normally; Xilinx requires

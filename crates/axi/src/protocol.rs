@@ -6,7 +6,7 @@
 //! (§III-B ②, §III-C). Both are pure pipeline stages on the
 //! single-beat register path; their latency is what makes CPU accesses
 //! to these slaves expensive. [`MmAdapter`] models the pair as one
-//! stage with a configurable request/response latency.
+//! stage with one latency on both the request and the response path.
 
 use std::collections::VecDeque;
 
@@ -57,7 +57,7 @@ fn pipe_from_state<T: StateItem>(
 /// A pipelined adapter on a memory-mapped path.
 ///
 /// Forwards requests from `upstream` to `downstream` and responses
-/// back, adding `req_latency`/`resp_latency` cycles. When `lite` is
+/// back, adding `latency` cycles each way. When `lite` is
 /// set the adapter asserts AXI4-Lite semantics: burst requests are a
 /// wiring bug and panic (the real converter would error; in this
 /// workspace nothing ever legitimately bursts into a register file).
@@ -65,8 +65,7 @@ pub struct MmAdapter {
     name: String,
     upstream: SlavePort,
     downstream: MasterPort,
-    req_latency: Cycle,
-    resp_latency: Cycle,
+    latency: Cycle,
     lite: bool,
     req_pipe: VecDeque<(Cycle, MmReq)>,
     resp_pipe: VecDeque<(Cycle, MmResp)>,
@@ -90,8 +89,7 @@ impl MmAdapter {
             name: name.into(),
             upstream,
             downstream,
-            req_latency: 14,
-            resp_latency: 14,
+            latency: 14,
             lite: true,
             req_pipe: VecDeque::new(),
             resp_pipe: VecDeque::new(),
@@ -109,19 +107,11 @@ impl MmAdapter {
             name: name.into(),
             upstream,
             downstream,
-            req_latency: latency,
-            resp_latency: latency,
+            latency,
             lite: false,
             req_pipe: VecDeque::new(),
             resp_pipe: VecDeque::new(),
         }
-    }
-
-    /// Override latencies.
-    pub fn with_latency(mut self, req: Cycle, resp: Cycle) -> Self {
-        self.req_latency = req;
-        self.resp_latency = resp;
-        self
     }
 }
 
@@ -130,11 +120,11 @@ impl Component for MmAdapter {
         &self.name
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         let cycle = ctx.cycle;
         // Responses upstream.
         if let Some(resp) = self.downstream.resp.try_pop(cycle) {
-            self.resp_pipe.push_back((cycle + self.resp_latency, resp));
+            self.resp_pipe.push_back((cycle + self.latency, resp));
         }
         if let Some(&(ready, resp)) = self.resp_pipe.front() {
             if ready <= cycle && self.upstream.resp.try_push(cycle, resp).is_ok() {
@@ -151,7 +141,7 @@ impl Component for MmAdapter {
                     req.addr
                 );
             }
-            self.req_pipe.push_back((cycle + self.req_latency, req));
+            self.req_pipe.push_back((cycle + self.latency, req));
         }
         if let Some(&(ready, req)) = self.req_pipe.front() {
             if ready <= cycle && self.downstream.req.try_push(cycle, req).is_ok() {

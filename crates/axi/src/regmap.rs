@@ -128,11 +128,8 @@ pub struct RegisterMap {
 
 impl RegisterMap {
     /// Find the register declared at exactly `offset`.
-    pub fn lookup(&self, offset: u64) -> Option<(usize, &'static RegDef)> {
-        self.regs
-            .iter()
-            .position(|r| r.offset == offset)
-            .map(|i| (i, &self.regs[i]))
+    pub fn lookup(&self, offset: u64) -> Option<&'static RegDef> {
+        self.regs.iter().find(|r| r.offset == offset)
     }
 
     /// Find the register by its constant-style name.
@@ -252,12 +249,10 @@ pub enum Decoded {
 }
 
 /// The runtime face of a [`RegisterMap`]: decodes raw bus requests and
-/// keeps per-register and per-violation counters.
+/// keeps the device's access audit.
 #[derive(Debug)]
 pub struct RegisterFile {
     map: &'static RegisterMap,
-    reads: Vec<u64>,
-    writes: Vec<u64>,
     audit: MmioAudit,
 }
 
@@ -267,8 +262,6 @@ impl RegisterFile {
         map.validate();
         RegisterFile {
             map,
-            reads: vec![0; map.regs.len()],
-            writes: vec![0; map.regs.len()],
             audit: MmioAudit::default(),
         }
     }
@@ -281,15 +274,6 @@ impl RegisterFile {
     /// Snapshot of the access audit.
     pub fn audit(&self) -> MmioAudit {
         self.audit
-    }
-
-    /// Per-register access counts: `(register, reads, writes)`.
-    pub fn per_register(&self) -> impl Iterator<Item = (&'static RegDef, u64, u64)> + '_ {
-        self.map
-            .regs
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r, self.reads[i], self.writes[i]))
     }
 
     /// The window-relative offset of a request address.
@@ -310,7 +294,7 @@ impl RegisterFile {
                 Decoded::Reject
             }
             MmOp::Read { bytes } => match self.map.lookup(offset) {
-                Some((i, def)) => {
+                Some(def) => {
                     if !def.access.readable() {
                         self.audit.wo_reads += 1;
                         Decoded::Reject
@@ -318,7 +302,6 @@ impl RegisterFile {
                         self.audit.overwide += 1;
                         Decoded::Reject
                     } else {
-                        self.reads[i] += 1;
                         self.audit.reads += 1;
                         Decoded::Read { def, bytes }
                     }
@@ -329,7 +312,7 @@ impl RegisterFile {
                 }
             },
             MmOp::Write { data, bytes, .. } => match self.map.lookup(offset) {
-                Some((i, def)) => {
+                Some(def) => {
                     if !def.access.writable() {
                         self.audit.ro_writes += 1;
                         Decoded::Reject
@@ -337,7 +320,6 @@ impl RegisterFile {
                         self.audit.overwide += 1;
                         Decoded::Reject
                     } else {
-                        self.writes[i] += 1;
                         self.audit.writes += 1;
                         // Mask to the accessed byte lanes, not just the
                         // register width: a 1-byte store must not carry
@@ -370,19 +352,11 @@ impl RegisterFile {
         }
     }
 
-    /// Checkpoint the decode counters (devices embed this in their own
+    /// Checkpoint the access audit (devices embed this in their own
     /// state blob — the register *values* live in the device).
     pub fn save_state(&self) -> StateValue {
-        let mut b = StateBlob::new("axi.regfile", 1);
+        let mut b = StateBlob::new("axi.regfile", 2);
         b.put_str("device", self.map.device);
-        b.put_list(
-            "reads",
-            self.reads.iter().map(|n| StateValue::U64(*n)).collect(),
-        );
-        b.put_list(
-            "writes",
-            self.writes.iter().map(|n| StateValue::U64(*n)).collect(),
-        );
         let a = &self.audit;
         for (field, v) in [
             ("audit_reads", a.reads),
@@ -404,7 +378,7 @@ impl RegisterFile {
     /// written by the same device map.
     pub fn restore_state(&mut self, v: &StateValue) -> Result<(), StateError> {
         let b = v.as_blob("axi.regfile")?;
-        b.expect("axi.regfile", 1)?;
+        b.expect("axi.regfile", 2)?;
         let device = b.get_str("device")?;
         if device != self.map.device {
             return Err(b.structure_error(format!(
@@ -412,26 +386,6 @@ impl RegisterFile {
                 self.map.device
             )));
         }
-        let counters = |field: &str, len: usize| -> Result<Vec<u64>, StateError> {
-            let vals = b.get_list(field)?;
-            if vals.len() != len {
-                return Err(b.structure_error(format!(
-                    "{field} has {} counters, map declares {len} registers",
-                    vals.len()
-                )));
-            }
-            vals.iter()
-                .map(|v| match v {
-                    StateValue::U64(n) => Ok(*n),
-                    other => Err(b.structure_error(format!(
-                        "{field} counter is {}, expected u64",
-                        other.kind()
-                    ))),
-                })
-                .collect()
-        };
-        self.reads = counters("reads", self.map.regs.len())?;
-        self.writes = counters("writes", self.map.regs.len())?;
         self.audit = MmioAudit {
             reads: b.get_u64("audit_reads")?,
             writes: b.get_u64("audit_writes")?,
@@ -540,7 +494,7 @@ mod tests {
         assert_eq!(TEST_MAP.regs.len(), 5);
         TEST_MAP.validate();
         assert_eq!(TEST_MAP.by_name("T_STATUS").unwrap().offset, T_STATUS);
-        assert_eq!(TEST_MAP.lookup(0x04).unwrap().1.access, Access::RO);
+        assert_eq!(TEST_MAP.lookup(0x04).unwrap().access, Access::RO);
         assert!(TEST_MAP.lookup(0x02).is_none());
     }
 
@@ -646,20 +600,6 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert_eq!(lane_mask(8), u64::MAX);
-    }
-
-    #[test]
-    fn per_register_counters_track_traffic() {
-        let mut f = file();
-        f.decode(&MmReq::read(T_STATUS, 4));
-        f.decode(&MmReq::read(T_STATUS, 4));
-        f.decode(&MmReq::write(T_CTRL, 1, 4));
-        let counts: Vec<_> = f
-            .per_register()
-            .map(|(r, rd, wr)| (r.name, rd, wr))
-            .collect();
-        assert!(counts.contains(&("T_STATUS", 2, 0)));
-        assert!(counts.contains(&("T_CTRL", 0, 1)));
     }
 
     #[test]

@@ -68,7 +68,7 @@ impl Component for StreamSwitch {
         &self.name
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         // Latch the route at packet boundaries only: a select change
         // mid-packet takes effect after TLAST, like the real IP
         // reprogrammed via its control interface.

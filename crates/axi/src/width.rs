@@ -61,7 +61,7 @@ impl Component for Narrower {
         &self.name
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         // First drain the carried high word.
         if let Some(beat) = self.carry.take() {
             if let Err(b) = self.output.try_push(ctx.cycle, beat) {
@@ -161,7 +161,7 @@ impl Component for Widener {
         &self.name
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         if !self.output.can_push(ctx.cycle) {
             return;
         }

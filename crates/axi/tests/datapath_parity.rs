@@ -41,7 +41,7 @@ impl Component for BeatSource {
         "source"
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         if self.next < self.beats.len()
             && self.out.try_push(ctx.cycle, self.beats[self.next]).is_ok()
         {
@@ -75,7 +75,7 @@ impl Component for Toggler {
         "toggler"
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         if self.next < self.at.len() && ctx.cycle >= self.at[self.next] {
             self.decouple.set(!self.decouple.get());
             self.next += 1;
@@ -110,7 +110,7 @@ impl Component for BpSink {
         "sink"
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         if ctx.cycle < self.resume_at {
             return;
         }
@@ -159,7 +159,7 @@ impl Component for Probe {
         "probe"
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         if ctx.cycle == self.at && self.snap.borrow().is_none() {
             let snap = self.channels.iter().map(|c| (c.len(), c.peek())).collect();
             *self.snap.borrow_mut() = Some(snap);

@@ -108,7 +108,7 @@ impl Component for PacedSource {
         &self.name
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         if self.pos >= self.words.len() || ctx.cycle < self.next_at {
             return;
         }

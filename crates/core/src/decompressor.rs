@@ -77,7 +77,7 @@ impl Component for RleDecompressor {
         &self.name
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         let cycle = ctx.cycle;
         match self.state {
             State::Count => {

@@ -294,8 +294,8 @@ impl XilinxDma {
     /// one of them, any other error answers an S2MM posted write. The
     /// affected channel halts with RS cleared and drops its transfer;
     /// MM2S discards the beats of its other in-flight bursts.
-    fn bus_error(&mut self, ctx: &TickCtx<'_>) {
-        let channel = if self.bursts_in_flight > 0 {
+    fn bus_error(&mut self) {
+        if self.bursts_in_flight > 0 {
             // The error response terminates its burst.
             self.discard_bursts = self.bursts_in_flight - 1;
             self.bursts_in_flight = 0;
@@ -304,27 +304,20 @@ impl XilinxDma {
             self.mm2s_state = Mm2sState::Halted;
             self.mm2s_cr &= !CR_RS;
             self.mm2s_sr = (self.mm2s_sr | SR_DMA_DEC_ERR | SR_HALTED) & !SR_IDLE;
-            "MM2S"
         } else {
             self.s2mm_remaining = 0;
             self.s2mm_cr &= !CR_RS;
             self.s2mm_sr = (self.s2mm_sr | SR_DMA_DEC_ERR | SR_HALTED) & !SR_IDLE;
-            "S2MM"
-        };
-        ctx.tracer.info(ctx.cycle, &self.name, || {
-            format!("{channel} bus error: DMADecErr, channel halted")
-        });
+        }
     }
 
-    fn mm2s_complete(&mut self, ctx: &TickCtx<'_>) {
+    fn mm2s_complete(&mut self) {
         self.mm2s_state = Mm2sState::Idle;
         self.mm2s_sr |= SR_IDLE;
         self.mm2s_sr |= SR_IOC;
         if self.mm2s_cr & CR_IOC_IRQ_EN != 0 {
             self.mm2s_irq.set(true);
         }
-        ctx.tracer
-            .info(ctx.cycle, &self.name, || "MM2S transfer complete".into());
     }
 }
 
@@ -333,7 +326,7 @@ impl Component for XilinxDma {
         &self.name
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         let cycle = ctx.cycle;
 
         // ---- register interface (one access per cycle) ----
@@ -383,7 +376,7 @@ impl Component for XilinxDma {
             if self.mm2s.can_push(cycle) {
                 if let Some(resp) = self.mem.resp.try_pop(cycle) {
                     if resp.error {
-                        self.bus_error(ctx);
+                        self.bus_error();
                     } else {
                         if resp.last {
                             self.bursts_in_flight = self.bursts_in_flight.saturating_sub(1);
@@ -399,7 +392,7 @@ impl Component for XilinxDma {
                         self.mm2s.try_push(cycle, beat).expect("can_push checked");
                         self.beats_streamed += 1;
                         if last {
-                            self.mm2s_complete(ctx);
+                            self.mm2s_complete();
                         }
                     }
                 }
@@ -412,7 +405,7 @@ impl Component for XilinxDma {
                     self.discard_bursts -= 1;
                 }
             } else if resp.error {
-                self.bus_error(ctx);
+                self.bus_error();
             }
         }
 
@@ -433,8 +426,6 @@ impl Component for XilinxDma {
                     if self.s2mm_cr & CR_IOC_IRQ_EN != 0 {
                         self.s2mm_irq.set(true);
                     }
-                    ctx.tracer
-                        .info(cycle, &self.name, || "S2MM transfer complete".into());
                 }
             }
         }

@@ -37,7 +37,6 @@ impl RegWindow {
     pub fn def(&self, offset: u64) -> &'static RegDef {
         self.map
             .lookup(offset)
-            .map(|(_, d)| d)
             .unwrap_or_else(|| panic!("{}: no register at {offset:#x}", self.map.device))
     }
 

@@ -143,13 +143,6 @@ impl AxiHwicap {
         self
     }
 
-    /// Latch the readback frame address. The driver communicates it by
-    /// pushing a `FAR` write packet through the WF; the register-file
-    /// shortcut here mirrors what that packet ends up setting.
-    pub fn set_read_far(&mut self, far: u32) {
-        self.read_far = far;
-    }
-
     /// Total words forwarded to the ICAP.
     pub fn words_written(&self) -> u64 {
         self.words_written
@@ -166,7 +159,7 @@ impl Component for AxiHwicap {
         &self.name
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         let cycle = ctx.cycle;
         // Readback engine: one configuration word per cycle out of
         // configuration memory into the read FIFO.

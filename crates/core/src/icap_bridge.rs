@@ -52,7 +52,7 @@ impl Component for Axis2Icap {
         self.inner.name()
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         self.inner.tick(ctx);
         let now = self.out.total_pushed();
         if now != self.last_count {

@@ -114,7 +114,7 @@ impl Component for RpController {
         &self.name
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         let cycle = ctx.cycle;
         if let Some(req) = self.port.try_take(cycle) {
             let resp = match self.regs.decode(&req) {
@@ -122,13 +122,7 @@ impl Component for RpController {
                     if def.offset == REG_DECOUPLE {
                         self.decouple_reg = value as u32;
                         for (i, line) in self.decouple.iter().enumerate() {
-                            let level = value & (1 << i) != 0;
-                            if level != line.get() {
-                                ctx.tracer.info(cycle, &self.name, || {
-                                    format!("RP{i} {}", if level { "decoupled" } else { "coupled" })
-                                });
-                            }
-                            line.set(level);
+                            line.set(value & (1 << i) != 0);
                         }
                     }
                     MmResp::write_ack()

@@ -78,24 +78,12 @@ impl Component for SwitchCtrl {
         &self.name
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         if let Some(req) = self.port.try_take(ctx.cycle) {
             let resp = match self.regs.decode(&req) {
                 Decoded::Write { def, value, .. } => {
                     match def.offset {
-                        REG_SELECT => {
-                            self.icap_mode = value & 1 != 0;
-                            ctx.tracer.info(ctx.cycle, &self.name, || {
-                                format!(
-                                    "mode: {}",
-                                    if value & 1 != 0 {
-                                        "reconfiguration"
-                                    } else {
-                                        "acceleration"
-                                    }
-                                )
-                            });
-                        }
+                        REG_SELECT => self.icap_mode = value & 1 != 0,
                         _ => {
                             self.rm_sel = (value as u8).min(self.icap_route.saturating_sub(1));
                         }

@@ -37,7 +37,6 @@ use rvcap_fabric::icap::{Icap, IcapHandle};
 use rvcap_fabric::rm::RmLibrary;
 use rvcap_fabric::rp::{Rp, RpGeometry};
 use rvcap_sim::sanitizer::Sanitizer;
-use rvcap_sim::trace::TraceLevel;
 use rvcap_sim::vcd::{VcdHandle, VcdRecorder};
 use rvcap_sim::{Fifo, Freq, Signal, Simulator};
 use rvcap_soc::clint::{Clint, ClintHandle};
@@ -54,6 +53,10 @@ use crate::hwicap::AxiHwicap;
 use crate::icap_bridge::Axis2Icap;
 use crate::rp_ctrl::RpController;
 use crate::switch_ctrl::SwitchCtrl;
+
+/// Frames of configuration memory: the simulated device's whole
+/// configuration address space.
+const CONFIG_FRAMES: usize = 200_000;
 
 /// Handles into the built system for drivers, tests and benches.
 pub struct SocHandles {
@@ -100,14 +103,11 @@ pub struct RvCapSoc {
 pub struct SocBuilder {
     rp_geometries: Vec<RpGeometry>,
     library: RmLibrary,
-    ddr_cfg: DdrConfig,
     hwicap_fifo_depth: usize,
     dma_burst_beats: u16,
     sd_files: Vec<(String, Vec<u8>)>,
     stream_depth: Option<usize>,
     spi_clkdiv: u32,
-    tracing: Option<(TraceLevel, usize)>,
-    config_frames: usize,
     compressed_loader: bool,
     vcd: bool,
     sanitize: bool,
@@ -126,14 +126,11 @@ impl SocBuilder {
         SocBuilder {
             rp_geometries: vec![RpGeometry::paper_rp()],
             library: RmLibrary::new(),
-            ddr_cfg: DdrConfig::default(),
             hwicap_fifo_depth: crate::hwicap::PAPER_FIFO_DEPTH,
             dma_burst_beats: crate::dma::DMA_BURST_BEATS,
             sd_files: Vec::new(),
             stream_depth: None,
             spi_clkdiv: 4,
-            tracing: None,
-            config_frames: 200_000,
             compressed_loader: false,
             vcd: false,
             sanitize: false,
@@ -151,12 +148,6 @@ impl SocBuilder {
     /// [`RmLibrary`].
     pub fn with_library(mut self, library: RmLibrary) -> Self {
         self.library = library;
-        self
-    }
-
-    /// Override DDR configuration.
-    pub fn with_ddr(mut self, cfg: DdrConfig) -> Self {
-        self.ddr_cfg = cfg;
         self
     }
 
@@ -195,12 +186,6 @@ impl SocBuilder {
         self
     }
 
-    /// Enable tracing.
-    pub fn with_tracing(mut self, level: TraceLevel, capacity: usize) -> Self {
-        self.tracing = Some((level, capacity));
-        self
-    }
-
     /// Record a VCD waveform of the reconfiguration datapath
     /// (decouple lines, stream-switch select, DMA stream occupancy,
     /// ICAP word count, DMA interrupts). Retrieve it from
@@ -232,10 +217,8 @@ impl SocBuilder {
 
     /// Build the system.
     pub fn build(self) -> RvCapSoc {
-        let mut sim = match self.tracing {
-            Some((level, cap)) => Simulator::with_tracing(Freq::FABRIC_100MHZ, level, cap),
-            None => Simulator::new(Freq::FABRIC_100MHZ),
-        };
+        let mut sim = Simulator::new(Freq::FABRIC_100MHZ);
+        let ddr_cfg = DdrConfig::default();
         let library = Rc::new(self.library);
 
         // ---------------- links ----------------
@@ -310,12 +293,12 @@ impl SocBuilder {
                     SlaveRegion::new("swctrl", SWITCH_BASE, SWITCH_SIZE),
                     swctrl_m,
                 ),
-                (SlaveRegion::new("ddr", DDR_BASE, self.ddr_cfg.size), ddr_m),
+                (SlaveRegion::new("ddr", DDR_BASE, ddr_cfg.size), ddr_m),
             ],
         );
 
         // ---------------- fabric ----------------
-        let config_mem = ConfigMem::new(self.config_frames);
+        let config_mem = ConfigMem::new(CONFIG_FRAMES);
         let icap_in: AxisChannel = Fifo::new("icap.in", self.stream_depth.unwrap_or(8));
         let (icap, icap_h) = Icap::new("icap", icap_in.clone(), config_mem.clone(), KINTEX7_IDCODE);
 
@@ -449,7 +432,7 @@ impl SocBuilder {
         }
         let card = SdCard::new(sd_dev);
         let (spi, spi_h) = Spi::new("spi", spi_s, SPI_BASE, card, self.spi_clkdiv);
-        let (ddr, ddr_h) = Ddr::new("ddr", ddr_s, DDR_BASE, self.ddr_cfg);
+        let (ddr, ddr_h) = Ddr::new("ddr", ddr_s, DDR_BASE, ddr_cfg);
 
         // ---------------- registration (dataflow order) ----------------
         if let Some(s) = &sanitizer {

@@ -17,7 +17,7 @@ use rvcap_core::registry;
 fn should_accept(map: &rvcap_axi::regmap::RegisterMap, off: u64, bytes: u8, write: bool) -> bool {
     match map.lookup(off) {
         None => false,
-        Some((_, def)) => {
+        Some(def) => {
             bytes <= def.width
                 && if write {
                     def.access != Access::RO

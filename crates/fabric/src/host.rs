@@ -95,7 +95,7 @@ impl RmHost {
         ld_start < rp_end && rp_start < ld_end
     }
 
-    fn refresh_activation(&mut self, ctx: &TickCtx<'_>) {
+    fn refresh_activation(&mut self) {
         let records = self.icap.records();
         let fresh = &records[self.seen_loads..];
         let relevant = fresh
@@ -126,11 +126,7 @@ impl RmHost {
         // The partition is valid as soon as its content matches a
         // registered image; a behaviour (when registered) gives it
         // function, but configuration-only tests track activation too.
-        let name = image.name.clone();
-        ctx.tracer.info(ctx.cycle, &self.name, || {
-            format!("partition {} now hosts {}", self.rp.name, name)
-        });
-        *self.handle.active.borrow_mut() = Some(name);
+        *self.handle.active.borrow_mut() = Some(image.name.clone());
         *self.handle.reconfig_count.borrow_mut() += 1;
         if let Some(mut behavior) = self.library.behavior_for_hash(hash) {
             behavior.reset();
@@ -144,9 +140,9 @@ impl Component for RmHost {
         &self.name
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         if self.icap.load_count() != self.seen_loads {
-            self.refresh_activation(ctx);
+            self.refresh_activation();
         }
         if let Some(behavior) = &mut self.active {
             behavior.tick(ctx.cycle, &self.input, &self.output);

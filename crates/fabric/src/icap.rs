@@ -10,10 +10,11 @@
 //!
 //! A failed check **aborts** the load: the FSM desynchronizes, the
 //! partially-buffered frame is dropped, and the load is recorded with
-//! `crc_ok == false` so the RP machinery never activates a module from
-//! it. Frames already committed before the failure stay written —
-//! matching real hardware, where an interrupted partial reconfiguration
-//! leaves the partition in an undefined (and unusable) state.
+//! `crc_ok == false` and the failed check as its [`IcapAbort`], so the
+//! RP machinery never activates a module from it. Frames already
+//! committed before the failure stay written — matching real hardware,
+//! where an interrupted partial reconfiguration leaves the partition
+//! in an undefined (and unusable) state.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -27,6 +28,38 @@ use crate::bitstream::{cmd, decode_header, ConfigReg, Packet, SYNC_WORD};
 use crate::config_mem::{ConfigMem, FRAME_WORDS};
 use crate::crc::Crc32;
 
+/// Why the ICAP aborted a load: the check that failed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IcapAbort {
+    /// A word in packet-header position decoded to no packet.
+    MalformedHeader,
+    /// The bitstream's IDCODE is not this device's.
+    IdcodeMismatch,
+    /// The CRC word differs from the CRC computed over the load.
+    CrcMismatch,
+    /// A frame write addressed a frame past configuration memory.
+    FarOutOfRange,
+}
+
+impl IcapAbort {
+    const ALL: [IcapAbort; 4] = [
+        IcapAbort::MalformedHeader,
+        IcapAbort::IdcodeMismatch,
+        IcapAbort::CrcMismatch,
+        IcapAbort::FarOutOfRange,
+    ];
+
+    /// Stable name, as written into checkpoints.
+    fn name(self) -> &'static str {
+        match self {
+            IcapAbort::MalformedHeader => "malformed_header",
+            IcapAbort::IdcodeMismatch => "idcode_mismatch",
+            IcapAbort::CrcMismatch => "crc_mismatch",
+            IcapAbort::FarOutOfRange => "far_out_of_range",
+        }
+    }
+}
+
 /// One completed (or aborted) configuration load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoadRecord {
@@ -36,6 +69,8 @@ pub struct LoadRecord {
     pub frames: usize,
     /// CRC matched and no abort occurred.
     pub crc_ok: bool,
+    /// The failed check, if the load was aborted.
+    pub abort: Option<IcapAbort>,
     /// Cycle at which the load finished (DESYNC consumed or abort).
     pub finished_at: Cycle,
 }
@@ -168,15 +203,16 @@ impl Icap {
         )
     }
 
-    fn finish(&mut self, cycle: Cycle, ok: bool) {
+    fn finish(&mut self, cycle: Cycle, abort: Option<IcapAbort>) {
         let mut sh = self.shared.borrow_mut();
         sh.records.push(LoadRecord {
             far_start: self.far_start,
             frames: self.frames_committed,
-            crc_ok: ok && self.crc_ok,
+            crc_ok: abort.is_none() && self.crc_ok,
+            abort,
             finished_at: cycle,
         });
-        if !ok {
+        if abort.is_some() {
             sh.abort_count += 1;
         }
         sh.busy = false;
@@ -190,17 +226,11 @@ impl Icap {
         self.crc_ok = false;
     }
 
-    fn abort(&mut self, ctx: &TickCtx<'_>, why: &str) {
-        ctx.tracer
-            .info(ctx.cycle, &self.name, || format!("load aborted: {why}"));
-        self.finish(ctx.cycle, false);
-    }
-
-    fn consume_payload_word(&mut self, ctx: &TickCtx<'_>, word: u32) {
+    fn consume_payload_word(&mut self, cycle: Cycle, word: u32) {
         self.frame_buf.push(word);
         if self.frame_buf.len() == FRAME_WORDS {
             if !self.config_mem.in_range(self.far, 1) {
-                self.abort(ctx, "FAR out of range");
+                self.finish(cycle, Some(IcapAbort::FarOutOfRange));
                 return;
             }
             let mut buf = [0u32; FRAME_WORDS];
@@ -212,7 +242,7 @@ impl Icap {
         }
     }
 
-    fn process_word(&mut self, ctx: &TickCtx<'_>, word: u32) {
+    fn process_word(&mut self, cycle: Cycle, word: u32) {
         match self.state {
             State::Desynced => {
                 if word == SYNC_WORD {
@@ -246,7 +276,7 @@ impl Icap {
                         self.state = State::FdriData { remaining: count };
                     }
                 }
-                Err(_) => self.abort(ctx, "malformed packet header"),
+                Err(_) => self.finish(cycle, Some(IcapAbort::MalformedHeader)),
             },
             State::Type1Data { reg, remaining } => {
                 if reg != ConfigReg::Crc {
@@ -264,20 +294,12 @@ impl Icap {
                 match reg {
                     ConfigReg::Cmd => match word {
                         cmd::RCRC => self.crc = Crc32::new(),
-                        cmd::DESYNC => {
-                            ctx.tracer.info(ctx.cycle, &self.name, || {
-                                format!(
-                                    "load complete: {} frames at FAR {:#x}, crc_ok={}",
-                                    self.frames_committed, self.far_start, self.crc_ok
-                                )
-                            });
-                            self.finish(ctx.cycle, true);
-                        }
+                        cmd::DESYNC => self.finish(cycle, None),
                         _ => {}
                     },
                     ConfigReg::Idcode => {
                         if word != self.device_idcode {
-                            self.abort(ctx, "IDCODE mismatch");
+                            self.finish(cycle, Some(IcapAbort::IdcodeMismatch));
                         }
                     }
                     ConfigReg::Far => {
@@ -289,10 +311,10 @@ impl Icap {
                         if word == computed {
                             self.crc_ok = true;
                         } else {
-                            self.abort(ctx, "CRC mismatch");
+                            self.finish(cycle, Some(IcapAbort::CrcMismatch));
                         }
                     }
-                    ConfigReg::Fdri => self.consume_payload_word(ctx, word),
+                    ConfigReg::Fdri => self.consume_payload_word(cycle, word),
                 }
             }
             State::FdriData { remaining } => {
@@ -304,7 +326,7 @@ impl Icap {
                 } else {
                     State::Synced
                 };
-                self.consume_payload_word(ctx, word);
+                self.consume_payload_word(cycle, word);
             }
         }
     }
@@ -315,12 +337,12 @@ impl Component for Icap {
         &self.name
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         // One 32-bit word per cycle — the ICAP's physical rate.
         if let Some(beat) = self.input.try_pop(ctx.cycle) {
             debug_assert!(beat.bytes == 4, "ICAP port is 32 bits wide");
             self.shared.borrow_mut().words_consumed += 1;
-            self.process_word(ctx, beat.low_word());
+            self.process_word(ctx.cycle, beat.low_word());
         }
     }
 
@@ -377,10 +399,11 @@ impl Component for Icap {
             sh.records
                 .iter()
                 .map(|r| {
-                    let mut rec = StateBlob::new("fabric.load_record", 1);
+                    let mut rec = StateBlob::new("fabric.load_record", 2);
                     rec.put_u64("far_start", u64::from(r.far_start));
                     rec.put_u64("frames", r.frames as u64);
                     rec.put_bool("crc_ok", r.crc_ok);
+                    rec.put_str("abort", r.abort.map_or("none", IcapAbort::name));
                     rec.put_u64("finished_at", r.finished_at);
                     StateValue::Blob(Box::new(rec))
                 })
@@ -418,11 +441,23 @@ impl Component for Icap {
         let mut records = Vec::new();
         for v in state.get_list("records")? {
             let rec = v.as_blob("fabric.icap")?;
-            rec.expect("fabric.load_record", 1)?;
+            rec.expect("fabric.load_record", 2)?;
+            let abort = match rec.get_str("abort")? {
+                "none" => None,
+                name => Some(
+                    IcapAbort::ALL
+                        .into_iter()
+                        .find(|a| a.name() == name)
+                        .ok_or_else(|| {
+                            rec.structure_error(format!("unknown abort reason {name}"))
+                        })?,
+                ),
+            };
             records.push(LoadRecord {
                 far_start: rec.get_u32("far_start")?,
                 frames: rec.get_u64("frames")? as usize,
                 crc_ok: rec.get_bool("crc_ok")?,
+                abort,
                 finished_at: rec.get_u64("finished_at")?,
             });
         }
@@ -481,6 +516,7 @@ mod tests {
         r.sim.run_until_quiescent(100_000).unwrap();
         let rec = r.handle.last_load().unwrap();
         assert!(rec.crc_ok);
+        assert_eq!(rec.abort, None);
         assert_eq!(rec.far_start, 100);
         assert_eq!(rec.frames, 4);
         assert_eq!(r.cm.range_hash(100, 4), Some(img.hash()));
@@ -514,6 +550,7 @@ mod tests {
         r.sim.run_until_quiescent(100_000).unwrap();
         let rec = r.handle.last_load().unwrap();
         assert!(!rec.crc_ok);
+        assert_eq!(rec.abort, Some(IcapAbort::CrcMismatch));
         assert_eq!(r.handle.abort_count(), 1);
         // Frames were written (corrupt content) but the range hash no
         // longer matches the image — the RP will not activate it.
@@ -529,7 +566,27 @@ mod tests {
         r.sim.run_until_quiescent(100_000).unwrap();
         assert_eq!(r.handle.abort_count(), 1);
         assert_eq!(r.cm.total_writes(), 0);
-        assert!(!r.handle.last_load().unwrap().crc_ok);
+        let rec = r.handle.last_load().unwrap();
+        assert!(!rec.crc_ok);
+        assert_eq!(rec.abort, Some(IcapAbort::IdcodeMismatch));
+    }
+
+    #[test]
+    fn malformed_header_aborts() {
+        let mut r = rig();
+        let img = RmImage::synthesize("m", 2, Resources::ZERO);
+        let bs = BitstreamBuilder::kintex7().partial(0, &img.payload);
+        // The first header after the sync word: type 0 is no packet.
+        let mut words = bs.words().to_vec();
+        words[1] = 0;
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        feed(&mut r, &bytes);
+        r.sim.run_until_quiescent(100_000).unwrap();
+        assert_eq!(r.handle.abort_count(), 1);
+        assert_eq!(r.cm.total_writes(), 0);
+        let rec = r.handle.last_load().unwrap();
+        assert!(!rec.crc_ok);
+        assert_eq!(rec.abort, Some(IcapAbort::MalformedHeader));
     }
 
     #[test]
@@ -541,8 +598,27 @@ mod tests {
         feed(&mut r, &bs.to_bytes());
         r.sim.run_until_quiescent(100_000).unwrap();
         assert_eq!(r.handle.abort_count(), 1);
+        assert_eq!(
+            r.handle.last_load().unwrap().abort,
+            Some(IcapAbort::FarOutOfRange)
+        );
         // Exactly one frame fit before the range check tripped.
         assert_eq!(r.cm.total_writes(), 1);
+    }
+
+    #[test]
+    fn abort_reason_survives_checkpoint_and_restore() {
+        let mut r = rig();
+        let img = RmImage::synthesize("m", 2, Resources::ZERO);
+        let bs = BitstreamBuilder::new(0x0BAD_0001).partial(0, &img.payload);
+        feed(&mut r, &bs.to_bytes());
+        r.sim.run_until_quiescent(100_000).unwrap();
+        let state = r.sim.checkpoint().unwrap();
+        let mut fresh = rig();
+        fresh.sim.restore(&state).unwrap();
+        let recs = fresh.handle.records();
+        assert_eq!(recs, r.handle.records());
+        assert_eq!(recs[0].abort, Some(IcapAbort::IdcodeMismatch));
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod rp;
 pub use bitstream::{Bitstream, BitstreamBuilder, BitstreamError, ParsedBitstream};
 pub use config_mem::{ConfigMem, FRAME_WORDS};
 pub use host::RmHost;
-pub use icap::{Icap, IcapHandle, LoadRecord};
+pub use icap::{Icap, IcapAbort, IcapHandle, LoadRecord};
 pub use resources::{ResourceReport, Resources};
 pub use rm::{RmBehavior, RmImage, RmLibrary};
 pub use rp::{Rp, RpGeometry};

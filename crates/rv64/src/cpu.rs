@@ -93,30 +93,15 @@ impl Bus for LinearMemory {
     }
 }
 
-/// Pipeline timing parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct Timing {
-    /// Redirect penalty for taken branches (mispredicted exits).
-    pub branch_taken: u64,
-    /// Redirect penalty for jal/jalr.
-    pub jump: u64,
-    /// Extra cycles for mul.
-    pub mul: u64,
-    /// Extra cycles for div/rem.
-    pub div: u64,
-}
-
-impl Default for Timing {
-    fn default() -> Self {
-        // CVA6-flavoured defaults.
-        Timing {
-            branch_taken: 5,
-            jump: 2,
-            mul: 2,
-            div: 20,
-        }
-    }
-}
+// Pipeline timing, CVA6-flavoured.
+/// Redirect penalty for taken branches (mispredicted exits).
+const BRANCH_TAKEN_CYCLES: u64 = 5;
+/// Redirect penalty for jal/jalr.
+const JUMP_CYCLES: u64 = 2;
+/// Extra cycles for mul.
+const MUL_CYCLES: u64 = 2;
+/// Extra cycles for div/rem.
+const DIV_CYCLES: u64 = 20;
 
 /// Why a run stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,7 +178,6 @@ pub struct Cpu {
     pub csrs: Csrs,
     /// Interrupts taken.
     pub interrupts_taken: u64,
-    timing: Timing,
     program_base: u64,
     /// One past the last byte of the program (for the store-overlap
     /// check on icache invalidation).
@@ -217,19 +201,12 @@ impl Cpu {
             cycles: 0,
             csrs: Csrs::default(),
             interrupts_taken: 0,
-            timing: Timing::default(),
             program_base: base,
             program_end: base + 4 * program.len() as u64,
             icache: vec![IcLine::Empty; program.len()],
             icache_enabled: true,
             program,
         }
-    }
-
-    /// Override the timing parameters.
-    pub fn with_timing(mut self, timing: Timing) -> Self {
-        self.timing = timing;
-        self
     }
 
     /// Enable or disable the predecoded icache (enabled by default).
@@ -360,7 +337,7 @@ impl Cpu {
         self.pc = self.csrs.mtvec & !3;
         self.interrupts_taken += 1;
         // Redirect cost: like a mispredicted branch plus CSR writes.
-        self.cycles += self.timing.branch_taken + 2;
+        self.cycles += BRANCH_TAKEN_CYCLES + 2;
     }
 
     fn interrupts_enabled(&self) -> bool {
@@ -396,13 +373,13 @@ impl Cpu {
                 Insn::Jal { rd, imm } => {
                     self.set_reg(rd, next_pc);
                     next_pc = self.pc.wrapping_add(imm as i64 as u64);
-                    self.cycles += self.timing.jump;
+                    self.cycles += JUMP_CYCLES;
                 }
                 Insn::Jalr { rd, rs1, imm } => {
                     let t = self.reg(rs1).wrapping_add(imm as i64 as u64) & !1;
                     self.set_reg(rd, next_pc);
                     next_pc = t;
-                    self.cycles += self.timing.jump;
+                    self.cycles += JUMP_CYCLES;
                 }
                 Insn::Branch {
                     cond,
@@ -422,7 +399,7 @@ impl Cpu {
                     };
                     if taken {
                         next_pc = self.pc.wrapping_add(imm as i64 as u64);
-                        self.cycles += self.timing.branch_taken;
+                        self.cycles += BRANCH_TAKEN_CYCLES;
                     }
                 }
                 Insn::Load {
@@ -491,8 +468,8 @@ impl Cpu {
                     let b = self.reg(rs2);
                     let v = muldiv(op, a, b, word);
                     self.cycles += match op {
-                        MulOp::Mul | MulOp::Mulhu => self.timing.mul,
-                        _ => self.timing.div,
+                        MulOp::Mul | MulOp::Mulhu => MUL_CYCLES,
+                        _ => DIV_CYCLES,
                     };
                     self.set_reg(rd, v);
                 }
@@ -524,7 +501,7 @@ impl Cpu {
                     }
                     self.csrs.mstatus |= MSTATUS_MPIE;
                     next_pc = self.csrs.mepc;
-                    self.cycles += self.timing.jump + 2;
+                    self.cycles += JUMP_CYCLES + 2;
                 }
                 Insn::Wfi => {
                     // Stall (advancing the outside world) until an

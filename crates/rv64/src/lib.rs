@@ -34,6 +34,6 @@ pub mod disasm;
 pub mod insn;
 
 pub use asm::{assemble, AsmError};
-pub use cpu::{Bus, Cpu, LinearMemory, RunExit, RunResult, Timing};
+pub use cpu::{Bus, Cpu, LinearMemory, RunExit, RunResult};
 pub use disasm::{disasm, disasm_program};
 pub use insn::{decode, encode, Insn, Reg};

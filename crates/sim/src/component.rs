@@ -2,27 +2,16 @@
 
 use crate::state::{StateBlob, StateError};
 use crate::time::Cycle;
-use crate::trace::Tracer;
 use crate::wake::Waker;
 
 /// Context handed to every component on every tick.
 ///
-/// Carries the current cycle and a shared tracer. Kept deliberately
-/// small — components communicate through the [`crate::Fifo`]s and
-/// [`crate::Signal`]s they were wired with at construction time, not
-/// through the context.
-pub struct TickCtx<'a> {
+/// Carries only the current cycle — components communicate through
+/// the [`crate::Fifo`]s and [`crate::Signal`]s they were wired with at
+/// construction time, not through the context.
+pub struct TickCtx {
     /// The cycle being simulated (starts at 0).
     pub cycle: Cycle,
-    /// Shared trace sink.
-    pub tracer: &'a Tracer,
-}
-
-impl<'a> TickCtx<'a> {
-    /// Record a debug-level trace event attributed to `who`.
-    pub fn trace(&self, who: &str, msg: impl FnOnce() -> String) {
-        self.tracer.debug(self.cycle, who, msg);
-    }
 }
 
 /// A clocked hardware block.
@@ -54,11 +43,11 @@ impl<'a> TickCtx<'a> {
 ///   follow the component's state, not just the cycle number: a timer
 ///   that fired at `now` must not still answer `now` once it has.
 pub trait Component {
-    /// Stable instance name for traces and diagnostics.
+    /// Stable instance name for diagnostics and kernel statistics.
     fn name(&self) -> &str;
 
     /// Advance one clock cycle.
-    fn tick(&mut self, ctx: &mut TickCtx<'_>);
+    fn tick(&mut self, ctx: &mut TickCtx);
 
     /// True when the component has in-flight work.
     ///
@@ -150,24 +139,6 @@ pub trait Component {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Tracer;
-
-    struct Countdown {
-        name: String,
-        remaining: u32,
-    }
-
-    impl Component for Countdown {
-        fn name(&self) -> &str {
-            &self.name
-        }
-        fn tick(&mut self, _ctx: &mut TickCtx<'_>) {
-            self.remaining = self.remaining.saturating_sub(1);
-        }
-        fn busy(&self) -> bool {
-            self.remaining > 0
-        }
-    }
 
     #[test]
     fn default_busy_is_false() {
@@ -176,27 +147,8 @@ mod tests {
             fn name(&self) -> &str {
                 "idle"
             }
-            fn tick(&mut self, _ctx: &mut TickCtx<'_>) {}
+            fn tick(&mut self, _ctx: &mut TickCtx) {}
         }
         assert!(!Idle.busy());
-    }
-
-    #[test]
-    fn tick_ctx_traces_through() {
-        let tracer = Tracer::new(crate::trace::TraceLevel::Debug, 16);
-        let mut ctx = TickCtx {
-            cycle: 3,
-            tracer: &tracer,
-        };
-        let mut c = Countdown {
-            name: "cd".into(),
-            remaining: 2,
-        };
-        assert!(c.busy());
-        ctx.trace("cd", || "ticking".into());
-        c.tick(&mut ctx);
-        c.tick(&mut ctx);
-        assert!(!c.busy());
-        assert_eq!(tracer.events().len(), 1);
     }
 }

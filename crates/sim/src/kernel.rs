@@ -8,7 +8,6 @@ use crate::sanitizer::{Sanitizer, StuckChannel};
 use crate::state::{ComponentState, KernelCounters, SimState, StateError};
 use crate::stats::{ComponentStats, KernelStats, MmioAudit};
 use crate::time::{Cycle, Freq};
-use crate::trace::{TraceEvent, TraceLevel, Tracer};
 use crate::wake::{BitSet, WakeHub};
 
 /// Identifies a registered component within a [`Simulator`].
@@ -22,7 +21,8 @@ pub struct ComponentId(usize);
 /// simulation is a *model* or *driver* bug the caller may want to
 /// report (fault-injection tests exercise exactly this), and the
 /// report carries everything needed to debug it — where the clock
-/// stopped, who still claimed work, and the tail of the trace.
+/// stopped, who still claimed work, and the violation counts and
+/// stuck-channel evidence recorded up to the stall.
 #[derive(Debug, Clone)]
 pub struct StallReport {
     /// Cycle at which the run gave up.
@@ -33,11 +33,10 @@ pub struct StallReport {
     pub limit: Cycle,
     /// Names of components still reporting [`Component::busy`].
     pub busy: Vec<String>,
-    /// Most recent trace events (empty when tracing is off).
-    pub trace_tail: Vec<TraceEvent>,
-    /// MMIO protocol violations recorded by register-mapped devices at
-    /// the time of the stall — a wrong-register access is a common way
-    /// to hang a driver poll loop.
+    /// Register-policy violations recorded by register-mapped devices
+    /// at the time of the stall — a wrong-register access is a common
+    /// way to hang a driver poll loop. Sanitizer violations are counted
+    /// separately in `protocol_violations`, never here.
     pub mmio_violations: u64,
     /// Bus/stream protocol violations recorded by the attached
     /// sanitizer (zero when no sanitizer is attached).
@@ -80,20 +79,11 @@ impl std::fmt::Display for StallReport {
                 s.name, s.since, s.occupancy
             )?;
         }
-        if !self.trace_tail.is_empty() {
-            writeln!(f, "; trace tail:")?;
-            for e in &self.trace_tail {
-                writeln!(f, "  [{:>10}] {:<16} {}", e.cycle, e.source, e.message)?;
-            }
-        }
         Ok(())
     }
 }
 
 impl std::error::Error for StallReport {}
-
-/// How many trailing trace events a [`StallReport`] carries.
-const STALL_TRACE_TAIL: usize = 16;
 
 // Dense-window rule of [`Scheduler::ActiveSet`] (DESIGN.md §2.2; cost
 // model in §2.3). A window costs about one no-op tick per registered
@@ -200,7 +190,6 @@ pub struct Simulator {
     freq: Freq,
     cycle: Cycle,
     components: Vec<Box<dyn Component>>,
-    tracer: Tracer,
     scheduler: Scheduler,
     /// Per-component executed-tick counts (parallel to `components`).
     /// Skipped-cycle counts are not tracked eagerly: a component has
@@ -263,13 +252,12 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Create a simulator with a clock frequency and no tracing.
+    /// Create a simulator with a clock frequency.
     pub fn new(freq: Freq) -> Self {
         Simulator {
             freq,
             cycle: 0,
             components: Vec::new(),
-            tracer: Tracer::off(),
             scheduler: Scheduler::ActiveSet,
             ticks: Vec::new(),
             registered_at: Vec::new(),
@@ -291,14 +279,6 @@ impl Simulator {
         }
     }
 
-    /// Create a simulator that records a bounded trace.
-    pub fn with_tracing(freq: Freq, level: TraceLevel, capacity: usize) -> Self {
-        Simulator {
-            tracer: Tracer::new(level, capacity),
-            ..Simulator::new(freq)
-        }
-    }
-
     /// The clock frequency.
     pub fn freq(&self) -> Freq {
         self.freq
@@ -307,11 +287,6 @@ impl Simulator {
     /// The current cycle (number of completed ticks).
     pub fn now(&self) -> Cycle {
         self.cycle
-    }
-
-    /// Shared trace sink.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// Register a component; it participates in the schedule from the
@@ -415,8 +390,7 @@ impl Simulator {
     /// brackets every tick loop with the sanitizer's cycle hooks so it
     /// can distinguish ticked-component traffic (subject to the
     /// one-op-per-cycle rate rule) from host-driver traffic, and folds
-    /// its verdict into [`Simulator::mmio_audit`], [`StallReport`] and
-    /// [`KernelStats`].
+    /// its verdict into [`Simulator::mmio_audit`] and [`StallReport`].
     pub fn attach_sanitizer(&mut self, sanitizer: Sanitizer) {
         sanitizer.set_now(self.cycle);
         self.sanitizer = Some(sanitizer);
@@ -589,10 +563,7 @@ impl Simulator {
     /// One cycle of the reference schedule: tick everything.
     fn step_naive(&mut self) {
         let now = self.cycle;
-        let mut ctx = TickCtx {
-            cycle: now,
-            tracer: &self.tracer,
-        };
+        let mut ctx = TickCtx { cycle: now };
         if let Some(s) = &self.sanitizer {
             s.begin_cycle(now);
         }
@@ -787,10 +758,7 @@ impl Simulator {
                     continue;
                 }
             }
-            let mut ctx = TickCtx {
-                cycle: now,
-                tracer: &self.tracer,
-            };
+            let mut ctx = TickCtx { cycle: now };
             if self.profiling {
                 let t0 = std::time::Instant::now();
                 c.tick(&mut ctx);
@@ -890,8 +858,6 @@ impl Simulator {
 
     /// Build the diagnostic for a limit-exhausted run.
     fn stall_report(&self, start: Cycle, limit: Cycle) -> StallReport {
-        let events = self.tracer.events();
-        let tail_from = events.len().saturating_sub(STALL_TRACE_TAIL);
         let (protocol_violations, stuck_channels) = match &self.sanitizer {
             // "Stuck" = no event for at least half the exhausted
             // limit: long enough to rule out ordinary backpressure,
@@ -912,8 +878,7 @@ impl Simulator {
                 .filter(|c| c.busy())
                 .map(|c| c.name().to_string())
                 .collect(),
-            trace_tail: events[tail_from..].to_vec(),
-            mmio_violations: self.mmio_audit().violations(),
+            mmio_violations: self.register_audit().violations(),
             protocol_violations,
             stuck_channels,
         }
@@ -924,14 +889,19 @@ impl Simulator {
     /// [`MmioAudit::protocol`] — one `violations() == 0` assertion
     /// covers register policy and bus protocol alike.
     pub fn mmio_audit(&self) -> MmioAudit {
-        let mut total = MmioAudit::default();
-        for c in &self.components {
-            if let Some(a) = c.mmio_audit() {
-                total.merge(&a);
-            }
-        }
+        let mut total = self.register_audit();
         if let Some(s) = &self.sanitizer {
             total.protocol += s.violation_count();
+        }
+        total
+    }
+
+    /// The register-mapped devices' audits merged, without the
+    /// sanitizer's count.
+    fn register_audit(&self) -> MmioAudit {
+        let mut total = MmioAudit::default();
+        for a in self.components.iter().filter_map(|c| c.mmio_audit()) {
+            total.merge(&a);
         }
         total
     }
@@ -952,8 +922,6 @@ impl Simulator {
             jumps: self.jumps,
             jumped_cycles: self.jumped_cycles,
             dense_cycles: self.dense_cycles,
-            protocol_violations: self.sanitizer.as_ref().map_or(0, |s| s.violation_count()),
-            profiled: self.profiling,
             components: self
                 .components
                 .iter()
@@ -964,7 +932,6 @@ impl Simulator {
                     ticks_executed: ticks,
                     cycles_skipped: (self.cycle - registered) - ticks,
                     host_ns: self.host_ns[idx],
-                    audit: c.mmio_audit(),
                 })
                 .collect(),
         }
@@ -987,7 +954,7 @@ mod tests {
         fn name(&self) -> &str {
             "producer"
         }
-        fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+        fn tick(&mut self, ctx: &mut TickCtx) {
             if self.remaining > 0 && self.out.try_push(ctx.cycle, self.remaining).is_ok() {
                 self.remaining -= 1;
             }
@@ -1025,7 +992,7 @@ mod tests {
         fn name(&self) -> &str {
             "consumer"
         }
-        fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+        fn tick(&mut self, ctx: &mut TickCtx) {
             if self.input.try_pop(ctx.cycle).is_some() {
                 self.seen.set(self.seen.get() + 1);
             }
@@ -1077,7 +1044,7 @@ mod tests {
         fn name(&self) -> &str {
             "timer"
         }
-        fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+        fn tick(&mut self, ctx: &mut TickCtx) {
             if ctx.cycle.is_multiple_of(self.period) {
                 self.fired += 1;
                 self.last_fire = Some(ctx.cycle);
@@ -1152,18 +1119,16 @@ mod tests {
     }
 
     #[test]
-    fn stall_report_names_busy_components_and_trace_tail() {
-        let mut sim = Simulator::with_tracing(Freq::FABRIC_100MHZ, TraceLevel::Debug, 64);
+    fn stall_report_names_busy_components() {
+        let mut sim = Simulator::new(Freq::FABRIC_100MHZ);
         // A producer into a FIFO nobody drains: fills up and stays busy.
         let chan = Fifo::new("p2c", 2);
         sim.register(Box::new(Producer {
             out: chan.clone(),
             remaining: 50,
         }));
-        sim.tracer().debug(0, "test", || "stall incoming".into());
         let err = sim.run_until_quiescent(20).unwrap_err();
         assert_eq!(err.busy, vec!["producer".to_string()]);
-        assert!(err.trace_tail.iter().any(|e| e.message == "stall incoming"));
         assert!(err.to_string().contains("busy: producer"));
     }
 
@@ -1249,7 +1214,7 @@ mod tests {
             fn name(&self) -> &str {
                 "nohint"
             }
-            fn tick(&mut self, _ctx: &mut TickCtx<'_>) {}
+            fn tick(&mut self, _ctx: &mut TickCtx) {}
         }
         let mut sim = Simulator::new(Freq::FABRIC_100MHZ);
         sim.register(Box::new(NoHint));
@@ -1269,28 +1234,29 @@ mod tests {
         assert_eq!(sim.now(), 12_345);
     }
 
-    #[test]
-    fn sanitizer_catches_force_push_misuse_from_ticked_code() {
-        use crate::sanitizer::{ChannelKind, Sanitizer, ViolationKind};
+    /// A buggy producer that force-pushes two items per tick,
+    /// bypassing the FIFO's own rate limit.
+    struct DoublePusher {
+        out: Fifo<u64>,
+        remaining: u64,
+    }
+    impl Component for DoublePusher {
+        fn name(&self) -> &str {
+            "doubler"
+        }
+        fn tick(&mut self, _ctx: &mut TickCtx) {
+            if self.remaining > 0 {
+                self.out.force_push(1);
+                self.out.force_push(2);
+                self.remaining -= 1;
+            }
+        }
+    }
 
-        /// A buggy producer that force-pushes two items per tick,
-        /// bypassing the FIFO's own rate limit.
-        struct DoublePusher {
-            out: Fifo<u64>,
-            remaining: u64,
-        }
-        impl Component for DoublePusher {
-            fn name(&self) -> &str {
-                "doubler"
-            }
-            fn tick(&mut self, _ctx: &mut TickCtx<'_>) {
-                if self.remaining > 0 {
-                    self.out.force_push(1);
-                    self.out.force_push(2);
-                    self.remaining -= 1;
-                }
-            }
-        }
+    /// A simulator whose one `DoublePusher` makes three multi-push
+    /// violations on a sanitized channel during its first three ticks.
+    fn double_pusher_rig() -> (Simulator, Fifo<u64>, crate::sanitizer::Sanitizer) {
+        use crate::sanitizer::{ChannelKind, Sanitizer};
 
         let mut sim = Simulator::new(Freq::FABRIC_100MHZ);
         let chan: Fifo<u64> = Fifo::new("hot", 16);
@@ -1301,15 +1267,33 @@ mod tests {
             remaining: 3,
         }));
         sim.attach_sanitizer(san.clone());
+        (sim, chan, san)
+    }
+
+    #[test]
+    fn sanitizer_catches_force_push_misuse_from_ticked_code() {
+        use crate::sanitizer::ViolationKind;
+
+        let (mut sim, chan, san) = double_pusher_rig();
         sim.step_n(5);
         assert_eq!(san.count_of(ViolationKind::MultiPush), 3);
-        assert_eq!(sim.kernel_stats().protocol_violations, 3);
         assert_eq!(sim.mmio_audit().protocol, 3);
-        assert_ne!(sim.mmio_audit().violations(), 0);
+        assert_eq!(sim.mmio_audit().violations(), 3);
         // Host-context pushes between steps stay exempt.
         chan.force_push(7);
         chan.force_push(8);
         assert_eq!(san.violation_count(), 3);
+    }
+
+    #[test]
+    fn stall_report_counts_each_violation_once() {
+        let (mut sim, _chan, _san) = double_pusher_rig();
+        let err = sim.run_until(20, || false).unwrap_err();
+        assert_eq!(err.protocol_violations, 3);
+        assert_eq!(err.mmio_violations, 0, "no register-policy violation");
+        let msg = err.to_string();
+        assert!(msg.contains("3 protocol violations"), "got: {msg}");
+        assert!(!msg.contains("MMIO violations"), "got: {msg}");
     }
 
     #[test]
@@ -1364,8 +1348,6 @@ mod tests {
             let (now_u, seen_u, stats_u) = run(false);
             assert_eq!(now_p, now_u, "{scheduler:?}: cycle counts identical");
             assert_eq!(seen_p, seen_u);
-            assert!(stats_p.profiled);
-            assert!(!stats_u.profiled);
             assert_eq!(stats_u.total_host_ns(), 0, "disabled mode records nothing");
             assert!(
                 stats_p.total_host_ns() > 0,
@@ -1660,7 +1642,7 @@ mod tests {
             fn name(&self) -> &str {
                 "opaque"
             }
-            fn tick(&mut self, _ctx: &mut TickCtx<'_>) {}
+            fn tick(&mut self, _ctx: &mut TickCtx) {}
         }
         let mut sim = Simulator::new(Freq::FABRIC_100MHZ);
         sim.register(Box::new(Opaque));

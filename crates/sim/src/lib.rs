@@ -27,12 +27,11 @@
 //!   by [`kernel::Simulator::checkpoint`].
 //! * [`replay`] — divergence bisection between two runs forked from a
 //!   shared checkpoint ([`replay::bisect_divergence`]).
-//! * [`trace`] — a lightweight bounded event trace for debugging and
-//!   for the waveform-style dumps used in the examples.
 //! * [`vcd`] — value-change-dump recording: real waveforms (GTKWave-
 //!   compatible) from any signal or FIFO in the system.
 //! * [`stats`] — the kernel's work accounting ([`stats::KernelStats`])
-//!   and per-device MMIO audits.
+//!   and per-device MMIO audits ([`stats::MmioAudit`], merged with the
+//!   sanitizer's count by [`kernel::Simulator::mmio_audit`]).
 //!
 //! ## Determinism
 //!
@@ -76,7 +75,6 @@ pub mod signal;
 pub mod state;
 pub mod stats;
 pub mod time;
-pub mod trace;
 pub mod vcd;
 pub mod wake;
 
@@ -94,6 +92,5 @@ pub use state::{
 };
 pub use stats::{ComponentStats, KernelStats, MmioAudit};
 pub use time::{Cycle, Freq};
-pub use trace::{TraceEvent, TraceLevel, Tracer};
 pub use vcd::{VcdHandle, VcdRecorder};
 pub use wake::Waker;

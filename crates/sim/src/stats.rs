@@ -5,8 +5,8 @@ use crate::time::Cycle;
 /// MMIO access accounting for one register-mapped device.
 ///
 /// Populated by components that decode bus traffic through a typed
-/// register map (see `rvcap-axi`'s `regmap` module) and surfaced
-/// through [`ComponentStats`] / [`KernelStats`]. The first two
+/// register map (see `rvcap-axi`'s `regmap` module) and merged by
+/// [`crate::Simulator::mmio_audit`], the one roll-up. The first two
 /// counters are plain traffic; the rest are protocol violations the
 /// device answered with a bus error instead of silently absorbing.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -78,8 +78,6 @@ pub struct ComponentStats {
     /// Host nanoseconds spent inside this component's `tick` calls. Accumulated only while profiling is enabled
     /// ([`crate::Simulator::set_profiling`]); zero otherwise.
     pub host_ns: u64,
-    /// MMIO access audit, for components that decode a register map.
-    pub audit: Option<MmioAudit>,
 }
 
 impl ComponentStats {
@@ -113,12 +111,6 @@ pub struct KernelStats {
     /// Cycles the active set ran inside dense windows, where every
     /// component ticks (always zero under the naive reference).
     pub dense_cycles: Cycle,
-    /// Bus/stream protocol violations recorded by the attached
-    /// sanitizer (zero when no sanitizer is attached).
-    pub protocol_violations: u64,
-    /// Whether per-component host-time profiling was enabled at
-    /// snapshot time (the `host_ns` fields are meaningful only then).
-    pub profiled: bool,
     /// Per-component counters, in registration order.
     pub components: Vec<ComponentStats>,
 }
@@ -132,24 +124,6 @@ impl KernelStats {
     /// Total skipped component-cycles across all components.
     pub fn total_skipped(&self) -> u64 {
         self.components.iter().map(|c| c.cycles_skipped).sum()
-    }
-
-    /// Total MMIO protocol violations across every audited component.
-    pub fn total_mmio_violations(&self) -> u64 {
-        self.components
-            .iter()
-            .filter_map(|c| c.audit.as_ref())
-            .map(|a| a.violations())
-            .sum()
-    }
-
-    /// Merged MMIO audit across every audited component.
-    pub fn mmio_audit(&self) -> MmioAudit {
-        let mut total = MmioAudit::default();
-        for a in self.components.iter().filter_map(|c| c.audit.as_ref()) {
-            total.merge(a);
-        }
-        total
     }
 
     /// Total profiled host nanoseconds across all components (zero
@@ -241,29 +215,6 @@ impl KernelStats {
                 c.utilization_pct(),
             ));
         }
-        let audit = self.mmio_audit();
-        if audit != MmioAudit::default() {
-            out.push_str(&format!(
-                "  mmio: {} reads / {} writes, {} violations \
-                 (unmapped {}, misaligned {}, ro-writes {}, wo-reads {}, \
-                 overwide {}, bursts {})\n",
-                audit.reads,
-                audit.writes,
-                audit.violations(),
-                audit.unmapped,
-                audit.misaligned,
-                audit.ro_writes,
-                audit.wo_reads,
-                audit.overwide,
-                audit.bursts,
-            ));
-        }
-        if self.protocol_violations > 0 {
-            out.push_str(&format!(
-                "  sanitizer: {} protocol violations\n",
-                self.protocol_violations,
-            ));
-        }
         out
     }
 }
@@ -294,63 +245,12 @@ mod tests {
     }
 
     #[test]
-    fn kernel_stats_aggregate_audits() {
-        let stats = KernelStats {
-            cycles: 100,
-            fast_forward: true,
-            jumps: 0,
-            jumped_cycles: 0,
-            dense_cycles: 0,
-            protocol_violations: 0,
-            profiled: false,
-            components: vec![
-                ComponentStats {
-                    name: "a".into(),
-                    ticks_executed: 100,
-                    cycles_skipped: 0,
-                    host_ns: 0,
-                    audit: Some(MmioAudit {
-                        reads: 4,
-                        unmapped: 2,
-                        ..MmioAudit::default()
-                    }),
-                },
-                ComponentStats {
-                    name: "b".into(),
-                    ticks_executed: 100,
-                    cycles_skipped: 0,
-                    host_ns: 0,
-                    audit: None,
-                },
-                ComponentStats {
-                    name: "c".into(),
-                    ticks_executed: 100,
-                    cycles_skipped: 0,
-                    host_ns: 0,
-                    audit: Some(MmioAudit {
-                        writes: 7,
-                        ro_writes: 1,
-                        ..MmioAudit::default()
-                    }),
-                },
-            ],
-        };
-        assert_eq!(stats.total_mmio_violations(), 3);
-        let merged = stats.mmio_audit();
-        assert_eq!(merged.reads, 4);
-        assert_eq!(merged.writes, 7);
-        let rendered = stats.render();
-        assert!(rendered.contains("violations"), "{rendered}");
-    }
-
-    #[test]
     fn tick_cost_table_sorts_descending_and_shares_sum() {
         let mk = |name: &str, ticks: u64, host_ns: u64| ComponentStats {
             name: name.into(),
             ticks_executed: ticks,
             cycles_skipped: 0,
             host_ns,
-            audit: None,
         };
         let stats = KernelStats {
             cycles: 1000,
@@ -358,8 +258,6 @@ mod tests {
             jumps: 0,
             jumped_cycles: 0,
             dense_cycles: 0,
-            protocol_violations: 0,
-            profiled: true,
             components: vec![
                 mk("cold", 10, 1_000),
                 mk("hot", 1000, 9_000_000),
@@ -374,7 +272,6 @@ mod tests {
         assert!(!table.contains("idle"), "zero-time rows elided:\n{table}");
         // Unprofiled stats render nothing.
         let empty = KernelStats {
-            profiled: false,
             components: vec![mk("a", 5, 0)],
             ..stats
         };

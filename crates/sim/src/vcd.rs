@@ -135,7 +135,7 @@ impl Component for VcdRecorder {
         &self.name
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         if !self.started {
             self.emit_header();
             self.started = true;

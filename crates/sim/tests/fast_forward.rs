@@ -45,7 +45,7 @@ impl Component for Scripted {
         &self.name
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         if self.schedule.contains(&ctx.cycle) {
             self.executed.borrow_mut().push(ctx.cycle);
         }

@@ -46,7 +46,7 @@ impl Component for Source {
         &self.name
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         if self.remaining == 0 || ctx.cycle < self.next_push {
             return;
         }
@@ -90,7 +90,7 @@ impl Component for Stage {
         &self.name
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         if let Some((ready, v)) = self.holding {
             if ctx.cycle >= ready && self.output.try_push(ctx.cycle, v).is_ok() {
                 self.holding = None;
@@ -143,7 +143,7 @@ impl Component for Sink {
         &self.name
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         if ctx.cycle >= self.next_pop {
             if let Some(v) = self.input.try_pop(ctx.cycle) {
                 self.log.borrow_mut().push((ctx.cycle, v));

@@ -147,7 +147,7 @@ impl Component for Clint {
         &self.name
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         let cycle = ctx.cycle;
         let mtime = self.mtime_at(cycle);
         let cmp = self.shared.borrow().mtimecmp;

@@ -29,23 +29,11 @@ use rvcap_sim::{Cycle, Simulator, StallReport};
 use crate::ddr::DdrHandle;
 use crate::map::is_cacheable;
 
-/// Pipeline cost of a non-cacheable access, outside the bus itself.
-#[derive(Debug, Clone, Copy)]
-pub struct CpuTiming {
-    /// Cycles to drain/issue before the request hits the bus.
-    pub issue: Cycle,
-    /// Cycles to retire after the response.
-    pub retire: Cycle,
-}
-
-impl Default for CpuTiming {
-    fn default() -> Self {
-        CpuTiming {
-            issue: 4,
-            retire: 2,
-        }
-    }
-}
+/// Pipeline cost of a non-cacheable access outside the bus itself:
+/// cycles to drain and issue before the request hits the bus.
+const ISSUE_CYCLES: Cycle = 4;
+/// Cycles to retire a non-cacheable access after its response.
+const RETIRE_CYCLES: Cycle = 2;
 
 /// A bus error surfaced to driver code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,7 +56,6 @@ pub struct SocCore {
     /// The simulator owning every registered component.
     pub sim: Simulator,
     port: MasterPort,
-    timing: CpuTiming,
     mmio_reads: u64,
     mmio_writes: u64,
 }
@@ -82,16 +69,9 @@ impl SocCore {
         SocCore {
             sim,
             port,
-            timing: CpuTiming::default(),
             mmio_reads: 0,
             mmio_writes: 0,
         }
-    }
-
-    /// Override CPU access timing.
-    pub fn with_timing(mut self, timing: CpuTiming) -> Self {
-        self.timing = timing;
-        self
     }
 
     /// Current simulated cycle.
@@ -127,7 +107,7 @@ impl SocCore {
 
     fn transact(&mut self, req: MmReq) -> Result<MmResp, BusError> {
         let addr = req.addr;
-        self.sim.step_n(self.timing.issue);
+        self.sim.step_n(ISSUE_CYCLES);
         // Enqueue (retrying while the port is full).
         let mut req = req;
         loop {
@@ -154,7 +134,7 @@ impl SocCore {
             panic!("MMIO to {addr:#x} never completed: {report}");
         }
         let resp = resp_fifo.force_pop().expect("response checked non-empty");
-        self.sim.step_n(self.timing.retire);
+        self.sim.step_n(RETIRE_CYCLES);
         if resp.error {
             return Err(BusError { addr });
         }
@@ -202,10 +182,8 @@ impl SocCore {
     /// request FIFO is saved by the crossbar that consumes it) and the
     /// MMIO operation counters.
     pub fn checkpoint(&self) -> Result<SocState, StateError> {
-        let mut cpu = StateBlob::new("soc.cpu", 1);
+        let mut cpu = StateBlob::new("soc.cpu", 2);
         cpu.put("port_resp", self.port.resp.save_state());
-        cpu.put_u64("issue", self.timing.issue);
-        cpu.put_u64("retire", self.timing.retire);
         cpu.put_u64("mmio_reads", self.mmio_reads);
         cpu.put_u64("mmio_writes", self.mmio_writes);
         Ok(SocState {
@@ -220,15 +198,7 @@ impl SocCore {
     /// live on the host stack and cannot be captured: restore only at
     /// driver quiescence (no MMIO transaction in flight in host code).
     pub fn restore(&mut self, state: &SocState) -> Result<(), StateError> {
-        state.cpu.expect("soc.cpu", 1)?;
-        for (field, have) in [("issue", self.timing.issue), ("retire", self.timing.retire)] {
-            let want = state.cpu.get_u64(field)?;
-            if want != have {
-                return Err(state.cpu.structure_error(format!(
-                    "cpu timing mismatch: {field} instance {have}, state {want}"
-                )));
-            }
-        }
+        state.cpu.expect("soc.cpu", 2)?;
         self.sim.restore(&state.sim)?;
         self.port.resp.restore_state(state.cpu.get("port_resp")?)?;
         self.mmio_reads = state.cpu.get_u64("mmio_reads")?;
@@ -244,7 +214,7 @@ pub struct SocState {
     /// Every registered component, the cycle, tick accounting, and the
     /// sanitizer observation state.
     pub sim: SimState,
-    /// CPU master-port response FIFO, timing config, MMIO counters.
+    /// CPU master-port response FIFO and MMIO counters.
     pub cpu: StateBlob,
 }
 

@@ -177,7 +177,7 @@ impl Component for Ddr {
         &self.name
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         let cycle = ctx.cycle;
 
         // Refresh bookkeeping: a periodic all-stop window.

@@ -33,7 +33,7 @@ pub mod spi;
 pub mod uart;
 
 pub use clint::{Clint, ClintHandle};
-pub use cpu::{CpuTiming, InterpreterBus, SocCore};
+pub use cpu::{InterpreterBus, SocCore};
 pub use ddr::{Ddr, DdrConfig, DdrHandle};
 pub use plic::{Plic, PlicHandle};
 pub use spi::{Spi, SpiHandle};

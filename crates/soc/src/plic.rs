@@ -95,7 +95,7 @@ impl Component for Plic {
         &self.name
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         let cycle = ctx.cycle;
         // Sample level sources into the pending bitmap.
         {
@@ -103,10 +103,6 @@ impl Component for Plic {
             for (id, sig) in &self.sources {
                 let bit = 1u32 << id;
                 if sig.get() && sh.enabled & bit != 0 && sh.in_service & bit == 0 {
-                    if sh.pending & bit == 0 {
-                        ctx.tracer
-                            .info(cycle, &self.name, || format!("irq {id} pending"));
-                    }
                     sh.pending |= bit;
                 }
             }

@@ -95,7 +95,7 @@ impl<D: BlockDevice> Component for Spi<D> {
         &self.name
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         let cycle = ctx.cycle;
         if let Some((done, miso)) = self.busy_until {
             if done <= cycle {

@@ -71,7 +71,7 @@ impl Component for Uart {
         &self.name
     }
 
-    fn tick(&mut self, ctx: &mut TickCtx<'_>) {
+    fn tick(&mut self, ctx: &mut TickCtx) {
         if let Some(req) = self.port.try_take(ctx.cycle) {
             let resp = match self.regs.decode(&req) {
                 Decoded::Write { def, value, .. } => {

@@ -299,17 +299,20 @@ impl<D: BlockDevice> Fat32Volume<D> {
         Ok(())
     }
 
+    /// Claim the first free cluster at or after the hint, wrapping
+    /// around the whole data region `2..=max_cluster`.
     fn alloc_cluster(&mut self) -> Result<u32, FsError> {
         let max = self.geo.max_cluster();
-        let start = self.free_hint.clamp(3, max);
+        let next = |c: u32| if c >= max { 2 } else { c + 1 };
+        let start = self.free_hint.clamp(2, max);
         let mut c = start;
         loop {
             if self.fat_entry(c)? == 0 {
                 self.set_fat(c, EOC)?;
-                self.free_hint = if c + 1 > max { 3 } else { c + 1 };
+                self.free_hint = next(c);
                 return Ok(c);
             }
-            c = if c + 1 > max { 3 } else { c + 1 };
+            c = next(c);
             if c == start {
                 return Err(FsError::VolumeFull);
             }
@@ -731,6 +734,15 @@ mod tests {
             Fat32Volume::mount(patched_bpb(36, 1)).err(),
             Some(FsError::NotFat32)
         );
+    }
+
+    #[test]
+    fn one_cluster_volume_reports_volume_full() {
+        // 74 sectors leave one data cluster after the 64 reserved and
+        // FAT sectors: the root directory's, so nothing is free.
+        let mut vol = Fat32Volume::mount(patched_bpb(32, 74)).unwrap();
+        assert_eq!(vol.create("A.BIN", &[1]), Err(FsError::VolumeFull));
+        assert!(vol.list().unwrap().is_empty());
     }
 
     #[test]

@@ -10,9 +10,11 @@ cargo build --release
 
 # RVCAP_STRICT=1 attaches the bus sanitizer to every SoC the tests
 # build: any stream-framing, burst, pairing or decouple violation on
-# any channel fails the MMIO-cleanliness asserts.
-echo "== RVCAP_STRICT=1 cargo test -q =="
-RVCAP_STRICT=1 cargo test -q
+# any channel fails the MMIO-cleanliness asserts. `--workspace` runs
+# every crate's unit and integration tests, not just the root
+# package's (the root manifest sets no `default-members`).
+echo "== RVCAP_STRICT=1 cargo test --workspace -q =="
+RVCAP_STRICT=1 cargo test --workspace -q
 
 # Scheduler parity sweep: the suites that pin both schedules (naive,
 # active_set) to bit-identical cycle counts, FIFO contents and

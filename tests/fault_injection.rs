@@ -7,6 +7,7 @@ use rvcap_repro::accel::{FilterKind, Image};
 use rvcap_repro::core::drivers::{DmaMode, ReconfigModule, RvCapDriver};
 use rvcap_repro::core::system::{RvCapSoc, SocBuilder};
 use rvcap_repro::fabric::bitstream::BitstreamBuilder;
+use rvcap_repro::fabric::icap::IcapAbort;
 use rvcap_repro::fabric::resources::Resources;
 use rvcap_repro::fabric::rm::RmImage;
 use rvcap_repro::fabric::rp::RpGeometry;
@@ -56,7 +57,9 @@ fn corrupted_bitstream_never_activates() {
     let n = bytes.len();
     bytes[n / 3] ^= 0x80;
     stage_and_reconfig(&mut soc, &bytes);
-    assert!(!soc.handles.icap.last_load().unwrap().crc_ok);
+    let rec = soc.handles.icap.last_load().unwrap();
+    assert!(!rec.crc_ok);
+    assert_eq!(rec.abort, Some(IcapAbort::CrcMismatch));
     assert_eq!(soc.handles.icap.abort_count(), 1);
     assert_eq!(soc.handles.rm_hosts[0].active_module(), None);
 }
@@ -94,10 +97,35 @@ fn wrong_device_bitstream_rejected_before_any_frame() {
     stage_and_reconfig(&mut soc, &bs.to_bytes());
     assert_eq!(soc.handles.icap.abort_count(), 1);
     assert_eq!(
+        soc.handles.icap.last_load().unwrap().abort,
+        Some(IcapAbort::IdcodeMismatch)
+    );
+    assert_eq!(
         soc.handles.config_mem.total_writes(),
         writes_before,
         "no frame may be written on an IDCODE mismatch"
     );
+}
+
+/// `ConfigMem::write_frame` panics on a FAR past the device and
+/// relies on the ICAP's range check: a load that starts on the last
+/// frame must commit that one frame, then abort cleanly.
+#[test]
+fn far_past_configuration_memory_aborts_after_the_last_frame() {
+    let (mut soc, img) = rig();
+    let last = soc.handles.config_mem.total_frames() as u32 - 1;
+    assert_eq!(last, 199_999);
+    let writes_before = soc.handles.config_mem.total_writes();
+    let bs = BitstreamBuilder::kintex7().partial(last, &img.payload);
+    stage_and_reconfig(&mut soc, &bs.to_bytes());
+    let rec = soc.handles.icap.last_load().unwrap();
+    assert_eq!(rec.abort, Some(IcapAbort::FarOutOfRange));
+    assert!(!rec.crc_ok);
+    assert_eq!((rec.far_start, rec.frames), (last, 1));
+    assert_eq!(soc.handles.config_mem.total_writes(), writes_before + 1);
+    assert_eq!(soc.handles.rm_hosts[0].active_module(), None);
+    let audit = soc.core.sim.mmio_audit();
+    assert_eq!(audit.violations(), 0, "{audit:?}");
 }
 
 #[test]
