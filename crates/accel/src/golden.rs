@@ -3,53 +3,78 @@
 //! The per-pixel kernels are shared with the streaming hardware models
 //! in [`crate::rm`], so hardware output is bit-identical to these by
 //! construction *of the kernel* — the tests verify the streaming
-//! machinery (line buffers, beat packing, backpressure) preserves it.
+//! machinery (windowing, beat packing, backpressure) preserves it.
+//! The whole-image filters here build every window from nine
+//! [`Image::get_clamped`] taps, independently of the streaming model's
+//! row-slice windowing, so they also check its border handling.
 
 use crate::image::Image;
 
-/// A window accessor: pixel at (row, col) with replicated borders.
-pub type Window<'a> = &'a dyn Fn(isize, isize) -> u8;
+/// The 3×3 neighbourhood of one pixel, row-major, borders replicated:
+/// `w[3 * (dr + 1) + (dc + 1)]` is the pixel at offset (dr, dc).
+pub type Window = [u8; 9];
 
-/// 3×3 Gaussian blur kernel (1-2-1 separable, /16) at (r, c).
-pub fn gaussian_pixel(win: Window<'_>, r: isize, c: isize) -> u8 {
-    let k: [[u16; 3]; 3] = [[1, 2, 1], [2, 4, 2], [1, 2, 1]];
-    let mut acc: u16 = 0;
-    for (dr, row) in k.iter().enumerate() {
-        for (dc, &w) in row.iter().enumerate() {
-            acc += w * win(r + dr as isize - 1, c + dc as isize - 1) as u16;
-        }
-    }
+/// 3×3 Gaussian blur kernel (1-2-1 separable, /16).
+pub fn gaussian_pixel(w: &Window) -> u8 {
+    let p = |i: usize| w[i] as u16;
+    let acc = p(0) + 2 * p(1) + p(2) + 2 * p(3) + 4 * p(4) + 2 * p(5) + p(6) + 2 * p(7) + p(8);
     (acc / 16) as u8
 }
 
-/// 3×3 median filter at (r, c).
-pub fn median_pixel(win: Window<'_>, r: isize, c: isize) -> u8 {
-    let mut vals = [0u8; 9];
-    let mut i = 0;
-    for dr in -1..=1 {
-        for dc in -1..=1 {
-            vals[i] = win(r + dr, c + dc);
-            i += 1;
-        }
+/// 3×3 median filter: a fixed median-of-9 exchange network of 19
+/// compare-exchanges. Each `x(a, b)` puts the smaller value at `a` and
+/// the larger at `b`; afterwards position 4 holds the median.
+pub fn median_pixel(w: &Window) -> u8 {
+    let [mut p0, mut p1, mut p2, mut p3, mut p4, mut p5, mut p6, mut p7, mut p8] = *w;
+    fn x(a: &mut u8, b: &mut u8) {
+        (*a, *b) = ((*a).min(*b), (*a).max(*b));
     }
-    vals.sort_unstable();
-    vals[4]
+    x(&mut p1, &mut p2);
+    x(&mut p4, &mut p5);
+    x(&mut p7, &mut p8);
+    x(&mut p0, &mut p1);
+    x(&mut p3, &mut p4);
+    x(&mut p6, &mut p7);
+    x(&mut p1, &mut p2);
+    x(&mut p4, &mut p5);
+    x(&mut p7, &mut p8);
+    x(&mut p0, &mut p3);
+    x(&mut p5, &mut p8);
+    x(&mut p4, &mut p7);
+    x(&mut p3, &mut p6);
+    x(&mut p1, &mut p4);
+    x(&mut p2, &mut p5);
+    x(&mut p4, &mut p7);
+    x(&mut p4, &mut p2);
+    x(&mut p6, &mut p4);
+    x(&mut p4, &mut p2);
+    p4
 }
 
-/// 3×3 Sobel gradient magnitude (|Gx| + |Gy|, saturated) at (r, c).
-pub fn sobel_pixel(win: Window<'_>, r: isize, c: isize) -> u8 {
-    let p = |dr: isize, dc: isize| win(r + dr, c + dc) as i32;
-    let gx = -p(-1, -1) - 2 * p(0, -1) - p(1, -1) + p(-1, 1) + 2 * p(0, 1) + p(1, 1);
-    let gy = -p(-1, -1) - 2 * p(-1, 0) - p(-1, 1) + p(1, -1) + 2 * p(1, 0) + p(1, 1);
+/// 3×3 Sobel gradient magnitude (|Gx| + |Gy|, saturated).
+pub fn sobel_pixel(w: &Window) -> u8 {
+    let p = |i: usize| w[i] as i32;
+    let gx = -p(0) - 2 * p(3) - p(6) + p(2) + 2 * p(5) + p(8);
+    let gy = -p(0) - 2 * p(1) - p(2) + p(6) + 2 * p(7) + p(8);
     (gx.abs() + gy.abs()).min(255) as u8
 }
 
-fn apply(img: &Image, kernel: fn(Window<'_>, isize, isize) -> u8) -> Image {
+/// The window of pixel (r, c): nine clamped taps.
+fn window(img: &Image, r: usize, c: usize) -> Window {
+    let (r, c) = (r as isize, c as isize);
+    let mut w = [0; 9];
+    for (i, px) in w.iter_mut().enumerate() {
+        let (dr, dc) = ((i / 3) as isize - 1, (i % 3) as isize - 1);
+        *px = img.get_clamped(r + dr, c + dc);
+    }
+    w
+}
+
+fn apply(img: &Image, kernel: fn(&Window) -> u8) -> Image {
     let mut out = Image::new(img.width(), img.height());
-    let win = |r: isize, c: isize| img.get_clamped(r, c);
     for r in 0..img.height() {
         for c in 0..img.width() {
-            out.set(r, c, kernel(&win, r as isize, c as isize));
+            out.set(r, c, kernel(&window(img, r, c)));
         }
     }
     out
@@ -73,6 +98,50 @@ pub fn sobel(img: &Image) -> Image {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// By the 0-1 principle a compare-exchange network selects the
+    /// median of every input iff it does so for every 0/1 input, so
+    /// these 512 windows prove the network exact for all `u8` windows.
+    #[test]
+    fn median_network_is_exact_on_every_binary_window() {
+        for bits in 0u32..512 {
+            let w: Window = std::array::from_fn(|i| (bits >> i & 1) as u8);
+            let mut sorted = w;
+            sorted.sort();
+            assert_eq!(median_pixel(&w), sorted[4], "window {w:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn median_network_matches_sort(v in proptest::collection::vec(any::<u8>(), 9)) {
+            let w: Window = v.clone().try_into().unwrap();
+            let mut sorted = w;
+            sorted.sort();
+            prop_assert_eq!(median_pixel(&w), sorted[4]);
+        }
+    }
+
+    /// FNV-1a hashes of the three filters on one ragged noise image,
+    /// as computed by the earlier kernels that read their window
+    /// through a clamping closure: the `[u8; 9]` kernels are
+    /// bit-identical to them.
+    #[test]
+    fn golden_outputs_are_pinned() {
+        let fnv = |img: Image| {
+            img.as_bytes()
+                .iter()
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                    (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+                })
+        };
+        let img = Image::noise(37, 29, 5);
+        assert_eq!(fnv(gaussian(&img)), 0xe386_c9fd_ac88_7de4);
+        assert_eq!(fnv(median(&img)), 0x4681_01ba_0abe_a301);
+        assert_eq!(fnv(sobel(&img)), 0xc188_44ca_0ad0_82dc);
+    }
 
     #[test]
     fn gaussian_preserves_flat_regions() {

@@ -9,10 +9,11 @@
 //! * [`image`] — 8-bit grayscale images, test patterns, (de)serialization.
 //! * [`golden`] — reference software implementations; the functional
 //!   ground truth every hardware run is checked against.
-//! * [`rm`] — streaming hardware models: line-buffered window
-//!   operators behind a 64-bit AXI-Stream interface (8 pixels/beat),
-//!   implementing [`rvcap_fabric::rm::RmBehavior`]. Their output is
-//!   bit-identical to the golden code.
+//! * [`rm`] — streaming hardware models: 3×3 window operators behind
+//!   a 64-bit AXI-Stream interface (8 pixels/beat) that buffer the
+//!   received frame prefix, implementing
+//!   [`rvcap_fabric::rm::RmBehavior`]. Their output is bit-identical
+//!   to the golden code.
 //! * [`driver`] — the acceleration-mode flow: program the RV-CAP DMA
 //!   S2MM + MM2S pair to stream an image through the loaded RM and
 //!   back to DDR, measuring the paper's compute time `T_c`.

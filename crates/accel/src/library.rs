@@ -42,7 +42,7 @@ impl FilterKind {
     }
 
     /// The per-pixel kernel.
-    pub fn kernel(self) -> fn(golden::Window<'_>, isize, isize) -> u8 {
+    pub fn kernel(self) -> fn(&golden::Window) -> u8 {
         match self {
             FilterKind::Gaussian => golden::gaussian_pixel,
             FilterKind::Median => golden::median_pixel,

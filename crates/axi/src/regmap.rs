@@ -355,7 +355,7 @@ impl RegisterFile {
     /// Checkpoint the access audit (devices embed this in their own
     /// state blob — the register *values* live in the device).
     pub fn save_state(&self) -> StateValue {
-        let mut b = StateBlob::new("axi.regfile", 2);
+        let mut b = StateBlob::new("axi.regfile", 3);
         b.put_str("device", self.map.device);
         let a = &self.audit;
         for (field, v) in [
@@ -367,7 +367,6 @@ impl RegisterFile {
             ("audit_wo_reads", a.wo_reads),
             ("audit_overwide", a.overwide),
             ("audit_bursts", a.bursts),
-            ("audit_protocol", a.protocol),
         ] {
             b.put_u64(field, v);
         }
@@ -378,7 +377,7 @@ impl RegisterFile {
     /// written by the same device map.
     pub fn restore_state(&mut self, v: &StateValue) -> Result<(), StateError> {
         let b = v.as_blob("axi.regfile")?;
-        b.expect("axi.regfile", 2)?;
+        b.expect("axi.regfile", 3)?;
         let device = b.get_str("device")?;
         if device != self.map.device {
             return Err(b.structure_error(format!(
@@ -395,7 +394,7 @@ impl RegisterFile {
             wo_reads: b.get_u64("audit_wo_reads")?,
             overwide: b.get_u64("audit_overwide")?,
             bursts: b.get_u64("audit_bursts")?,
-            protocol: b.get_u64("audit_protocol")?,
+            protocol: 0,
         };
         Ok(())
     }

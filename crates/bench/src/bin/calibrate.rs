@@ -2,54 +2,13 @@
 //! headline experiments so the timing constants can be pinned.
 
 use rvcap_bench::{paper_soc, runner};
-use rvcap_core::drivers::{DmaMode, RvCapDriver};
+use rvcap_core::drivers::DmaMode;
 
 fn table4_probe() {
-    use rvcap_accel::{paper_filter_library, run_accelerator, FilterKind, Image};
-    use rvcap_core::drivers::ReconfigModule;
-    use rvcap_core::system::SocBuilder;
-    use rvcap_fabric::bitstream::BitstreamBuilder;
-    use rvcap_soc::map::DDR_BASE;
-
-    let lib = paper_filter_library();
-    let images: Vec<_> = FilterKind::ALL
-        .iter()
-        .map(|k| lib.by_name(k.name()).unwrap().clone())
-        .collect();
-    let mut soc = SocBuilder::new().with_library(lib).build();
-    let dim = Image::PAPER_DIM;
-    let input = Image::noise(dim, dim, 7);
-    let in_addr = DDR_BASE + 0x10_0000;
-    let out_addr = DDR_BASE + 0x60_0000;
-    soc.handles.ddr.write_bytes(in_addr, input.as_bytes());
-    let driver = RvCapDriver::new(0, soc.handles.plic.clone());
-    for (kind, img) in FilterKind::ALL.iter().zip(&images) {
-        let bs = BitstreamBuilder::kintex7().partial(soc.handles.rps[0].far_base, &img.payload);
-        let bytes = bs.to_bytes();
-        soc.handles.ddr.write_bytes(DDR_BASE + 0xA0_0000, &bytes);
-        let module = ReconfigModule {
-            name: kind.name().into(),
-            rm_number: 0,
-            start_address: DDR_BASE + 0xA0_0000,
-            pbit_size: bytes.len() as u32,
-        };
-        let t = driver.init_reconfig_process(&mut soc.core, &module, DmaMode::NonBlocking);
-        let icap = soc.handles.icap.clone();
-        soc.core.wait_until(100_000, || !icap.busy()).unwrap();
-        let plic = soc.handles.plic.clone();
-        let tc = run_accelerator(
-            &mut soc.core,
-            &plic,
-            0,
-            in_addr,
-            out_addr,
-            (dim * dim) as u32,
-        );
-        let out = soc.handles.ddr.read_bytes(out_addr, dim * dim);
-        let ok = out == kind.golden(&input).as_bytes();
+    for r in rvcap_bench::tables::table4_run().rows {
         println!(
-            "{:>8}: Td {:.0} us, Tr {:.0} us, Tc {:.0} us (paper Tc: G606/M598/S588), output ok: {ok}",
-            kind.name(), t.td_us(), t.tr_us(), tc as f64 / 5.0
+            "{:>8}: Td {:.0} us, Tr {:.0} us, Tc {:.0} us (paper Tc: G606/M598/S588), output ok: {}",
+            r.accelerator, r.td_us, r.tr_us, r.tc_us, r.output_matches_golden
         );
     }
 }

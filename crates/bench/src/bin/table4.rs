@@ -4,90 +4,15 @@
 //! bitstream (T_d, T_r), then stream a 512×512 image through it in
 //! acceleration mode (T_c), verifying the hardware output against the
 //! golden software filter. `T_ex = T_d + T_r + T_c`.
+//!
+//! The measurement lives in [`rvcap_bench::tables::table4_run`] so the
+//! calibration tests can pin it; this binary renders it.
 
-use rvcap_accel::{paper_filter_library, run_accelerator, FilterKind, Image};
+use rvcap_bench::tables::{table4_run, Table4Run};
 use rvcap_bench::{report, runner};
-use rvcap_core::drivers::{DmaMode, ReconfigModule, RvCapDriver};
-use rvcap_core::system::SocBuilder;
-use rvcap_fabric::bitstream::BitstreamBuilder;
-use rvcap_soc::map::DDR_BASE;
-
-struct Row {
-    accelerator: &'static str,
-    td_us: f64,
-    tr_us: f64,
-    tc_us: f64,
-    tex_us: f64,
-    paper: [f64; 4],
-    output_matches_golden: bool,
-}
-rvcap_bench::impl_json_struct!(Row {
-    accelerator,
-    td_us,
-    tr_us,
-    tc_us,
-    tex_us,
-    paper,
-    output_matches_golden
-});
 
 fn main() {
-    let lib = paper_filter_library();
-    let images: Vec<_> = FilterKind::ALL
-        .iter()
-        .map(|k| lib.by_name(k.name()).unwrap().clone())
-        .collect();
-    let mut soc = SocBuilder::new().with_library(lib).build();
-    let dim = Image::PAPER_DIM;
-    let input = Image::noise(dim, dim, 2024);
-    let in_addr = DDR_BASE + 0x10_0000;
-    let out_addr = DDR_BASE + 0x60_0000;
-    let stage = DDR_BASE + 0xA0_0000;
-    soc.handles.ddr.write_bytes(in_addr, input.as_bytes());
-    let driver = RvCapDriver::new(0, soc.handles.plic.clone());
-
-    let paper: [[f64; 4]; 3] = [
-        [18.0, 1651.0, 606.0, 2275.0],
-        [18.0, 1651.0, 598.0, 2267.0],
-        [18.0, 1651.0, 588.0, 2257.0],
-    ];
-
-    let mut rows = Vec::new();
-    for ((kind, img), paper_row) in FilterKind::ALL.iter().zip(&images).zip(paper) {
-        let bs = BitstreamBuilder::kintex7().partial(soc.handles.rps[0].far_base, &img.payload);
-        let bytes = bs.to_bytes();
-        soc.handles.ddr.write_bytes(stage, &bytes);
-        let module = ReconfigModule {
-            name: kind.name().into(),
-            rm_number: 0,
-            start_address: stage,
-            pbit_size: bytes.len() as u32,
-        };
-        let t = driver.init_reconfig_process(&mut soc.core, &module, DmaMode::NonBlocking);
-        let icap = soc.handles.icap.clone();
-        soc.core.wait_until(100_000, || !icap.busy()).unwrap();
-        let plic = soc.handles.plic.clone();
-        let tc_ticks = run_accelerator(
-            &mut soc.core,
-            &plic,
-            0,
-            in_addr,
-            out_addr,
-            (dim * dim) as u32,
-        );
-        let out = soc.handles.ddr.read_bytes(out_addr, dim * dim);
-        let ok = out == kind.golden(&input).as_bytes();
-        let (td, tr, tc) = (t.td_us(), t.tr_us(), tc_ticks as f64 / 5.0);
-        rows.push(Row {
-            accelerator: kind.name(),
-            td_us: td,
-            tr_us: tr,
-            tc_us: tc,
-            tex_us: td + tr + tc,
-            paper: paper_row,
-            output_matches_golden: ok,
-        });
-    }
+    let Table4Run { rows, audit } = table4_run();
 
     let table: Vec<Vec<String>> = rows
         .iter()
@@ -114,7 +39,6 @@ fn main() {
         rows.iter().all(|r| r.output_matches_golden),
         "hardware output diverged from the golden filters"
     );
-    println!("{}", runner::mmio_summary(&soc));
-    runner::assert_clean_mmio(&soc);
+    println!("{}", runner::audit_summary(&audit));
     report::dump_json("table4", &rows);
 }

@@ -1,13 +1,19 @@
-//! Shared Table I measurement.
+//! Shared Table I and Table IV measurements.
 //!
-//! The measurement lives in the library (not the `table1` binary) so
-//! the determinism integration tests can run it twice — once with
-//! idle fast-forward enabled, once with it disabled — and assert the
-//! resulting JSON is byte-identical. The binary renders the same rows.
+//! The measurements live in the library (not the `table1`/`table4`
+//! binaries) so integration tests can run them: the determinism tests
+//! run Table I twice — once with idle fast-forward enabled, once with
+//! it disabled — and assert the resulting JSON is byte-identical; the
+//! calibration tests pin Table IV's compute times. The binaries render
+//! the same rows.
 
-use rvcap_core::drivers::DmaMode;
+use rvcap_accel::{paper_filter_library, run_accelerator, FilterKind, Image};
+use rvcap_core::drivers::{DmaMode, ReconfigModule, RvCapDriver};
 use rvcap_core::resources::{hwicap_report, rvcap_report};
+use rvcap_core::system::SocBuilder;
+use rvcap_fabric::bitstream::BitstreamBuilder;
 use rvcap_sim::{KernelStats, MmioAudit, Scheduler};
+use rvcap_soc::map::DDR_BASE;
 
 use crate::paper_soc;
 use crate::runner;
@@ -119,5 +125,120 @@ pub fn table1_run(scheduler: Scheduler) -> Table1Run {
         hwicap_stats,
         rvcap_audit,
         hwicap_audit,
+    }
+}
+
+/// One row of Table IV: one filter, reconfigured and then run over a
+/// 512×512 image.
+pub struct Table4Row {
+    /// Filter name.
+    pub accelerator: &'static str,
+    /// Decision time `T_d`, µs.
+    pub td_us: f64,
+    /// Reconfiguration time `T_r`, µs.
+    pub tr_us: f64,
+    /// Compute time `T_c`, µs.
+    pub tc_us: f64,
+    /// `T_c` in CLINT ticks (5 MHz), the exact count behind `tc_us`.
+    pub tc_ticks: u64,
+    /// Execution time `T_ex = T_d + T_r + T_c`, µs.
+    pub tex_us: f64,
+    /// The paper's `T_d`, `T_r`, `T_c`, `T_ex`, µs.
+    pub paper: [f64; 4],
+    /// The hardware output equals the golden filter's.
+    pub output_matches_golden: bool,
+}
+crate::impl_json_struct!(Table4Row {
+    accelerator,
+    td_us,
+    tr_us,
+    tc_us,
+    tc_ticks,
+    tex_us,
+    paper,
+    output_matches_golden
+});
+
+/// The Table IV measurement plus the run's MMIO audit.
+pub struct Table4Run {
+    /// One row per filter, in [`FilterKind::ALL`] order.
+    pub rows: Vec<Table4Row>,
+    /// Register-level MMIO audit of the whole run.
+    pub audit: MmioAudit,
+}
+
+/// Measure Table IV on the paper SoC: for each filter, reconfigure the
+/// partition with its partial bitstream (`T_d`, `T_r`), then stream a
+/// 512×512 noise image through it in acceleration mode (`T_c`) and
+/// compare the output with the golden filter. Panics if any MMIO
+/// access or bus transfer of the run violated policy.
+pub fn table4_run() -> Table4Run {
+    let lib = paper_filter_library();
+    let images: Vec<_> = FilterKind::ALL
+        .iter()
+        .map(|k| {
+            lib.by_name(k.name())
+                .expect("the library registers every filter")
+                .clone()
+        })
+        .collect();
+    let mut soc = SocBuilder::new().with_library(lib).build();
+    let dim = Image::PAPER_DIM;
+    let input = Image::noise(dim, dim, 2024);
+    let in_addr = DDR_BASE + 0x10_0000;
+    let out_addr = DDR_BASE + 0x60_0000;
+    let stage = DDR_BASE + 0xA0_0000;
+    soc.handles.ddr.write_bytes(in_addr, input.as_bytes());
+    let driver = RvCapDriver::new(0, soc.handles.plic.clone());
+
+    let paper: [[f64; 4]; 3] = [
+        [18.0, 1651.0, 606.0, 2275.0],
+        [18.0, 1651.0, 598.0, 2267.0],
+        [18.0, 1651.0, 588.0, 2257.0],
+    ];
+
+    let mut rows = Vec::new();
+    for ((kind, img), paper_row) in FilterKind::ALL.iter().zip(&images).zip(paper) {
+        let bs = BitstreamBuilder::kintex7().partial(soc.handles.rps[0].far_base, &img.payload);
+        let bytes = bs.to_bytes();
+        soc.handles.ddr.write_bytes(stage, &bytes);
+        let module = ReconfigModule {
+            name: kind.name().into(),
+            rm_number: 0,
+            start_address: stage,
+            pbit_size: bytes.len() as u32,
+        };
+        let t = driver.init_reconfig_process(&mut soc.core, &module, DmaMode::NonBlocking);
+        let icap = soc.handles.icap.clone();
+        soc.core
+            .wait_until(100_000, || !icap.busy())
+            .expect("the ICAP finishes the load");
+        let plic = soc.handles.plic.clone();
+        let tc_ticks = run_accelerator(
+            &mut soc.core,
+            &plic,
+            0,
+            in_addr,
+            out_addr,
+            (dim * dim) as u32,
+        );
+        let out = soc.handles.ddr.read_bytes(out_addr, dim * dim);
+        let ok = out == kind.golden(&input).as_bytes();
+        let (td, tr, tc) = (t.td_us(), t.tr_us(), tc_ticks as f64 / 5.0);
+        rows.push(Table4Row {
+            accelerator: kind.name(),
+            td_us: td,
+            tr_us: tr,
+            tc_us: tc,
+            tc_ticks,
+            tex_us: td + tr + tc,
+            paper: paper_row,
+            output_matches_golden: ok,
+        });
+    }
+    runner::assert_clean_mmio(&soc);
+    Table4Run {
+        rows,
+        audit: runner::mmio_audit(&soc),
     }
 }

@@ -103,13 +103,39 @@ pub fn run_stream_job(
     out_addr: u64,
     len: u32,
 ) -> u64 {
+    use crate::dma::{S2MM_DMASR, SR_IOC};
+    use rvcap_soc::map::IRQ_DMA_S2MM;
+    let plic_w = regs::plic();
+    let t0 = read_mtime(core);
+    start_stream_job(core, rp_index, in_addr, out_addr, len);
+    let plic = plic.clone();
+    core.wait_until(1_000_000_000, || plic.is_pending(IRQ_DMA_S2MM))
+        .unwrap();
+    core.compute(IRQ_TRAP_CYCLES);
+    let src = plic_w.read(core, PLIC_CLAIM) as u32;
+    debug_assert_eq!(src, IRQ_DMA_S2MM);
+    regs::dma().write(core, S2MM_DMASR, SR_IOC as u64);
+    plic_w.write(core, PLIC_CLAIM, src as u64);
+    read_mtime(core) - t0
+}
+
+/// The programming half of [`run_stream_job`]: route the stream
+/// switch to partition `rp_index`, arm S2MM write-back with its
+/// completion interrupt, then launch MM2S. Returns once the last
+/// register write has landed, with the job in flight.
+pub fn start_stream_job(
+    core: &mut SocCore,
+    rp_index: usize,
+    in_addr: u64,
+    out_addr: u64,
+    len: u32,
+) {
     use crate::dma::{
         MM2S_LENGTH as LEN, MM2S_SA as SA, MM2S_SA_MSB as SA_MSB, S2MM_DA, S2MM_DA_MSB, S2MM_DMACR,
-        S2MM_DMASR, S2MM_LENGTH,
+        S2MM_LENGTH,
     };
     use rvcap_soc::map::IRQ_DMA_S2MM;
     let (sw, dma, plic_w) = (regs::switch(), regs::dma(), regs::plic());
-    let t0 = read_mtime(core);
     sw.write(core, REG_SELECT, 0);
     sw.write(core, REG_RM_SEL, rp_index as u64);
     dma.write(core, S2MM_DMACR, (CR_RS | CR_IOC_IRQ_EN) as u64);
@@ -122,15 +148,6 @@ pub fn run_stream_job(
     dma.write(core, SA, in_addr & 0xFFFF_FFFF);
     dma.write(core, SA_MSB, in_addr >> 32);
     dma.write(core, LEN, len as u64);
-    let plic = plic.clone();
-    core.wait_until(1_000_000_000, || plic.is_pending(IRQ_DMA_S2MM))
-        .unwrap();
-    core.compute(IRQ_TRAP_CYCLES);
-    let src = plic_w.read(core, PLIC_CLAIM) as u32;
-    debug_assert_eq!(src, IRQ_DMA_S2MM);
-    dma.write(core, S2MM_DMASR, crate::dma::SR_IOC as u64);
-    plic_w.write(core, PLIC_CLAIM, src as u64);
-    read_mtime(core) - t0
 }
 
 /// The RV-CAP reconfiguration driver (Listing 1).

@@ -86,8 +86,10 @@ pub struct SocHandles {
     pub vcd: Option<VcdHandle>,
     /// Bus sanitizer (present when built `with_sanitizer` or under
     /// `RVCAP_STRICT`): every MM link and stream channel in the system
-    /// is under protocol watch; violations surface in
-    /// [`rvcap_sim::MmioAudit::protocol`] and the kernel stats.
+    /// is under protocol watch; violations surface in the
+    /// [`rvcap_sim::MmioAudit::protocol`] count of
+    /// [`rvcap_sim::Simulator::mmio_audit`] and in
+    /// [`rvcap_sim::StallReport::protocol_violations`].
     pub sanitizer: Option<Sanitizer>,
 }
 
@@ -205,9 +207,9 @@ impl SocBuilder {
 
     /// Put the whole bus under the protocol sanitizer: every MM link
     /// and stream channel is watched, and violations surface through
-    /// [`rvcap_sim::MmioAudit`] / [`rvcap_sim::KernelStats`]. The
-    /// sanitizer is a passive recorder — it never refuses or reorders
-    /// traffic, so cycle counts are identical with it on or off.
+    /// [`rvcap_sim::Simulator::mmio_audit`]. The sanitizer is a
+    /// passive recorder — it never refuses or reorders traffic, so
+    /// cycle counts are identical with it on or off.
     /// Setting `RVCAP_STRICT` (to anything but `0` or empty) enables
     /// it regardless of this flag.
     pub fn with_sanitizer(mut self) -> Self {

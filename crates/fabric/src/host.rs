@@ -96,12 +96,11 @@ impl RmHost {
     }
 
     fn refresh_activation(&mut self) {
-        let records = self.icap.records();
-        let fresh = &records[self.seen_loads..];
+        let fresh = self.icap.records_since(self.seen_loads);
         let relevant = fresh
             .iter()
             .any(|r| self.touches_rp(r.far_start, r.frames.max(1)));
-        self.seen_loads = records.len();
+        self.seen_loads += fresh.len();
         if !relevant {
             return;
         }

@@ -105,9 +105,11 @@ pub struct IcapHandle {
 }
 
 impl IcapHandle {
-    /// All loads seen since power-up, oldest first.
-    pub fn records(&self) -> Vec<LoadRecord> {
-        self.shared.borrow().records.clone()
+    /// The loads after the first `seen` since power-up, oldest first:
+    /// what a watcher that has processed `seen` records has not seen
+    /// yet (`records_since(0)` is the whole history).
+    pub fn records_since(&self, seen: usize) -> Vec<LoadRecord> {
+        self.shared.borrow().records[seen..].to_vec()
     }
 
     /// The most recent load, if any.
@@ -616,8 +618,8 @@ mod tests {
         let state = r.sim.checkpoint().unwrap();
         let mut fresh = rig();
         fresh.sim.restore(&state).unwrap();
-        let recs = fresh.handle.records();
-        assert_eq!(recs, r.handle.records());
+        let recs = fresh.handle.records_since(0);
+        assert_eq!(recs, r.handle.records_since(0));
         assert_eq!(recs[0].abort, Some(IcapAbort::IdcodeMismatch));
     }
 
@@ -630,12 +632,15 @@ mod tests {
         feed(&mut r, &builder.partial(10, &a.payload).to_bytes());
         feed(&mut r, &builder.partial(10, &b.payload).to_bytes());
         r.sim.run_until_quiescent(100_000).unwrap();
-        let recs = r.handle.records();
+        let recs = r.handle.records_since(0);
         assert_eq!(recs.len(), 2);
         assert!(recs.iter().all(|x| x.crc_ok));
         // Second load overwrote the first.
         assert_eq!(r.cm.range_hash(10, 2), Some(b.hash()));
         assert_eq!(r.handle.sync_count(), 2);
+        // A watcher that has seen the first load gets only the second.
+        assert_eq!(r.handle.records_since(1), recs[1..]);
+        assert!(r.handle.records_since(2).is_empty());
     }
 
     #[test]

@@ -28,10 +28,11 @@ pub struct MmioAudit {
     /// Burst operations aimed at single-beat register space.
     pub bursts: u64,
     /// Bus/stream protocol violations recorded by the sanitizer
-    /// (see `rvcap-sim`'s `sanitizer` module). Zero unless a sanitizer
-    /// is attached; folded in by `Simulator::mmio_audit` so a single
-    /// `violations() == 0` assertion covers both register policy and
-    /// bus protocol.
+    /// (see `rvcap-sim`'s `sanitizer` module). A roll-up-only field:
+    /// no register file counts protocol violations, so a device's own
+    /// audit always holds 0 here; only `Simulator::mmio_audit` fills
+    /// it, from the attached sanitizer, so a single `violations() == 0`
+    /// assertion covers both register policy and bus protocol.
     pub protocol: u64,
 }
 

@@ -145,6 +145,28 @@ fn hwicap_throughput_both_unroll_points() {
     );
 }
 
+/// Table IV: each filter's compute time `T_c` on the 512×512 image is
+/// pinned to the exact CLINT tick (Gaussian 606 µs, Median 596 µs,
+/// Sobel 586.2 µs), within 1 % of the paper, with output equal to the
+/// golden filter.
+#[test]
+fn table4_compute_times_are_pinned() {
+    let run = rvcap_bench::tables::table4_run();
+    let ticks: Vec<u64> = run.rows.iter().map(|r| r.tc_ticks).collect();
+    assert_eq!(ticks, [3030, 2980, 2931], "T_c in CLINT ticks");
+    for r in &run.rows {
+        let paper = r.paper[2];
+        assert!(
+            (r.tc_us - paper).abs() / paper < 0.01,
+            "{}: T_c {} µs (paper {paper})",
+            r.accelerator,
+            r.tc_us
+        );
+        assert!(r.output_matches_golden, "{} output", r.accelerator);
+    }
+    assert_eq!(run.audit.violations(), 0);
+}
+
 /// Table I/II resource totals are derived, not hard-coded, and equal
 /// the paper's numbers.
 #[test]

@@ -17,11 +17,16 @@
 
 use rvcap_bench::hostbench::{scheduler_name, SCHEDULERS};
 use rvcap_bench::paper_soc::{self, PaperRig};
-use rvcap_repro::core::drivers::{DmaMode, RvCapDriver};
-use rvcap_repro::core::system::SocBuilder;
+use rvcap_repro::accel::library::filter_library;
+use rvcap_repro::accel::{FilterKind, Image};
+use rvcap_repro::core::drivers::rvcap::start_stream_job;
+use rvcap_repro::core::drivers::{DmaMode, ReconfigModule, RvCapDriver};
+use rvcap_repro::core::system::{RvCapSoc, SocBuilder};
+use rvcap_repro::fabric::bitstream::BitstreamBuilder;
 use rvcap_repro::fabric::rp::RpGeometry;
 use rvcap_repro::sim::{bisect_divergence, Cycle, Scheduler, SimState};
 use rvcap_repro::soc::cpu::SocState;
+use rvcap_repro::soc::map::{DDR_BASE, IRQ_DMA_S2MM};
 
 /// Small sweep geometry: full reconfiguration in ~11 k cycles, cheap
 /// enough to run under the naive reference schedule in debug builds.
@@ -273,4 +278,129 @@ fn vcd_waveform_survives_fork() {
     let forked_dump = b.soc.handles.vcd.as_ref().unwrap().render();
     assert!(!straight_dump.is_empty());
     assert_eq!(straight_dump, forked_dump);
+}
+
+/// Frame edge of the accelerator fork rig.
+const ACCEL_DIM: usize = 16;
+const IMG_IN: u64 = DDR_BASE + 0x10_0000;
+const IMG_OUT: u64 = DDR_BASE + 0x20_0000;
+
+/// The input frame of the accelerator fork rig.
+fn accel_input() -> Image {
+    Image::noise(ACCEL_DIM, ACCEL_DIM, 7)
+}
+
+/// One small partition hosting the filter library for 16×16 frames,
+/// sanitizer attached.
+fn accel_soc(scheduler: Scheduler) -> RvCapSoc {
+    let geometry = RpGeometry::scaled(1, 0, 0);
+    let mut soc = SocBuilder::new()
+        .with_sanitizer()
+        .with_rps(vec![geometry.clone()])
+        .with_library(filter_library(&geometry, ACCEL_DIM, ACCEL_DIM))
+        .build();
+    soc.core.sim.set_scheduler(scheduler);
+    soc
+}
+
+/// [`accel_soc`] reconfigured to the Gaussian filter, with a stream
+/// job over [`accel_input`] programmed and in flight.
+fn gaussian_job(scheduler: Scheduler) -> RvCapSoc {
+    let mut soc = accel_soc(scheduler);
+    let img = soc.handles.library.by_name("Gaussian").unwrap().clone();
+    let bytes = BitstreamBuilder::kintex7()
+        .partial(soc.handles.rps[0].far_base, &img.payload)
+        .to_bytes();
+    let stage = DDR_BASE + 0x40_0000;
+    soc.handles.ddr.write_bytes(stage, &bytes);
+    let module = ReconfigModule {
+        name: "Gaussian".into(),
+        rm_number: 0,
+        start_address: stage,
+        pbit_size: bytes.len() as u32,
+    };
+    let driver = RvCapDriver::new(0, soc.handles.plic.clone());
+    driver.init_reconfig_process(&mut soc.core, &module, DmaMode::NonBlocking);
+    soc.handles
+        .ddr
+        .write_bytes(IMG_IN, accel_input().as_bytes());
+    let len = (ACCEL_DIM * ACCEL_DIM) as u32;
+    start_stream_job(&mut soc.core, 0, IMG_IN, IMG_OUT, len);
+    soc
+}
+
+/// Run the job to its S2MM completion interrupt, then let the posted
+/// write-back drain. Returns the interrupt's cycle, the output image
+/// and the final state. The limits are small: a job that has lost its
+/// pipeline stalls.
+fn finish_accel_job(soc: &mut RvCapSoc) -> (Cycle, Vec<u8>, SocState) {
+    let plic = soc.handles.plic.clone();
+    soc.core
+        .wait_until(20_000, || plic.is_pending(IRQ_DMA_S2MM))
+        .expect("stream job completes");
+    let done = soc.core.now();
+    soc.core
+        .sim
+        .run_until_quiescent(20_000)
+        .expect("write-back drains");
+    let out = soc.handles.ddr.read_bytes(IMG_OUT, ACCEL_DIM * ACCEL_DIM);
+    (done, out, soc.core.checkpoint().expect("final checkpoint"))
+}
+
+/// The hosted filter's received pixels and emitted pixels inside a
+/// checkpoint.
+fn filter_progress(state: &SocState) -> (usize, u64) {
+    let host = state
+        .sim
+        .components
+        .iter()
+        .find(|c| c.name == "host0")
+        .expect("RM host registered");
+    let filter = host
+        .blob
+        .get_blob("behavior")
+        .expect("the hosted filter saves its pipeline");
+    let received = filter.get_bytes("inbuf").expect("received prefix").len();
+    (received, filter.get_u64("out_pos").expect("emitted pixels"))
+}
+
+/// A stateful accelerator forked mid-frame — the filter holding part
+/// of the frame, some of its output emitted — finishes exactly like
+/// the uninterrupted job under both schedulers: same completion cycle,
+/// same output image, same final state.
+#[test]
+fn mid_frame_accelerator_fork_replays_bit_identical() {
+    let golden = FilterKind::Gaussian.golden(&accel_input());
+    for scheduler in SCHEDULERS {
+        let name = scheduler_name(scheduler);
+        let (done, straight_out, straight_end) = finish_accel_job(&mut gaussian_job(scheduler));
+        assert_eq!(straight_out, golden.as_bytes(), "output under {name}");
+
+        // The filter bursts its banked output credits once two rows
+        // are in, and completes a few cycles before the interrupt:
+        // 20 cycles earlier it holds part of the frame.
+        let mut prefix = gaussian_job(scheduler);
+        let now = prefix.core.now();
+        prefix.core.compute(done - 20 - now);
+        let base = prefix.core.checkpoint().expect("mid-frame checkpoint");
+
+        let mut forked = accel_soc(scheduler);
+        forked
+            .core
+            .restore(&base)
+            .expect("restore into a fresh SoC");
+        let (fork_done, fork_out, fork_end) = finish_accel_job(&mut forked);
+        assert_eq!(fork_out, straight_out, "forked output under {name}");
+        assert_eq!(fork_done, done, "completion cycle under {name}");
+        assert_eq!(
+            straight_end.parity_diff(&fork_end),
+            None,
+            "fork parity under {name}"
+        );
+        let (received, emitted) = filter_progress(&base);
+        assert!(
+            emitted > 0 && received < ACCEL_DIM * ACCEL_DIM,
+            "checkpoint not mid-frame under {name}: {received} pixels in, {emitted} out"
+        );
+    }
 }
