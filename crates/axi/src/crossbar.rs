@@ -9,7 +9,7 @@ use std::collections::VecDeque;
 
 use rvcap_sim::component::{Component, TickCtx};
 use rvcap_sim::state::{StateBlob, StateError, StateItem, StateValue};
-use rvcap_sim::Cycle;
+use rvcap_sim::{Cycle, PagedBytes};
 
 use crate::mm::{MasterPort, MmOp, MmReq, MmResp, SlavePort};
 
@@ -592,12 +592,13 @@ impl Component for Crossbar {
 
 /// A simple RAM slave used by interconnect tests and small systems
 /// (boot memory). Answers each request one cycle after accepting it
-/// and streams burst beats back-to-back.
+/// and streams burst beats back-to-back. The contents are a
+/// copy-on-write [`PagedBytes`] store, shared page-wise with checkpoints.
 pub struct RamSlave {
     name: String,
     port: SlavePort,
     base: u64,
-    mem: Vec<u8>,
+    mem: PagedBytes,
     /// (ready_at, remaining beat responses)
     active: Option<(Cycle, VecDeque<MmResp>)>,
 }
@@ -609,7 +610,7 @@ impl RamSlave {
             name: name.into(),
             port,
             base,
-            mem: vec![0; size],
+            mem: PagedBytes::new(size),
             active: None,
         }
     }
@@ -617,14 +618,14 @@ impl RamSlave {
     /// Direct (zero-time) memory access for initialization and test
     /// inspection — the simulation-level equivalent of a backdoor load.
     pub fn write_bytes(&mut self, addr: u64, data: &[u8]) {
-        let off = (addr - self.base) as usize;
-        self.mem[off..off + data.len()].copy_from_slice(data);
+        self.mem.write((addr - self.base) as usize, data);
     }
 
     /// Direct read, see [`RamSlave::write_bytes`].
     pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
-        let off = (addr - self.base) as usize;
-        self.mem[off..off + len].to_vec()
+        let mut buf = vec![0; len];
+        self.mem.read((addr - self.base) as usize, &mut buf);
+        buf
     }
 
     fn serve(&mut self, req: MmReq) -> VecDeque<MmResp> {
@@ -633,15 +634,14 @@ impl RamSlave {
             crate::mm::MmOp::Read { bytes } => {
                 let off = (req.addr - self.base) as usize;
                 let mut buf = [0u8; 8];
-                buf[..bytes as usize].copy_from_slice(&self.mem[off..off + bytes as usize]);
+                self.mem.read(off, &mut buf[..bytes as usize]);
                 out.push_back(MmResp::data(u64::from_le_bytes(buf), bytes, true));
             }
             crate::mm::MmOp::ReadBurst { beats, beat_bytes } => {
                 for i in 0..beats {
                     let off = (req.addr - self.base) as usize + i as usize * beat_bytes as usize;
                     let mut buf = [0u8; 8];
-                    buf[..beat_bytes as usize]
-                        .copy_from_slice(&self.mem[off..off + beat_bytes as usize]);
+                    self.mem.read(off, &mut buf[..beat_bytes as usize]);
                     out.push_back(MmResp::data(
                         u64::from_le_bytes(buf),
                         beat_bytes,
@@ -651,8 +651,7 @@ impl RamSlave {
             }
             crate::mm::MmOp::Write { data, bytes, .. } => {
                 let off = (req.addr - self.base) as usize;
-                self.mem[off..off + bytes as usize]
-                    .copy_from_slice(&data.to_le_bytes()[..bytes as usize]);
+                self.mem.write(off, &data.to_le_bytes()[..bytes as usize]);
                 out.push_back(MmResp::write_ack());
             }
         }
@@ -710,9 +709,9 @@ impl Component for RamSlave {
     }
 
     fn save_state(&self) -> Option<StateBlob> {
-        let mut b = StateBlob::new("axi.ram", 1);
+        let mut b = StateBlob::new("axi.ram", 2);
         b.put("req", self.port.req.save_state());
-        b.put_bytes("mem", std::sync::Arc::new(self.mem.clone()));
+        b.put_paged("mem", self.mem.clone());
         match &self.active {
             Some((ready, pending)) => {
                 b.put_opt_u64("active_ready", Some(*ready));
@@ -730,8 +729,8 @@ impl Component for RamSlave {
     }
 
     fn restore_state(&mut self, state: &StateBlob) -> Result<(), StateError> {
-        state.expect("axi.ram", 1)?;
-        let mem = state.get_bytes("mem")?;
+        state.expect("axi.ram", 2)?;
+        let mem = state.get_paged("mem")?;
         if mem.len() != self.mem.len() {
             return Err(state.structure_error(format!(
                 "memory is {} bytes in state, this RAM has {}",
@@ -740,7 +739,7 @@ impl Component for RamSlave {
             )));
         }
         self.port.req.restore_state(state.get("req")?)?;
-        self.mem.copy_from_slice(mem);
+        self.mem = mem.clone();
         self.active = match state.get_opt_u64("active_ready")? {
             Some(ready) => {
                 let pending = state
@@ -997,6 +996,26 @@ mod tests {
             "diverged: {}",
             fin_a.parity_diff(&fin_b).unwrap()
         );
+    }
+
+    #[test]
+    fn ram_checkpoint_shares_pages_and_restore_checks_the_size() {
+        let mut ram = RamSlave::new("ram", link("ram", 2).1, 0x1000, 0x3000);
+        ram.write_bytes(0x1FFE, &[1, 2, 3, 4]);
+        let saved = ram.save_state().unwrap();
+        assert_eq!(saved.get_paged("mem").unwrap().resident_pages(), 2);
+        ram.write_bytes(0x1FFE, &[9; 4]);
+        ram.restore_state(&saved).unwrap();
+        assert_eq!(ram.read_bytes(0x1FFE, 4), vec![1, 2, 3, 4]);
+        let mut other = RamSlave::new("ram", link("ram", 2).1, 0x1000, 0x2000);
+        assert!(matches!(
+            other.restore_state(&saved),
+            Err(StateError::Structure { .. })
+        ));
+        assert!(matches!(
+            other.restore_state(&StateBlob::new("axi.ram", 1)),
+            Err(StateError::VersionMismatch { got: 1, .. })
+        ));
     }
 
     mod traffic_properties {

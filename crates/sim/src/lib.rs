@@ -21,6 +21,9 @@
 //! * [`sanitizer`] — the bus sanitizer: a passive invariant-checking
 //!   layer hooked into watched FIFOs (stream framing, MM transaction
 //!   pairing, decouple gating, rate rules, stuck-channel watchdog).
+//! * [`paged`] — [`paged::PagedBytes`], the sparse copy-on-write byte
+//!   store behind every bulk memory, so a checkpoint shares pages with
+//!   the live memory instead of copying it.
 //! * [`state`] — typed, versioned checkpoint state: the
 //!   [`state::StateBlob`] every component externalizes its mutable
 //!   state into, and the whole-simulator [`state::SimState`] produced
@@ -69,6 +72,7 @@
 pub mod component;
 pub mod fifo;
 pub mod kernel;
+pub mod paged;
 pub mod replay;
 pub mod sanitizer;
 pub mod signal;
@@ -81,6 +85,7 @@ pub mod wake;
 pub use component::Component;
 pub use fifo::Fifo;
 pub use kernel::{Scheduler, Simulator, StallReport};
+pub use paged::{PagedBytes, PAGE_SIZE};
 pub use replay::{bisect_divergence, DivergenceReport};
 pub use sanitizer::{
     ChannelKind, LinkId, Payload, PayloadMeta, ProtocolViolation, Sanitizer, StuckChannel,

@@ -15,10 +15,12 @@
 //! * Fields are name/value pairs over a closed set of value shapes
 //!   ([`StateValue`]). Typed accessors return [`StateError`] on a
 //!   missing field or a shape mismatch, naming the blob and field.
-//! * Bulk memory (DDR contents, the SD card image) travels as
-//!   [`StateValue::Bytes`] behind an `Arc`, so cloning a whole-system
-//!   checkpoint — the warm-boot fork path of the host-perf harness —
-//!   never copies megabytes.
+//! * Bulk memory (DDR, the SD card's flash, the boot ROM, the
+//!   configuration memory) travels as [`StateValue::Paged`]: a
+//!   copy-on-write [`PagedBytes`] store whose pages the checkpoint
+//!   shares with the live memory. Capturing or restoring a checkpoint
+//!   copies page tables, never the pages, and comparing two forks of
+//!   one checkpoint reads only the pages either side dirtied.
 //!
 //! On top of the per-component blobs, [`SimState`] is the
 //! whole-simulator checkpoint captured by
@@ -34,6 +36,7 @@
 use std::fmt;
 use std::sync::Arc;
 
+use crate::paged::PagedBytes;
 use crate::time::Cycle;
 
 /// One field value inside a [`StateBlob`]. A closed set of shapes —
@@ -52,9 +55,15 @@ pub enum StateValue {
     OptU64(Option<u64>),
     /// A short identifying string (an RM name, a channel name).
     Str(String),
-    /// Bulk byte memory, shared — cloning a checkpoint is O(1) per
-    /// memory, which is what makes warm-boot forking cheap.
+    /// A small byte buffer (the filter's received prefix, the SD
+    /// frame, the UART log), shared so cloning a blob does not copy
+    /// it. Capturing one still copies the buffer: bulk memory uses
+    /// [`StateValue::Paged`].
     Bytes(Arc<Vec<u8>>),
+    /// A bulk memory image: page-shared with the memory it was
+    /// captured from, so capture, clone and restore copy page tables
+    /// only. Equal when byte-equal.
+    Paged(PagedBytes),
     /// A word buffer (configuration frames, FIFO word queues).
     Words(Vec<u32>),
     /// An ordered sequence of values (FIFO queues, pipelines).
@@ -86,6 +95,7 @@ impl StateValue {
             StateValue::OptU64(_) => "opt-u64",
             StateValue::Str(_) => "str",
             StateValue::Bytes(_) => "bytes",
+            StateValue::Paged(_) => "paged",
             StateValue::Words(_) => "words",
             StateValue::List(_) => "list",
             StateValue::Blob(_) => "blob",
@@ -265,6 +275,12 @@ impl StateBlob {
         self.put(field, StateValue::Bytes(v));
     }
 
+    /// Append a [`StateValue::Paged`] field (page-shared, cheap to
+    /// capture and clone).
+    pub fn put_paged(&mut self, field: impl Into<String>, v: PagedBytes) {
+        self.put(field, StateValue::Paged(v));
+    }
+
     /// Append a [`StateValue::Words`] field.
     pub fn put_words(&mut self, field: impl Into<String>, v: Vec<u32>) {
         self.put(field, StateValue::Words(v));
@@ -370,6 +386,14 @@ impl StateBlob {
         match self.get(field)? {
             StateValue::Bytes(v) => Ok(v),
             other => Err(self.mismatch(field, "bytes", other)),
+        }
+    }
+
+    /// Read a [`StateValue::Paged`] field.
+    pub fn get_paged(&self, field: &str) -> Result<&PagedBytes, StateError> {
+        match self.get(field)? {
+            StateValue::Paged(v) => Ok(v),
+            other => Err(self.mismatch(field, "paged", other)),
         }
     }
 
@@ -588,7 +612,7 @@ impl SimState {
                 if let (StateValue::Blob(ab), StateValue::Blob(bb)) = (av, bv) {
                     return Self::blob_diff(&format!("{owner}.{an}"), ab, bb);
                 }
-                return format!("{owner}.{an}: {av:?} vs {bv:?}");
+                return format!("{owner}.{an}: {}", value_diff(av, bv));
             }
         }
         format!(
@@ -596,6 +620,47 @@ impl SimState {
             a.version, b.version
         )
     }
+}
+
+/// Describe how two unequal values differ. Buffers report their first
+/// differing offset, the value on each side of it (`end` past a
+/// shorter buffer) and, when they differ, the two lengths — never the
+/// whole contents, which for a memory image runs to hundreds of MB.
+fn value_diff(a: &StateValue, b: &StateValue) -> String {
+    fn first_mismatch<T: PartialEq>(a: &[T], b: &[T]) -> usize {
+        a.iter()
+            .zip(b)
+            .position(|(x, y)| x != y)
+            .unwrap_or(a.len().min(b.len()))
+    }
+    let (unit, at, va, vb, la, lb) = match (a, b) {
+        (StateValue::Bytes(a), StateValue::Bytes(b)) => {
+            let at = first_mismatch(&a[..], &b[..]);
+            let (va, vb) = (a.get(at).map(|&v| v.into()), b.get(at).map(|&v| v.into()));
+            ("byte", at, va, vb, a.len(), b.len())
+        }
+        (StateValue::Words(a), StateValue::Words(b)) => {
+            let at = first_mismatch(&a[..], &b[..]);
+            let (va, vb) = (a.get(at).map(|&v| v.into()), b.get(at).map(|&v| v.into()));
+            ("word", at, va, vb, a.len(), b.len())
+        }
+        (StateValue::Paged(a), StateValue::Paged(b)) => {
+            let at = a.first_difference(b).unwrap_or(0);
+            let (va, vb) = (a.get(at).map(u64::from), b.get(at).map(u64::from));
+            ("byte", at, va, vb, a.len(), b.len())
+        }
+        _ => return format!("{a:?} vs {b:?}"),
+    };
+    let show = |v: Option<u64>| v.map_or("end".to_string(), |v| format!("{v:#x}"));
+    let mut s = format!(
+        "first difference at {unit} {at:#x}: {} vs {}",
+        show(va),
+        show(vb)
+    );
+    if la != lb {
+        s += &format!(" (lengths {la} vs {lb})");
+    }
+    s
 }
 
 #[cfg(test)]
@@ -721,6 +786,80 @@ mod tests {
         let diff = mk(1).parity_diff(&mk(2)).unwrap();
         assert!(diff.contains("a.pushed"), "got: {diff}");
         assert!(mk(3).parity_eq(&mk(3)));
+    }
+
+    /// A one-component checkpoint holding `value` as field `mem`.
+    fn state_with(value: StateValue) -> SimState {
+        let mut blob = StateBlob::new("ddr", 2);
+        blob.put("mem", value);
+        SimState {
+            cycle: 10,
+            components: vec![ComponentState {
+                name: "ddr".into(),
+                registered_at: 0,
+                ticks: 10,
+                blob,
+            }],
+            sanitizer: None,
+            counters: KernelCounters::default(),
+        }
+    }
+
+    #[test]
+    fn buffer_diffs_name_the_first_offset_not_the_contents() {
+        let mut big = PagedBytes::new(64 << 20);
+        let base = state_with(StateValue::Paged(big.clone()));
+        big.write(0x12_3456, &[0x5A]);
+        let diff = base
+            .parity_diff(&state_with(StateValue::Paged(big)))
+            .unwrap();
+        assert_eq!(
+            diff,
+            "ddr.mem: first difference at byte 0x123456: 0x0 vs 0x5a"
+        );
+
+        let bytes = |v: Vec<u8>| StateValue::Bytes(Arc::new(v));
+        let diff = state_with(bytes(vec![1, 2, 3]))
+            .parity_diff(&state_with(bytes(vec![1, 2, 3, 4])))
+            .unwrap();
+        assert_eq!(
+            diff,
+            "ddr.mem: first difference at byte 0x3: end vs 0x4 (lengths 3 vs 4)"
+        );
+
+        let words = |v: Vec<u32>| StateValue::Words(v);
+        let diff = state_with(words(vec![7; 1 << 20]))
+            .parity_diff(&state_with(words(vec![7, 8])))
+            .unwrap();
+        assert_eq!(
+            diff,
+            "ddr.mem: first difference at word 0x1: 0x7 vs 0x8 (lengths 1048576 vs 2)"
+        );
+    }
+
+    #[test]
+    fn paged_fields_share_pages_and_compare_by_bytes() {
+        let mut mem = PagedBytes::new(1 << 20);
+        mem.write(100, &[1, 2, 3]);
+        let mut b = StateBlob::new("ddr", 2);
+        b.put_paged("mem", mem.clone());
+        let c = b.clone();
+        assert_eq!(b, c);
+        assert_eq!(c.get_paged("mem").unwrap().resident_pages(), 1);
+        assert!(matches!(
+            b.get_bytes("mem").unwrap_err(),
+            StateError::TypeMismatch { got: "paged", .. }
+        ));
+        // The live memory moves on; the captured field does not.
+        mem.write(100, &[9]);
+        assert_eq!(c.get_paged("mem").unwrap().get(100), Some(1));
+        assert_ne!(c.get_paged("mem").unwrap(), &mem);
+    }
+
+    #[test]
+    fn checkpoints_are_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<SimState>();
     }
 
     #[test]

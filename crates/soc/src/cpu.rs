@@ -27,7 +27,6 @@ use rvcap_sim::state::{SimState, StateBlob, StateError};
 use rvcap_sim::{Cycle, Simulator, StallReport};
 
 use crate::ddr::DdrHandle;
-use crate::map::is_cacheable;
 
 /// Pipeline cost of a non-cacheable access outside the bus itself:
 /// cycles to drain and issue before the request hits the bus.
@@ -238,10 +237,12 @@ impl SocState {
     }
 }
 
-/// Bridges the RV64 interpreter to a [`SocCore`]: cacheable accesses
-/// hit the data cache (backdoor DDR, 1 cycle); non-cacheable accesses
-/// run the full simulated bus round trip; non-bus instruction cycles
-/// advance the simulation in lockstep.
+/// Bridges the RV64 interpreter to a [`SocCore`]: accesses inside DDR
+/// hit the data cache (backdoor DDR, 1 cycle); every other access —
+/// peripherals, the boot ROM, unmapped addresses — runs the full
+/// simulated bus round trip, so the crossbar decodes it (an unmapped
+/// address is a fatal bus error, as in [`SocCore::mmio_read`]);
+/// non-bus instruction cycles advance the simulation in lockstep.
 pub struct InterpreterBus<'a> {
     core: &'a mut SocCore,
     ddr: DdrHandle,
@@ -269,7 +270,7 @@ impl<'a> InterpreterBus<'a> {
 
 impl rvcap_rv64::Bus for InterpreterBus<'_> {
     fn load(&mut self, addr: u64, bytes: u8) -> (u64, u64) {
-        if is_cacheable(addr) {
+        if self.ddr.contains(addr, bytes.into()) {
             let raw = self.ddr.read_bytes(addr, bytes as usize);
             let mut buf = [0u8; 8];
             buf[..bytes as usize].copy_from_slice(&raw);
@@ -283,7 +284,7 @@ impl rvcap_rv64::Bus for InterpreterBus<'_> {
     }
 
     fn store(&mut self, addr: u64, bytes: u8, value: u64) -> u64 {
-        if is_cacheable(addr) {
+        if self.ddr.contains(addr, bytes.into()) {
             self.ddr
                 .write_bytes(addr, &value.to_le_bytes()[..bytes as usize]);
             1
@@ -311,24 +312,31 @@ mod tests {
     use crate::clint::Clint;
     use crate::ddr::{Ddr, DdrConfig};
     use crate::map::*;
-    use rvcap_axi::crossbar::{Crossbar, SlaveRegion};
+    use rvcap_axi::crossbar::{Crossbar, RamSlave, SlaveRegion};
     use rvcap_axi::mm::link;
+    use rvcap_rv64::Bus;
     use rvcap_sim::Freq;
 
-    /// A minimal SoC: CPU → crossbar → {CLINT, DDR}.
+    /// A minimal SoC: CPU → crossbar → {boot ROM, CLINT, DDR}.
     fn mini_soc() -> (SocCore, crate::clint::ClintHandle, DdrHandle) {
         let mut sim = Simulator::new(Freq::FABRIC_100MHZ);
         let (cpu_m, cpu_s) = link("cpu", 1);
+        let (boot_m, boot_s) = link("boot", 2);
         let (clint_m, clint_s) = link("clint", 2);
         let (ddr_m, ddr_s) = link("ddr", 8);
         let xbar = Crossbar::new(
             "xbar",
             vec![cpu_s],
             vec![
+                (
+                    SlaveRegion::new("boot", BOOT_ROM_BASE, BOOT_ROM_SIZE),
+                    boot_m,
+                ),
                 (SlaveRegion::new("clint", CLINT_BASE, CLINT_SIZE), clint_m),
                 (SlaveRegion::new("ddr", DDR_BASE, 1 << 20), ddr_m),
             ],
         );
+        let boot = RamSlave::new("boot", boot_s, BOOT_ROM_BASE, BOOT_ROM_SIZE as usize);
         let (clint, clint_h) = Clint::paper(clint_s, CLINT_BASE);
         let (ddr, ddr_h) = Ddr::new(
             "ddr",
@@ -340,9 +348,40 @@ mod tests {
             },
         );
         sim.register(Box::new(xbar));
+        sim.register(Box::new(boot));
         sim.register(Box::new(clint));
         sim.register(Box::new(ddr));
         (SocCore::new(sim, cpu_m), clint_h, ddr_h)
+    }
+
+    #[test]
+    fn interpreter_reaches_the_boot_rom_over_the_bus() {
+        let (mut core, _c, ddr) = mini_soc();
+        let program = rvcap_rv64::assemble(
+            "
+            li a0, 0x10000        # BOOT_ROM_BASE
+            li a1, 0x5a5a
+            sd a1, 8(a0)
+            ld a2, 8(a0)
+            ecall
+            ",
+            0x1_0000,
+        )
+        .unwrap();
+        let mut cpu = rvcap_rv64::Cpu::new(program, 0x1_0000);
+        let res = cpu.run(&mut InterpreterBus::new(&mut core, ddr.clone()), 1000);
+        assert_eq!(res.exit, rvcap_rv64::RunExit::Halted);
+        assert_eq!(cpu.reg(rvcap_rv64::Reg::a(2)), 0x5a5a);
+        // Both accesses were bus round trips, not D$ hits on DDR.
+        assert_eq!((core.mmio_writes(), core.mmio_reads()), (1, 1));
+        assert_eq!(ddr.read_bytes(DDR_BASE, 16), vec![0; 16]);
+    }
+
+    #[test]
+    #[should_panic(expected = "bus error at 0x84000000")]
+    fn interpreter_load_past_ddr_is_a_bus_error() {
+        let (mut core, _c, ddr) = mini_soc();
+        InterpreterBus::new(&mut core, ddr).load(0x8400_0000, 4);
     }
 
     #[test]

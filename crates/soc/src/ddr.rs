@@ -19,6 +19,9 @@
 //! Reads and writes use independent engines, mirroring AXI's separate
 //! R and W channels — in acceleration mode the DMA reads the input
 //! image while writing filter output without the two serializing.
+//!
+//! The contents live in a copy-on-write [`PagedBytes`] store: a
+//! checkpoint shares its pages instead of copying 64 MiB.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -26,8 +29,7 @@ use std::rc::Rc;
 use rvcap_axi::mm::{MmOp, MmReq, MmResp, SlavePort};
 use rvcap_sim::component::{Component, TickCtx};
 use rvcap_sim::state::{StateBlob, StateError, StateItem, StateValue};
-use rvcap_sim::Cycle;
-use std::sync::Arc;
+use rvcap_sim::{Cycle, PagedBytes};
 
 /// DDR timing/geometry configuration.
 #[derive(Debug, Clone, Copy)]
@@ -62,25 +64,32 @@ impl Default for DdrConfig {
 #[derive(Debug, Clone)]
 pub struct DdrHandle {
     base: u64,
-    bytes: Rc<RefCell<Vec<u8>>>,
+    bytes: Rc<RefCell<PagedBytes>>,
 }
 
 impl DdrHandle {
     /// Copy `data` into DDR at absolute address `addr`.
     pub fn write_bytes(&self, addr: u64, data: &[u8]) {
         let off = (addr - self.base) as usize;
-        self.bytes.borrow_mut()[off..off + data.len()].copy_from_slice(data);
+        self.bytes.borrow_mut().write(off, data);
     }
 
     /// Read `len` bytes at absolute address `addr`.
     pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
         let off = (addr - self.base) as usize;
-        self.bytes.borrow()[off..off + len].to_vec()
+        let mut buf = vec![0; len];
+        self.bytes.borrow().read(off, &mut buf);
+        buf
     }
 
     /// Memory size in bytes.
     pub fn size(&self) -> usize {
         self.bytes.borrow().len()
+    }
+
+    /// Do the `len` bytes at absolute address `addr` lie inside DDR?
+    pub(crate) fn contains(&self, addr: u64, len: u64) -> bool {
+        addr >= self.base && addr - self.base + len <= self.size() as u64
     }
 }
 
@@ -104,7 +113,7 @@ pub struct Ddr {
     name: String,
     port: SlavePort,
     base: u64,
-    bytes: Rc<RefCell<Vec<u8>>>,
+    bytes: Rc<RefCell<PagedBytes>>,
     cfg: DdrConfig,
     read: ReadState,
     /// Posted-write pipeline: writes commit (and ack) in order, one
@@ -129,7 +138,7 @@ impl Ddr {
         base: u64,
         cfg: DdrConfig,
     ) -> (Self, DdrHandle) {
-        let bytes = Rc::new(RefCell::new(vec![0u8; cfg.size as usize]));
+        let bytes = Rc::new(RefCell::new(PagedBytes::new(cfg.size as usize)));
         let handle = DdrHandle {
             base,
             bytes: bytes.clone(),
@@ -161,9 +170,8 @@ impl Ddr {
 
     fn read_u64(&self, addr: u64, bytes: u8) -> u64 {
         let off = (addr - self.base) as usize;
-        let mem = self.bytes.borrow();
         let mut buf = [0u8; 8];
-        buf[..bytes as usize].copy_from_slice(&mem[off..off + bytes as usize]);
+        self.bytes.borrow().read(off, &mut buf[..bytes as usize]);
         u64::from_le_bytes(buf)
     }
 
@@ -202,8 +210,9 @@ impl Component for Ddr {
                         let ok = self.in_bounds(req.addr, bytes as u64);
                         if ok {
                             let off = (req.addr - self.base) as usize;
-                            self.bytes.borrow_mut()[off..off + bytes as usize]
-                                .copy_from_slice(&data.to_le_bytes()[..bytes as usize]);
+                            self.bytes
+                                .borrow_mut()
+                                .write(off, &data.to_le_bytes()[..bytes as usize]);
                         }
                         if posted {
                             // No B response: commit and move on. An
@@ -351,12 +360,9 @@ impl Component for Ddr {
     }
 
     fn save_state(&self) -> Option<StateBlob> {
-        let mut b = StateBlob::new("soc.ddr", 1);
+        let mut b = StateBlob::new("soc.ddr", 2);
         b.put("port_req", self.port.req.save_state());
-        b.put(
-            "mem",
-            StateValue::Bytes(Arc::new(self.bytes.borrow().clone())),
-        );
+        b.put_paged("mem", self.bytes.borrow().clone());
         let (read, until, req) = match &self.read {
             ReadState::Idle => ("idle", None, StateValue::OptU64(None)),
             ReadState::Latency { until, req } => ("latency", Some(*until), req.to_state()),
@@ -397,8 +403,8 @@ impl Component for Ddr {
     }
 
     fn restore_state(&mut self, state: &StateBlob) -> Result<(), StateError> {
-        state.expect("soc.ddr", 1)?;
-        let mem = state.get_bytes("mem")?;
+        state.expect("soc.ddr", 2)?;
+        let mem = state.get_paged("mem")?;
         if mem.len() as u64 != self.cfg.size {
             return Err(state.structure_error(format!(
                 "memory size mismatch: instance {}, state {}",
@@ -407,7 +413,7 @@ impl Component for Ddr {
             )));
         }
         self.port.req.restore_state(state.get("port_req")?)?;
-        self.bytes.borrow_mut().copy_from_slice(mem);
+        *self.bytes.borrow_mut() = mem.clone();
         self.read = match state.get_str("read")? {
             "idle" => ReadState::Idle,
             "latency" => ReadState::Latency {
@@ -644,6 +650,38 @@ mod tests {
                 assert_eq!((errors, acks), (1, 1), "gap {gap}, {read:?}");
             }
         }
+    }
+
+    #[test]
+    fn checkpoint_shares_pages_and_restore_checks_the_size() {
+        let (mut sim, m, h) = rig(small_cfg());
+        h.write_bytes(DDR_BASE + 4090, &[1; 12]);
+        let saved = sim.checkpoint().unwrap();
+        // A bus write and a backdoor write after the checkpoint.
+        m.try_issue(sim.now(), MmReq::write(DDR_BASE + 4092, 0xFF, 1))
+            .unwrap();
+        sim.run_until(200, || m.resp.force_pop().is_some()).unwrap();
+        h.write_bytes(DDR_BASE + 0x8_0000, &[2; 4]);
+        assert_eq!(h.read_bytes(DDR_BASE + 4092, 1), vec![0xFF]);
+        let blob = &saved.components[0].blob;
+        assert_eq!(blob.get_paged("mem").unwrap().resident_pages(), 2);
+        sim.restore(&saved).unwrap();
+        assert_eq!(h.read_bytes(DDR_BASE + 4088, 16), {
+            let mut v = vec![0; 16];
+            v[2..14].fill(1);
+            v
+        });
+        assert_eq!(h.read_bytes(DDR_BASE + 0x8_0000, 4), vec![0; 4]);
+
+        let (mut other, _) = Ddr::new("ddr", link("ddr", 8).1, DDR_BASE, DdrConfig::default());
+        assert!(matches!(
+            other.restore_state(blob),
+            Err(StateError::Structure { .. })
+        ));
+        assert!(matches!(
+            other.restore_state(&StateBlob::new("soc.ddr", 1)),
+            Err(StateError::VersionMismatch { got: 1, .. })
+        ));
     }
 
     #[test]

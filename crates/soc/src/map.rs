@@ -109,24 +109,9 @@ pub const IRQ_DMA_MM2S: u32 = 1;
 /// PLIC source id of the DMA S2MM (write channel) IOC interrupt.
 pub const IRQ_DMA_S2MM: u32 = 2;
 
-/// Is `addr` in cacheable DRAM (as opposed to peripheral space)?
-pub fn is_cacheable(addr: u64) -> bool {
-    addr >= DDR_BASE || (BOOT_ROM_BASE..BOOT_ROM_BASE + BOOT_ROM_SIZE).contains(&addr)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn peripheral_space_is_noncacheable() {
-        assert!(!is_cacheable(HWICAP_BASE));
-        assert!(!is_cacheable(DMA_BASE));
-        assert!(!is_cacheable(CLINT_BASE + CLINT_MTIME));
-        assert!(is_cacheable(DDR_BASE));
-        assert!(is_cacheable(DDR_BASE + 0x100_0000));
-        assert!(is_cacheable(BOOT_ROM_BASE));
-    }
 
     #[test]
     fn windows_do_not_overlap() {

@@ -1,6 +1,7 @@
 //! Block devices: the storage abstraction under the SD card and FAT32.
 
-use rvcap_sim::state::{StateError, StateValue};
+use rvcap_sim::state::{StateBlob, StateError, StateValue};
+use rvcap_sim::PagedBytes;
 
 /// Block (sector) size in bytes. SD cards and FAT32 both use 512.
 pub const BLOCK_SIZE: usize = 512;
@@ -42,10 +43,12 @@ pub trait BlockDevice {
     }
 }
 
-/// An in-memory block device (the simulated SD card's flash array).
+/// An in-memory block device (the simulated SD card's flash array),
+/// kept in a copy-on-write [`PagedBytes`] store: blocks never written
+/// cost nothing, and a checkpoint shares the written ones.
 #[derive(Debug, Clone)]
 pub struct MemBlockDevice {
-    blocks: Vec<u8>,
+    blocks: PagedBytes,
     reads: u64,
     writes: u64,
 }
@@ -54,7 +57,7 @@ impl MemBlockDevice {
     /// A zero-filled device of `num_blocks` blocks.
     pub fn new(num_blocks: u64) -> Self {
         MemBlockDevice {
-            blocks: vec![0u8; num_blocks as usize * BLOCK_SIZE],
+            blocks: PagedBytes::new(num_blocks as usize * BLOCK_SIZE),
             reads: 0,
             writes: 0,
         }
@@ -82,23 +85,18 @@ impl BlockDevice for MemBlockDevice {
     }
 
     fn read_block(&mut self, lba: u64, buf: &mut [u8; BLOCK_SIZE]) {
-        let off = lba as usize * BLOCK_SIZE;
-        buf.copy_from_slice(&self.blocks[off..off + BLOCK_SIZE]);
+        self.blocks.read(lba as usize * BLOCK_SIZE, buf);
         self.reads += 1;
     }
 
     fn write_block(&mut self, lba: u64, buf: &[u8; BLOCK_SIZE]) {
-        let off = lba as usize * BLOCK_SIZE;
-        self.blocks[off..off + BLOCK_SIZE].copy_from_slice(buf);
+        self.blocks.write(lba as usize * BLOCK_SIZE, buf);
         self.writes += 1;
     }
 
     fn save_state(&self) -> Option<StateValue> {
-        let mut b = rvcap_sim::state::StateBlob::new("storage.mem_block", 1);
-        b.put(
-            "blocks",
-            StateValue::Bytes(std::sync::Arc::new(self.blocks.clone())),
-        );
+        let mut b = StateBlob::new("storage.mem_block", 2);
+        b.put_paged("blocks", self.blocks.clone());
         b.put_u64("reads", self.reads);
         b.put_u64("writes", self.writes);
         Some(StateValue::Blob(Box::new(b)))
@@ -106,8 +104,8 @@ impl BlockDevice for MemBlockDevice {
 
     fn restore_state(&mut self, v: &StateValue) -> Result<(), StateError> {
         let b = v.as_blob("storage.mem_block")?;
-        b.expect("storage.mem_block", 1)?;
-        let blocks = b.get_bytes("blocks")?;
+        b.expect("storage.mem_block", 2)?;
+        let blocks = b.get_paged("blocks")?;
         if blocks.len() != self.blocks.len() {
             return Err(b.structure_error(format!(
                 "device size mismatch: instance {} bytes, state {}",
@@ -115,7 +113,7 @@ impl BlockDevice for MemBlockDevice {
                 blocks.len()
             )));
         }
-        self.blocks.copy_from_slice(blocks);
+        self.blocks = blocks.clone();
         self.reads = b.get_u64("reads")?;
         self.writes = b.get_u64("writes")?;
         Ok(())
@@ -147,6 +145,42 @@ mod tests {
         d.read_block(1, &mut back);
         assert_eq!(back, [0u8; BLOCK_SIZE]);
         assert_eq!(d.writes(), 1);
+    }
+
+    #[test]
+    fn checkpoint_shares_blocks_and_restores_them() {
+        let mut d = MemBlockDevice::with_mib(1);
+        d.write_block(5, &[0xAB; BLOCK_SIZE]);
+        let saved = d.save_state().unwrap();
+        d.write_block(5, &[0xCD; BLOCK_SIZE]);
+        d.write_block(900, &[1; BLOCK_SIZE]);
+        d.restore_state(&saved).unwrap();
+        let mut back = [0u8; BLOCK_SIZE];
+        d.read_block(5, &mut back);
+        assert_eq!(back, [0xAB; BLOCK_SIZE], "a later write leaked");
+        d.read_block(900, &mut back);
+        assert_eq!(back, [0; BLOCK_SIZE]);
+        let pages = saved
+            .as_blob("t")
+            .unwrap()
+            .get_paged("blocks")
+            .unwrap()
+            .resident_pages();
+        assert_eq!(pages, 1, "only the written block's page is held");
+    }
+
+    #[test]
+    fn restore_rejects_another_size_and_old_versions() {
+        let saved = MemBlockDevice::new(8).save_state().unwrap();
+        assert!(matches!(
+            MemBlockDevice::new(9).restore_state(&saved),
+            Err(StateError::Structure { .. })
+        ));
+        let v1 = StateValue::Blob(Box::new(StateBlob::new("storage.mem_block", 1)));
+        assert!(matches!(
+            MemBlockDevice::new(8).restore_state(&v1),
+            Err(StateError::VersionMismatch { got: 1, .. })
+        ));
     }
 
     #[test]

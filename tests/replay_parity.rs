@@ -20,13 +20,15 @@ use rvcap_bench::paper_soc::{self, PaperRig};
 use rvcap_repro::accel::library::filter_library;
 use rvcap_repro::accel::{FilterKind, Image};
 use rvcap_repro::core::drivers::rvcap::start_stream_job;
+use rvcap_repro::core::drivers::storage::SdDriver;
 use rvcap_repro::core::drivers::{DmaMode, ReconfigModule, RvCapDriver};
 use rvcap_repro::core::system::{RvCapSoc, SocBuilder};
 use rvcap_repro::fabric::bitstream::BitstreamBuilder;
 use rvcap_repro::fabric::rp::RpGeometry;
-use rvcap_repro::sim::{bisect_divergence, Cycle, Scheduler, SimState};
+use rvcap_repro::sim::{bisect_divergence, Cycle, Scheduler, SimState, StateBlob};
 use rvcap_repro::soc::cpu::SocState;
-use rvcap_repro::soc::map::{DDR_BASE, IRQ_DMA_S2MM};
+use rvcap_repro::soc::map::{BOOT_ROM_BASE, DDR_BASE, IRQ_DMA_MM2S, IRQ_DMA_S2MM};
+use rvcap_repro::storage::{BlockDevice, BLOCK_SIZE};
 
 /// Small sweep geometry: full reconfiguration in ~11 k cycles, cheap
 /// enough to run under the naive reference schedule in debug builds.
@@ -150,6 +152,67 @@ fn restore_rejects_mismatched_structure() {
         vec![small_rp(), RpGeometry::scaled(1, 0, 0)],
     );
     assert!(other.soc.core.restore(&state).is_err());
+}
+
+/// Fork cycles of the sweep fall after the programming prologue,
+/// within this many cycles: past the stream, its ICAP trailer and
+/// completion interrupt, into the idle tail.
+const SWEEP_SPAN: Cycle = 9_600;
+
+/// Forks in the sweep: one drawn in each equal stratum of the span, so
+/// the draws cover the run however the seed falls.
+const SWEEP_POINTS: Cycle = 16;
+
+/// Fixed seed of the sweep's draws.
+const SWEEP_SEED: u64 = 0x5eed_f02c;
+
+/// Every sweep fork continues to this many cycles past the prologue.
+const SWEEP_END: Cycle = SWEEP_SPAN + 400;
+
+/// The sweep's fork offsets past the prologue, ascending.
+fn sweep_offsets() -> Vec<Cycle> {
+    let stratum = SWEEP_SPAN / SWEEP_POINTS;
+    let mut x = SWEEP_SEED;
+    (0..SWEEP_POINTS)
+        .map(|i| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            i * stratum + x % stratum
+        })
+        .collect()
+}
+
+/// Forks at 16 seeded cycles across the whole transfer — mid-stream,
+/// around DDR refresh stalls, in the ICAP trailer, at the completion
+/// interrupt and in the idle tail — each replay bit-identically under
+/// both schedulers.
+#[test]
+fn forks_across_the_transfer_replay_bit_identical() {
+    let offsets = sweep_offsets();
+    for scheduler in SCHEDULERS {
+        let name = scheduler_name(scheduler);
+        let mut rig = mk_rig(scheduler);
+        program_transfer(&mut rig);
+        let c0 = rig.soc.core.now();
+        let words = (rig.module.pbit_size / 4) as u64;
+        let (mut mid_stream, mut after_irq) = (0, 0);
+        for &t in &offsets {
+            let now = rig.soc.core.now();
+            rig.soc.core.compute(c0 + t - now);
+            let base = rig.soc.core.checkpoint().expect("sweep checkpoint");
+            let consumed = rig.soc.handles.icap.words_consumed();
+            mid_stream += u32::from(consumed > 0 && consumed < words);
+            after_irq += u32::from(rig.soc.handles.plic.is_pending(IRQ_DMA_MM2S));
+            let horizon = c0 + SWEEP_END - base.sim.cycle;
+            assert_parity(&format!("sweep fork at +{t}"), scheduler, &base, horizon);
+        }
+        assert!(
+            mid_stream >= 10 && after_irq >= 2,
+            "sweep under {name} missed a phase: {mid_stream} forks mid-stream, \
+             {after_irq} after the completion interrupt"
+        );
+    }
 }
 
 /// A cycle-0 fork replays the *entire* reconfiguration bit-identically
@@ -403,4 +466,184 @@ fn mid_frame_accelerator_fork_replays_bit_identical() {
             "checkpoint not mid-frame under {name}: {received} pixels in, {emitted} out"
         );
     }
+}
+
+/// Write one SD block through the SPI driver (CMD24 over MMIO).
+fn sd_write(soc: &mut RvCapSoc, lba: u64, data: &[u8; BLOCK_SIZE]) {
+    SdDriver::init(&mut soc.core)
+        .expect("SD card initializes")
+        .write_block(lba, data);
+}
+
+/// Read one SD block through the SPI driver (CMD17 over MMIO).
+fn sd_read(soc: &mut RvCapSoc, lba: u64) -> [u8; BLOCK_SIZE] {
+    let mut buf = [0; BLOCK_SIZE];
+    SdDriver::init(&mut soc.core)
+        .expect("SD card initializes")
+        .read_block(lba, &mut buf);
+    buf
+}
+
+/// Reconfigure the accelerator partition to the library filter `name`
+/// through RV-CAP (DMA → ICAP), from a DDR staging buffer.
+fn load_filter(soc: &mut RvCapSoc, name: &str) {
+    let img = soc.handles.library.by_name(name).unwrap().clone();
+    let bytes = BitstreamBuilder::kintex7()
+        .partial(soc.handles.rps[0].far_base, &img.payload)
+        .to_bytes();
+    let stage = DDR_BASE + 0x40_0000;
+    soc.handles.ddr.write_bytes(stage, &bytes);
+    let module = ReconfigModule {
+        name: name.into(),
+        rm_number: 0,
+        start_address: stage,
+        pbit_size: bytes.len() as u32,
+    };
+    RvCapDriver::new(0, soc.handles.plic.clone()).init_reconfig_process(
+        &mut soc.core,
+        &module,
+        DmaMode::NonBlocking,
+    );
+}
+
+/// The registered image occupying the accelerator partition, by hash.
+fn loaded_filter(soc: &RvCapSoc) -> Option<String> {
+    let rp = &soc.handles.rps[0];
+    let hash = soc
+        .handles
+        .config_mem
+        .range_hash(rp.far_base, rp.frames())?;
+    Some(soc.handles.library.by_hash(hash)?.name.clone())
+}
+
+/// The proof of snapshot isolation. Replay parity cannot catch a write
+/// that leaks into a page a checkpoint shares when both runs write the
+/// same bytes, so here the live rig overwrites every bulk store after
+/// the checkpoint — DDR by DMA S2MM and by the backdoor, the SD card by
+/// a block write, configuration memory by an ICAP load, the boot ROM by
+/// a CPU MMIO write — and a rig restored from the checkpoint must still
+/// read the old bytes while the live rig reads the new ones.
+#[test]
+fn checkpoint_is_isolated_from_later_writes_to_every_store() {
+    const BACKDOOR: u64 = DDR_BASE + 0x30_0000;
+    const LBA: u64 = 1000;
+    const BOOT_WORD: u64 = BOOT_ROM_BASE + 0x100;
+    let n = ACCEL_DIM * ACCEL_DIM;
+    let old_out = vec![0x11; n];
+
+    let mut live = accel_soc(Scheduler::ActiveSet);
+    load_filter(&mut live, "Median");
+    live.handles.ddr.write_bytes(IMG_OUT, &old_out);
+    live.handles.ddr.write_bytes(BACKDOOR, &[0x22; 64]);
+    sd_write(&mut live, LBA, &[0x33; BLOCK_SIZE]);
+    live.core.mmio_write(BOOT_WORD, 0x4444_4444_4444_4444, 8);
+    let base = live.core.checkpoint().expect("checkpoint");
+
+    // New bytes in every store.
+    load_filter(&mut live, "Gaussian");
+    live.handles
+        .ddr
+        .write_bytes(IMG_IN, accel_input().as_bytes());
+    start_stream_job(&mut live.core, 0, IMG_IN, IMG_OUT, n as u32);
+    let (_, new_out, _) = finish_accel_job(&mut live);
+    live.handles.ddr.write_bytes(BACKDOOR, &[0x55; 64]);
+    sd_write(&mut live, LBA, &[0x66; BLOCK_SIZE]);
+    live.core.mmio_write(BOOT_WORD, 0x7777_7777_7777_7777, 8);
+    let golden = FilterKind::Gaussian.golden(&accel_input());
+    assert_eq!(new_out, golden.as_bytes(), "the S2MM write-back landed");
+
+    let mut restored = accel_soc(Scheduler::ActiveSet);
+    restored
+        .core
+        .restore(&base)
+        .expect("restore into a fresh SoC");
+    let ddr = &restored.handles.ddr;
+    assert_eq!(ddr.read_bytes(IMG_OUT, n), old_out, "DMA S2MM write leaked");
+    assert_eq!(
+        ddr.read_bytes(BACKDOOR, 64),
+        vec![0x22; 64],
+        "backdoor write leaked"
+    );
+    assert_eq!(
+        sd_read(&mut restored, LBA),
+        [0x33; BLOCK_SIZE],
+        "SD write leaked"
+    );
+    assert_eq!(restored.core.mmio_read(BOOT_WORD, 8), 0x4444_4444_4444_4444);
+    assert_eq!(
+        loaded_filter(&restored).as_deref(),
+        Some("Median"),
+        "ICAP load leaked"
+    );
+
+    let ddr = &live.handles.ddr;
+    assert_eq!(ddr.read_bytes(IMG_OUT, n), golden.as_bytes());
+    assert_eq!(ddr.read_bytes(BACKDOOR, 64), vec![0x55; 64]);
+    assert_eq!(sd_read(&mut live, LBA), [0x66; BLOCK_SIZE]);
+    assert_eq!(live.core.mmio_read(BOOT_WORD, 8), 0x7777_7777_7777_7777);
+    assert_eq!(loaded_filter(&live).as_deref(), Some("Gaussian"));
+}
+
+/// A one-byte DDR divergence reports where it is and what differs,
+/// not two renderings of a 64 MiB memory.
+#[test]
+fn one_byte_ddr_divergence_gives_a_short_report() {
+    let rig = mk_rig(Scheduler::ActiveSet);
+    let before = rig.soc.core.checkpoint().expect("checkpoint");
+    rig.soc
+        .handles
+        .ddr
+        .write_bytes(DDR_BASE + 0x12_3457, &[0xA5]);
+    let after = rig.soc.core.checkpoint().expect("checkpoint");
+    let diff = before.parity_diff(&after).expect("the byte differs");
+    assert!(diff.len() < 1024, "report is {} bytes", diff.len());
+    assert!(
+        diff.contains("ddr.mem") && diff.contains("0x123457") && diff.contains("0x0 vs 0xa5"),
+        "report does not locate the byte: {diff}"
+    );
+}
+
+/// What a checkpoint of the small-RP rig holds after one
+/// reconfiguration, in resident pages per bulk store: the staged
+/// bitstream and the configured frames, nothing of the untouched rest.
+/// A store that went back to copying whole images fails this on any
+/// host, whatever its clock does.
+#[test]
+fn fork_footprint_is_pinned() {
+    let mut rig = mk_rig(Scheduler::ActiveSet);
+    let module = rig.module.clone();
+    RvCapDriver::new(0, rig.soc.handles.plic.clone()).init_reconfig_process(
+        &mut rig.soc.core,
+        &module,
+        DmaMode::NonBlocking,
+    );
+    let state = rig.soc.core.checkpoint().expect("checkpoint");
+    let blob = |name: &str| {
+        &state
+            .sim
+            .components
+            .iter()
+            .find(|c| c.name == name)
+            .unwrap_or_else(|| panic!("{name} registered"))
+            .blob
+    };
+    let pages = |b: &StateBlob, field: &str| b.get_paged(field).unwrap().resident_pages();
+    let ddr = pages(blob("ddr"), "mem");
+    let sd = pages(
+        blob("spi")
+            .get_blob("card")
+            .unwrap()
+            .get_blob("dev")
+            .unwrap(),
+        "blocks",
+    );
+    let config = pages(blob("icap").get_blob("config_mem").unwrap(), "frames");
+    let boot = pages(blob("boot"), "mem");
+    // DDR: the 29 136-byte staged bitstream. Configuration memory:
+    // the partition's frames. The SD card and boot ROM are untouched.
+    assert_eq!(
+        [ddr, sd, config, boot],
+        [8, 0, 8, 0],
+        "resident pages of [ddr, sd, config_mem, boot]"
+    );
 }
