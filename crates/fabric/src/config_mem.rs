@@ -28,14 +28,17 @@ struct Inner {
     /// written — the difference between "never configured" and a
     /// frame of zeros.
     configured: Vec<u32>,
-    total_frames: usize,
     /// Total frames written since power-up.
     writes: u64,
 }
 
 impl Inner {
+    fn total_frames(&self) -> usize {
+        self.frames.len() / FRAME_BYTES
+    }
+
     fn is_configured(&self, far: usize) -> bool {
-        far < self.total_frames && self.configured[far / 32] >> (far % 32) & 1 == 1
+        far < self.total_frames() && self.configured[far / 32] >> (far % 32) & 1 == 1
     }
 
     fn frame(&self, far: usize) -> [u32; FRAME_WORDS] {
@@ -62,7 +65,6 @@ impl ConfigMem {
             inner: Rc::new(RefCell::new(Inner {
                 frames: PagedBytes::new(total_frames * FRAME_BYTES),
                 configured: vec![0; total_frames.div_ceil(32)],
-                total_frames,
                 writes: 0,
             })),
         }
@@ -70,7 +72,7 @@ impl ConfigMem {
 
     /// Total frame count of the device.
     pub fn total_frames(&self) -> usize {
-        self.inner.borrow().total_frames
+        self.inner.borrow().total_frames()
     }
 
     /// Write one frame at `far`. Panics on an out-of-range FAR — the
@@ -79,7 +81,7 @@ impl ConfigMem {
     pub fn write_frame(&self, far: u32, words: &[u32; FRAME_WORDS]) {
         let mut inner = self.inner.borrow_mut();
         let f = far as usize;
-        if f >= inner.total_frames {
+        if f >= inner.total_frames() {
             panic!("FAR {far:#x} out of range");
         }
         let mut bytes = [0u8; FRAME_BYTES];
@@ -143,7 +145,7 @@ impl ConfigMem {
     pub fn save_state(&self) -> StateValue {
         let inner = self.inner.borrow();
         let mut b = StateBlob::new("fabric.config_mem", 2);
-        b.put_u64("total_frames", inner.total_frames as u64);
+        b.put_u64("total_frames", inner.total_frames() as u64);
         b.put_u64("writes", inner.writes);
         b.put_paged("frames", inner.frames.clone());
         b.put_words("configured", inner.configured.clone());
@@ -156,10 +158,10 @@ impl ConfigMem {
         let b = v.as_blob("fabric.config_mem")?;
         b.expect("fabric.config_mem", 2)?;
         let mut inner = self.inner.borrow_mut();
-        if b.get_u64("total_frames")? as usize != inner.total_frames {
+        if b.get_u64("total_frames")? as usize != inner.total_frames() {
             return Err(b.structure_error(format!(
                 "device has {} frames, state was captured with {}",
-                inner.total_frames,
+                inner.total_frames(),
                 b.get_u64("total_frames")?
             )));
         }

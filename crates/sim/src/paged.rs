@@ -92,14 +92,14 @@ impl PagedBytes {
     }
 
     /// The byte at `off`, or `None` past the end.
-    pub fn get(&self, off: usize) -> Option<u8> {
+    pub(crate) fn get(&self, off: usize) -> Option<u8> {
         (off < self.len).then(|| self.page(off / PAGE_SIZE)[off % PAGE_SIZE])
     }
 
     /// The first offset at which the two stores differ, or `None` when
     /// they are byte-equal. When one store is a prefix of the other,
     /// the difference is at the shorter one's end.
-    pub fn first_difference(&self, other: &PagedBytes) -> Option<usize> {
+    pub(crate) fn first_difference(&self, other: &PagedBytes) -> Option<usize> {
         let common = self.len.min(other.len);
         for i in 0..self.pages.len().min(other.pages.len()) {
             let (a, b) = (self.page(i), other.page(i));
@@ -157,7 +157,7 @@ mod tests {
         v
     }
 
-    /// Pages `self` and `other` hold by the same pointer.
+    /// Pages `a` and `b` hold by the same pointer.
     fn shared_pages(a: &PagedBytes, b: &PagedBytes) -> usize {
         a.pages
             .iter()
@@ -266,11 +266,5 @@ mod tests {
         m.write(0, &[0x5A; 3 * PAGE_SIZE]);
         let s = format!("{m:?}");
         assert_eq!(s, "PagedBytes { len: 67108864, resident_pages: 3 }");
-    }
-
-    #[test]
-    fn store_is_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<PagedBytes>();
     }
 }

@@ -20,8 +20,8 @@
 //! R and W channels — in acceleration mode the DMA reads the input
 //! image while writing filter output without the two serializing.
 //!
-//! The contents live in a copy-on-write [`PagedBytes`] store: a
-//! checkpoint shares its pages instead of copying 64 MiB.
+//! The contents live in a copy-on-write [`PagedBytes`] store, so a
+//! checkpoint shares its pages with the live memory.
 
 use std::cell::RefCell;
 use std::rc::Rc;
