@@ -370,26 +370,41 @@ fn accel_soc(scheduler: Scheduler) -> RvCapSoc {
 /// job over [`accel_input`] programmed and in flight.
 fn gaussian_job(scheduler: Scheduler) -> RvCapSoc {
     let mut soc = accel_soc(scheduler);
-    let img = soc.handles.library.by_name("Gaussian").unwrap().clone();
+    start_gaussian_job(&mut soc);
+    soc
+}
+
+/// Reconfigure `soc` to the Gaussian filter and start a stream job
+/// over [`accel_input`].
+fn start_gaussian_job(soc: &mut RvCapSoc) {
+    load_filter(soc, "Gaussian");
+    soc.handles
+        .ddr
+        .write_bytes(IMG_IN, accel_input().as_bytes());
+    let len = (ACCEL_DIM * ACCEL_DIM) as u32;
+    start_stream_job(&mut soc.core, 0, IMG_IN, IMG_OUT, len);
+}
+
+/// Reconfigure the accelerator partition to the library filter `name`
+/// through RV-CAP (DMA → ICAP), from a DDR staging buffer.
+fn load_filter(soc: &mut RvCapSoc, name: &str) {
+    let img = soc.handles.library.by_name(name).unwrap().clone();
     let bytes = BitstreamBuilder::kintex7()
         .partial(soc.handles.rps[0].far_base, &img.payload)
         .to_bytes();
     let stage = DDR_BASE + 0x40_0000;
     soc.handles.ddr.write_bytes(stage, &bytes);
     let module = ReconfigModule {
-        name: "Gaussian".into(),
+        name: name.into(),
         rm_number: 0,
         start_address: stage,
         pbit_size: bytes.len() as u32,
     };
-    let driver = RvCapDriver::new(0, soc.handles.plic.clone());
-    driver.init_reconfig_process(&mut soc.core, &module, DmaMode::NonBlocking);
-    soc.handles
-        .ddr
-        .write_bytes(IMG_IN, accel_input().as_bytes());
-    let len = (ACCEL_DIM * ACCEL_DIM) as u32;
-    start_stream_job(&mut soc.core, 0, IMG_IN, IMG_OUT, len);
-    soc
+    RvCapDriver::new(0, soc.handles.plic.clone()).init_reconfig_process(
+        &mut soc.core,
+        &module,
+        DmaMode::NonBlocking,
+    );
 }
 
 /// Run the job to its S2MM completion interrupt, then let the posted
@@ -484,28 +499,6 @@ fn sd_read(soc: &mut RvCapSoc, lba: u64) -> [u8; BLOCK_SIZE] {
     buf
 }
 
-/// Reconfigure the accelerator partition to the library filter `name`
-/// through RV-CAP (DMA → ICAP), from a DDR staging buffer.
-fn load_filter(soc: &mut RvCapSoc, name: &str) {
-    let img = soc.handles.library.by_name(name).unwrap().clone();
-    let bytes = BitstreamBuilder::kintex7()
-        .partial(soc.handles.rps[0].far_base, &img.payload)
-        .to_bytes();
-    let stage = DDR_BASE + 0x40_0000;
-    soc.handles.ddr.write_bytes(stage, &bytes);
-    let module = ReconfigModule {
-        name: name.into(),
-        rm_number: 0,
-        start_address: stage,
-        pbit_size: bytes.len() as u32,
-    };
-    RvCapDriver::new(0, soc.handles.plic.clone()).init_reconfig_process(
-        &mut soc.core,
-        &module,
-        DmaMode::NonBlocking,
-    );
-}
-
 /// The registered image occupying the accelerator partition, by hash.
 fn loaded_filter(soc: &RvCapSoc) -> Option<String> {
     let rp = &soc.handles.rps[0];
@@ -540,11 +533,7 @@ fn checkpoint_is_isolated_from_later_writes_to_every_store() {
     let base = live.core.checkpoint().expect("checkpoint");
 
     // New bytes in every store.
-    load_filter(&mut live, "Gaussian");
-    live.handles
-        .ddr
-        .write_bytes(IMG_IN, accel_input().as_bytes());
-    start_stream_job(&mut live.core, 0, IMG_IN, IMG_OUT, n as u32);
+    start_gaussian_job(&mut live);
     let (_, new_out, _) = finish_accel_job(&mut live);
     live.handles.ddr.write_bytes(BACKDOOR, &[0x55; 64]);
     sd_write(&mut live, LBA, &[0x66; BLOCK_SIZE]);
