@@ -13,39 +13,10 @@
 //!
 //! Both show the same shape: ~2× from unroll 1 → 16, and <5 % beyond.
 
-use rvcap_bench::{paper_soc, report, runner};
-use rvcap_core::hwicap::REG_WF;
-use rvcap_core::system::SocBuilder;
+use rvcap_bench::{paper_soc, report, runner, tables};
 use rvcap_fabric::rp::RpGeometry;
-use rvcap_rv64::{assemble, Cpu, RunExit};
-use rvcap_soc::cpu::InterpreterBus;
-use rvcap_soc::map::{DDR_BASE, HWICAP_BASE};
 
 const UNROLLS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
-
-/// Generate the fill loop at a given unroll factor. The target
-/// addresses come from the same register-map declarations the device
-/// decode and the drivers use — the interpreter's `sw` stores land on
-/// the declared WF keyhole, not a hand-copied literal.
-fn fill_loop_asm(unroll: usize, words: usize) -> String {
-    assert_eq!(words % unroll, 0);
-    let mut s = format!(
-        "
-        li   a0, {HWICAP_BASE:#x}     # HWICAP base
-        addi a0, a0, {REG_WF:#x}      # WF keyhole register
-        li   a1, {:#x}
-        slli a1, a1, 1          # DDR base: bitstream words
-        ",
-        DDR_BASE >> 1,
-    );
-    s.push_str(&format!("li a2, {}\n", words / unroll));
-    s.push_str("loop:\n");
-    for _ in 0..unroll {
-        s.push_str("lw t3, 0(a1)\nsw t3, 0(a0)\naddi a1, a1, 4\n");
-    }
-    s.push_str("addi a2, a2, -1\nbnez a2, loop\necall\n");
-    s
-}
 
 struct Row {
     unroll: usize,
@@ -69,18 +40,7 @@ fn run_point(unroll: usize, words: usize) -> Row {
     let driver_mbs = runner::reconfigure_hwicap(rig, unroll).throughput_mbs();
 
     // --- 2: instruction-accurate fill loop on the interpreter ---
-    let mut soc = SocBuilder::new()
-        .with_hwicap_depth(words * 2) // fill only; no flush logic
-        .build();
-    soc.handles
-        .ddr
-        .write_bytes(DDR_BASE, &vec![0x5Au8; words * 4]);
-    let program = assemble(&fill_loop_asm(unroll, words), 0x1_0000).expect("asm");
-    let mut cpu = Cpu::new(program, 0x1_0000);
-    let ddr = soc.handles.ddr.clone();
-    let mut bus = InterpreterBus::new(&mut soc.core, ddr);
-    let res = cpu.run(&mut bus, 10_000_000);
-    assert_eq!(res.exit, RunExit::Halted, "unroll {unroll}");
+    let res = tables::interpreter_fill_loop(unroll, words);
     let cpw = res.cycles as f64 / words as f64;
 
     Row {

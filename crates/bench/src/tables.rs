@@ -1,19 +1,23 @@
-//! Shared Table I and Table IV measurements.
+//! Shared Table I, Table IV and unroll-sweep measurements.
 //!
-//! The measurements live in the library (not the `table1`/`table4`
-//! binaries) so integration tests can run them: the determinism tests
-//! run Table I twice — once with idle fast-forward enabled, once with
-//! it disabled — and assert the resulting JSON is byte-identical; the
-//! calibration tests pin Table IV's compute times. The binaries render
-//! the same rows.
+//! The measurements live in the library (not the `table1`/`table4`/
+//! `unroll_sweep` binaries) so integration tests can run them: the
+//! determinism tests run Table I twice — once with idle fast-forward
+//! enabled, once with it disabled — and assert the resulting JSON is
+//! byte-identical; the calibration tests pin Table IV's compute times
+//! and the interpreter's fill-loop timing. The binaries render the
+//! same rows.
 
 use rvcap_accel::{paper_filter_library, run_accelerator, FilterKind, Image};
 use rvcap_core::drivers::{DmaMode, ReconfigModule, RvCapDriver};
+use rvcap_core::hwicap::REG_WF;
 use rvcap_core::resources::{hwicap_report, rvcap_report};
 use rvcap_core::system::SocBuilder;
 use rvcap_fabric::bitstream::BitstreamBuilder;
+use rvcap_rv64::{assemble, Cpu, RunExit, RunResult};
 use rvcap_sim::{KernelStats, MmioAudit, Scheduler};
-use rvcap_soc::map::DDR_BASE;
+use rvcap_soc::cpu::InterpreterBus;
+use rvcap_soc::map::{DDR_BASE, HWICAP_BASE};
 
 use crate::paper_soc;
 use crate::runner;
@@ -241,4 +245,49 @@ pub fn table4_run() -> Table4Run {
         rows,
         audit: runner::mmio_audit(&soc),
     }
+}
+
+/// The §IV-B HWICAP fill loop at a given unroll factor, as RV64
+/// assembly: load a bitstream word from DDR, store it to the HWICAP
+/// write-FIFO keyhole, `unroll` times per back-edge. The target
+/// addresses come from the same register-map declarations the device
+/// decode and the drivers use — the interpreter's `sw` stores land on
+/// the declared WF keyhole, not a hand-copied literal.
+pub fn fill_loop_asm(unroll: usize, words: usize) -> String {
+    assert_eq!(words % unroll, 0);
+    let mut s = format!(
+        "
+        li   a0, {HWICAP_BASE:#x}     # HWICAP base
+        addi a0, a0, {REG_WF:#x}      # WF keyhole register
+        li   a1, {:#x}
+        slli a1, a1, 1          # DDR base: bitstream words
+        ",
+        DDR_BASE >> 1,
+    );
+    s.push_str(&format!("li a2, {}\n", words / unroll));
+    s.push_str("loop:\n");
+    for _ in 0..unroll {
+        s.push_str("lw t3, 0(a1)\nsw t3, 0(a0)\naddi a1, a1, 4\n");
+    }
+    s.push_str("addi a2, a2, -1\nbnez a2, loop\necall\n");
+    s
+}
+
+/// Run [`fill_loop_asm`] for `words` words on the RV64IM interpreter
+/// against a simulated SoC: every `sw` to the keyhole is a blocking
+/// bus round trip, every back-edge `bnez` pays the pipeline redirect.
+/// The HWICAP's write FIFO is sized to hold every word, so the run
+/// measures the fill alone (no flush). Panics unless the loop halts.
+pub fn interpreter_fill_loop(unroll: usize, words: usize) -> RunResult {
+    let mut soc = SocBuilder::new().with_hwicap_depth(words * 2).build();
+    soc.handles
+        .ddr
+        .write_bytes(DDR_BASE, &vec![0x5Au8; words * 4]);
+    let program = assemble(&fill_loop_asm(unroll, words), 0x1_0000).expect("asm");
+    let mut cpu = Cpu::new(program, 0x1_0000);
+    let ddr = soc.handles.ddr.clone();
+    let mut bus = InterpreterBus::new(&mut soc.core, ddr);
+    let res = cpu.run(&mut bus, 10_000_000);
+    assert_eq!(res.exit, RunExit::Halted, "unroll {unroll}");
+    res
 }

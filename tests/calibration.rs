@@ -145,6 +145,28 @@ fn hwicap_throughput_both_unroll_points() {
     );
 }
 
+/// §IV-B, instruction-accurate: the 2048-word HWICAP fill loop on the
+/// RV64IM interpreter against the simulated SoC, pinned to the exact
+/// cycle and instruction at the paper's two unroll points. These runs
+/// are `unroll_sweep`'s interpreter column (52.0 and 45.4 cycles per
+/// word), and the interpreter's only timed use.
+#[test]
+fn interpreter_fill_loop_is_pinned() {
+    use rvcap_bench::tables::interpreter_fill_loop;
+    use rvcap_repro::rv64::{RunExit, RunResult};
+    for (unroll, cycles, instructions) in [(1, 106_500, 10_249), (16, 93_059, 6_408)] {
+        assert_eq!(
+            interpreter_fill_loop(unroll, 2048),
+            RunResult {
+                cycles,
+                instructions,
+                exit: RunExit::Halted,
+            },
+            "unroll {unroll}"
+        );
+    }
+}
+
 /// Table IV: each filter's compute time `T_c` on the 512×512 image is
 /// pinned to the exact CLINT tick (Gaussian 606 µs, Median 596 µs,
 /// Sobel 586.2 µs), within 1 % of the paper, with output equal to the
