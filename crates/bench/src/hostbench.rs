@@ -1,17 +1,9 @@
-//! Host-performance measurement: wall-clock benches and the
-//! simulated-cycles-per-second harness.
-//!
-//! Two layers share this module:
-//!
-//! * Minimal wall-clock measurement for the `harness = false` host
-//!   benches (`benches/controllers.rs`, `benches/substrates.rs`):
-//!   warm-up + N timed iterations, median-of-runs, no registry deps.
-//! * The host-performance harness (`bin/hostbench.rs`): measures
-//!   **simulated cycles per host second** per rig and per
-//!   [`Scheduler`], the number that caps how many sweeps and
-//!   fault campaigns the paper harness can afford. Results land in
-//!   `BENCH_hostbench.json` so the perf trajectory is recorded and
-//!   CI can fail on gross regressions.
+//! Host-performance measurement for the `hostbench` binary
+//! (`bin/hostbench.rs`): **simulated cycles per host second** per rig
+//! and per [`Scheduler`], the number that caps how many sweeps and
+//! fault campaigns the paper harness can afford. Results land in
+//! `BENCH_hostbench.json` so the perf trajectory is recorded and CI
+//! can fail on gross regressions.
 
 use std::time::{Duration, Instant};
 
@@ -148,77 +140,4 @@ pub fn measure_rig_forked<S>(
             }
         })
         .collect()
-}
-
-/// One measured benchmark result.
-pub struct Measurement {
-    /// Benchmark label.
-    pub name: String,
-    /// Median wall-clock time per iteration.
-    pub per_iter: Duration,
-    /// Optional bytes processed per iteration (enables MB/s).
-    pub bytes: Option<u64>,
-}
-
-impl Measurement {
-    /// Render one result line.
-    pub fn render(&self) -> String {
-        let per = self.per_iter.as_secs_f64();
-        let mut line = format!("{:<44} {:>12.3} ms/iter", self.name, per * 1e3);
-        if let Some(b) = self.bytes {
-            if per > 0.0 {
-                line.push_str(&format!(
-                    "  ({:>8.1} MB/s host)",
-                    b as f64 / per / 1_000_000.0
-                ));
-            }
-        }
-        line
-    }
-}
-
-/// Time `f` (setup excluded via `setup`), printing the result.
-///
-/// Runs `samples` samples of one iteration each and reports the
-/// median, which is robust to scheduler noise without Criterion's
-/// statistical machinery.
-pub fn bench_with_setup<S, T, R>(
-    name: impl Into<String>,
-    bytes: Option<u64>,
-    samples: usize,
-    mut setup: impl FnMut() -> S,
-    mut f: impl FnMut(S) -> (T, R),
-) -> Measurement {
-    let samples = samples.max(1);
-    // Warm-up: one untimed run.
-    let input = setup();
-    let _ = f(input);
-    let mut times: Vec<Duration> = (0..samples)
-        .map(|_| {
-            let input = setup();
-            let t0 = Instant::now();
-            let out = f(input);
-            let dt = t0.elapsed();
-            std::hint::black_box(&out);
-            dt
-        })
-        .collect();
-    times.sort_unstable();
-    let m = Measurement {
-        name: name.into(),
-        per_iter: times[times.len() / 2],
-        bytes,
-    };
-    println!("{}", m.render());
-    m
-}
-
-/// Time a closure with no per-iteration setup.
-pub fn bench<T>(
-    name: impl Into<String>,
-    bytes: Option<u64>,
-    samples: usize,
-    mut f: impl FnMut() -> T,
-) -> Measurement {
-    bench_with_setup(name, bytes, samples, || (), |()| (f(), ()))
 }

@@ -1,7 +1,8 @@
 //! # rvcap-bench — experiment harness shared code
 //!
-//! Rig builders for the paper's experiments, used by both the
-//! table/figure harness binaries and the host-performance benches.
+//! Rig builders and measurements for the paper's experiments, used by
+//! the table/figure harness binaries, the `hostbench` host-performance
+//! harness and the integration tests.
 
 pub mod hostbench;
 pub mod paper_soc;

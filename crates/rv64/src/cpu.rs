@@ -154,18 +154,6 @@ pub const MIE_MEIE: u64 = 1 << 11;
 /// mcause value for a machine external interrupt.
 pub const MCAUSE_M_EXTERNAL: u64 = (1 << 63) | 11;
 
-/// One predecoded icache line: the result of `decode()` for the
-/// program word at the same index, or a cached miss.
-#[derive(Debug, Clone, Copy)]
-enum IcLine {
-    /// Not decoded since the last (in)validation.
-    Empty,
-    /// Decoded successfully.
-    Valid(Insn),
-    /// `decode()` returned `None` — fetching this word faults.
-    Undecodable,
-}
-
 /// The interpreter.
 pub struct Cpu {
     /// Architectural registers; x0 reads as zero.
@@ -179,17 +167,7 @@ pub struct Cpu {
     /// Interrupts taken.
     pub interrupts_taken: u64,
     program_base: u64,
-    /// One past the last byte of the program (for the store-overlap
-    /// check on icache invalidation).
-    program_end: u64,
     program: Vec<u32>,
-    /// Predecoded icache, direct-mapped one line per program word.
-    /// Purely a host-side cache: lines are filled lazily on fetch and
-    /// invalidated on [`Cpu::patch_program`], stores overlapping the
-    /// code region, and `fence.i` — execution is bit-identical with
-    /// the cache disabled.
-    icache: Vec<IcLine>,
-    icache_enabled: bool,
 }
 
 impl Cpu {
@@ -202,55 +180,7 @@ impl Cpu {
             csrs: Csrs::default(),
             interrupts_taken: 0,
             program_base: base,
-            program_end: base + 4 * program.len() as u64,
-            icache: vec![IcLine::Empty; program.len()],
-            icache_enabled: true,
             program,
-        }
-    }
-
-    /// Enable or disable the predecoded icache (enabled by default).
-    /// Execution is bit-identical either way; the toggle exists so the
-    /// equivalence property tests can run both paths.
-    pub fn set_icache_enabled(&mut self, enabled: bool) {
-        self.icache_enabled = enabled;
-        if !enabled {
-            self.icache.fill(IcLine::Empty);
-        }
-    }
-
-    /// Overwrite the program word at `addr` (must lie in the code
-    /// region, 4-byte aligned) and invalidate its icache line — the
-    /// loader/self-modifying-code hook.
-    pub fn patch_program(&mut self, addr: u64, word: u32) {
-        assert!(
-            addr >= self.program_base && addr < self.program_end && addr.is_multiple_of(4),
-            "patch_program: {addr:#x} outside code region"
-        );
-        let idx = ((addr - self.program_base) / 4) as usize;
-        self.program[idx] = word;
-        self.icache[idx] = IcLine::Empty;
-    }
-
-    /// Invalidate every icache line (the `fence.i` action).
-    pub fn flush_icache(&mut self) {
-        self.icache.fill(IcLine::Empty);
-    }
-
-    /// Invalidate icache lines covering `[addr, addr + bytes)` if the
-    /// range overlaps the code region. Called on every retired store;
-    /// the common case (data stores) is two compares.
-    #[inline]
-    fn invalidate_store(&mut self, addr: u64, bytes: u64) {
-        if addr >= self.program_end || addr.wrapping_add(bytes) <= self.program_base {
-            return;
-        }
-        let lo = addr.saturating_sub(self.program_base) / 4;
-        let hi = (addr + bytes - 1).saturating_sub(self.program_base) / 4;
-        for idx in lo..=hi {
-            if let Some(line) = self.icache.get_mut(idx as usize) {
-                *line = IcLine::Empty;
-            }
         }
     }
 
@@ -270,32 +200,17 @@ impl Cpu {
         }
     }
 
-    /// Fetch and decode the instruction at `pc`, through the icache
-    /// when enabled. `None` covers both fetch faults (PC outside the
-    /// program / misaligned) and undecodable words — the caller reports
-    /// the same `RunExit::Fault` for either, exactly as the uncached
-    /// fetch-then-decode sequence did.
+    /// Fetch and decode the instruction at `pc`. `None` covers both
+    /// fetch faults (PC outside the program / misaligned) and
+    /// undecodable words — the caller reports the same
+    /// `RunExit::Fault` for either.
     #[inline]
-    fn fetch_decoded(&mut self) -> Option<Insn> {
+    fn fetch_decoded(&self) -> Option<Insn> {
         if self.pc < self.program_base || !(self.pc - self.program_base).is_multiple_of(4) {
             return None;
         }
         let idx = ((self.pc - self.program_base) / 4) as usize;
-        if !self.icache_enabled {
-            return decode(self.program.get(idx).copied()?);
-        }
-        match *self.icache.get(idx)? {
-            IcLine::Valid(insn) => Some(insn),
-            IcLine::Undecodable => None,
-            IcLine::Empty => {
-                let decoded = decode(self.program[idx]);
-                self.icache[idx] = match decoded {
-                    Some(insn) => IcLine::Valid(insn),
-                    None => IcLine::Undecodable,
-                };
-                decoded
-            }
-        }
+        decode(self.program.get(idx).copied()?)
     }
 
     fn csr_read(&self, csr: u16) -> u64 {
@@ -435,7 +350,6 @@ impl Cpu {
                     let extra = bus.store(addr, width.bytes(), self.reg(rs2));
                     self.cycles += extra;
                     bus_cycles = extra;
-                    self.invalidate_store(addr, width.bytes() as u64);
                 }
                 Insn::AluImm {
                     op,
@@ -516,8 +430,9 @@ impl Cpu {
                         assert!(guard < 100_000_000, "WFI never woke");
                     }
                 }
-                Insn::Fence => {}
-                Insn::FenceI => self.flush_icache(),
+                // The program is a separate instruction store that no
+                // store reaches, so both fences are 1-cycle no-ops.
+                Insn::Fence | Insn::FenceI => {}
                 Insn::Ecall | Insn::Ebreak => {
                     return RunResult {
                         cycles: self.cycles - start_cycles,
@@ -850,69 +765,42 @@ mod tests {
     }
 
     #[test]
-    fn icache_disabled_matches_enabled() {
-        let src = "
-            li a0, 0
-            li t0, 1
-            li t1, 50
-            loop:
-            add a0, a0, t0
-            addi t0, t0, 1
-            bne t0, t1, loop
-            fence.i
-            ecall
-        ";
-        let words = assemble(src, 0x1000).unwrap();
-        let mut cached = Cpu::new(words.clone(), 0x1000);
-        let mut plain = Cpu::new(words, 0x1000);
-        plain.set_icache_enabled(false);
-        let mut m1 = LinearMemory::new(0x8000_0000, 64);
-        let mut m2 = LinearMemory::new(0x8000_0000, 64);
-        let r1 = cached.run(&mut m1, 10_000);
-        let r2 = plain.run(&mut m2, 10_000);
-        assert_eq!(r1, r2);
-        assert_eq!(cached.regs, plain.regs);
-    }
-
-    #[test]
-    fn patch_program_invalidates_the_line() {
-        // Loop twice through the same PC; patch the add into a sub
-        // between runs and confirm the new instruction executes.
-        let words = assemble(
+    fn fence_i_is_a_one_cycle_no_op() {
+        let run_loop = |fence: &str| {
+            run(&format!(
+                "
+                li a0, 0
+                li t0, 1
+                li t1, 50
+                loop:
+                add a0, a0, t0
+                addi t0, t0, 1
+                {fence}
+                bne t0, t1, loop
+                ecall
             "
-            start:
-            addi a0, a0, 5
-            ecall
-        ",
-            0x1000,
-        )
-        .unwrap();
-        let mut cpu = Cpu::new(words, 0x1000);
-        let mut mem = LinearMemory::new(0x8000_0000, 64);
-        let r = cpu.run(&mut mem, 100);
-        assert_eq!(r.exit, RunExit::Halted);
-        assert_eq!(cpu.reg(Reg::a(0)), 5);
-        // addi a0, a0, -3
-        let patched = crate::insn::encode(Insn::AluImm {
-            op: AluOp::Add,
-            rd: Reg::a(0),
-            rs1: Reg::a(0),
-            imm: -3,
-            word: false,
-        });
-        cpu.patch_program(0x1000, patched);
-        cpu.pc = 0x1000;
-        let r = cpu.run(&mut mem, 100);
-        assert_eq!(r.exit, RunExit::Halted);
-        assert_eq!(cpu.reg(Reg::a(0)), 2, "patched word must be refetched");
+            ))
+        };
+        let (cpu, res) = run_loop("fence.i");
+        assert_eq!(cpu.reg(Reg::a(0)), 1225);
+        // 3 + 49 × 4 + 1 instructions, one cycle each, plus 48 taken
+        // back-edges at the redirect penalty.
+        assert_eq!(
+            res,
+            RunResult {
+                cycles: 200 + 48 * BRANCH_TAKEN_CYCLES,
+                instructions: 200,
+                exit: RunExit::Halted,
+            }
+        );
+        assert_eq!(run_loop("nop").1, res);
     }
 
     #[test]
-    fn store_into_code_region_invalidates_without_changing_execution() {
+    fn store_into_code_region_reaches_the_bus_not_the_program() {
         // A store whose address lands inside the code region goes to
         // the *bus* (program memory here is a separate instruction
-        // store), so execution is unchanged — but the icache lines are
-        // dropped, so a subsequent patch_program-free run re-decodes.
+        // store), so execution still fetches the original program.
         let words = assemble(
             "
             li t0, 0x1000
@@ -923,26 +811,23 @@ mod tests {
             0x1000,
         )
         .unwrap();
-        let mut cpu = Cpu::new(words.clone(), 0x1000);
-        let mut plain = Cpu::new(words, 0x1000);
-        plain.set_icache_enabled(false);
-        let mut m1 = LinearMemory::new(0, 0x2000);
-        let mut m2 = LinearMemory::new(0, 0x2000);
-        assert_eq!(cpu.run(&mut m1, 100), plain.run(&mut m2, 100));
+        let mut cpu = Cpu::new(words, 0x1000);
+        let mut mem = LinearMemory::new(0, 0x2000);
+        assert_eq!(cpu.run(&mut mem, 100).exit, RunExit::Halted);
+        assert_eq!(cpu.reg(Reg::a(0)), 7);
+        assert_eq!(mem.read_bytes(0x1000, 4), 0x1000u32.to_le_bytes());
     }
 
-    /// The icache must be invisible: random RV64IM programs — including
-    /// stores landing in the code region and `fence.i` — retire the
-    /// same cycles, instructions, exit, and register file with the
-    /// cache on and off.
-    mod icache_equivalence {
+    /// Random RV64IM programs — wild loads and stores, stores landing
+    /// in the code region, both fences — halt, fault or run out of
+    /// fuel without a panic, within their fuel.
+    mod random_programs {
         use super::*;
         use crate::insn::encode;
         use proptest::prelude::*;
 
         /// Accepts any address with deterministic values and stall
-        /// costs, so wild load/store addresses never panic and both
-        /// runs observe identical bus behaviour.
+        /// costs, so wild load/store addresses never panic.
         struct AnyBus;
         impl Bus for AnyBus {
             fn load(&mut self, addr: u64, bytes: u8) -> (u64, u64) {
@@ -1059,20 +944,19 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(128))]
             #[test]
-            fn prop_cached_matches_uncached(
+            fn prop_random_programs_terminate(
                 insns in proptest::collection::vec(arb_insn(), 1..40)
             ) {
                 let mut words: Vec<u32> = insns.iter().map(|i| encode(*i)).collect();
                 words.push(encode(Insn::Ecall));
-                let mut cached = Cpu::new(words.clone(), 0);
-                let mut plain = Cpu::new(words, 0);
-                plain.set_icache_enabled(false);
-                let r1 = cached.run(&mut AnyBus, 500);
-                let r2 = plain.run(&mut AnyBus, 500);
-                prop_assert_eq!(r1, r2);
-                prop_assert_eq!(cached.regs, plain.regs);
-                prop_assert_eq!(cached.pc, plain.pc);
-                prop_assert_eq!(cached.cycles, plain.cycles);
+                let len = words.len() as u64;
+                let mut cpu = Cpu::new(words, 0);
+                let r = cpu.run(&mut AnyBus, 500);
+                // Control flow only goes forward, so no word retires
+                // twice and the program ends before its fuel does.
+                prop_assert!(r.exit != RunExit::OutOfFuel, "{:?}", r);
+                prop_assert!(r.instructions <= len, "{:?}", r);
+                prop_assert!(r.cycles >= r.instructions, "{:?}", r);
             }
         }
     }

@@ -209,9 +209,8 @@ pub enum Insn {
     /// Memory fence (a timing no-op here).
     Fence,
     /// Instruction fence — synchronizes the front end with stores to
-    /// code memory. Flushes the interpreter's predecoded icache; same
-    /// 1-cycle timing as `fence` (the driver loops never execute it on
-    /// a hot path).
+    /// code memory. A 1-cycle no-op like `fence`: the interpreter's
+    /// program is a separate instruction store that no store reaches.
     FenceI,
     /// Environment call — halts the interpreter.
     Ecall,

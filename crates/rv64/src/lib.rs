@@ -16,24 +16,24 @@
 //!   pseudo-instructions, so the benchmark can *generate* the fill
 //!   loop at any unroll factor, exactly like the C compiler the paper
 //!   used;
-//! * [`mod@disasm`] — the inverse of the assembler, for debugging
-//!   generated loops and round-trip testing;
 //! * [`cpu`] — an interpreter with an in-order single-issue timing
 //!   model: 1 instruction/cycle base, taken-branch and jump redirect
 //!   penalties, multi-cycle mul/div, and **blocking non-cacheable
 //!   MMIO** whose cost is supplied by the [`cpu::Bus`] — in the full
 //!   system that cost is the simulated AXI round trip.
 //!
-//! The interpreter is not a full CVA6: no MMU, CSRs beyond the cycle
-//! counter, traps, or compressed instructions — none of which the
-//! bare-metal drivers in this reproduction use.
+//! The interpreter also implements the M-mode subset the bare-metal
+//! interrupt-driven driver needs: the `mstatus`, `mie`, `mtvec`,
+//! `mepc`, `mcause` and `mscratch` CSRs, `mret`, `wfi` and trap entry
+//! on a machine external interrupt (`tests/bare_metal_irq.rs`). It is
+//! not a full CVA6: no MMU, no exceptions or other trap causes, no
+//! compressed instructions — none of which the bare-metal drivers in
+//! this reproduction use.
 
 pub mod asm;
 pub mod cpu;
-pub mod disasm;
 pub mod insn;
 
 pub use asm::{assemble, AsmError};
 pub use cpu::{Bus, Cpu, LinearMemory, RunExit, RunResult};
-pub use disasm::{disasm, disasm_program};
 pub use insn::{decode, encode, Insn, Reg};

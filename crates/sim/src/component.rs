@@ -32,16 +32,19 @@ pub struct TickCtx {
 /// - **Subscribe every input that feeds the hint.** Any channel or
 ///   signal whose state [`Component::next_activity`] reads gets the
 ///   component's waker in [`Component::wake_sources`], and the hint
-///   may sleep on a channel only while it is empty (see
+///   may sleep on a channel only while it is empty: hints are monotone
+///   in occupancy, because a [`crate::Fifo`] wakes its subscribers only
+///   on the empty→non-empty transition (see
 ///   [`crate::Fifo::subscribe_wake`]). Time-based deadlines (a DDR
 ///   refresh, a busy-until counter) need no subscription: the hint
 ///   names them.
 /// - **Keep the hint true after your own tick.** The kernel queries the
 ///   hint right before a tick slot and again right after the tick, and
-///   sleeps the component on the post-tick answer. A post-tick hint of
-///   `now` is a firm promise of work next cycle, so the hint must
-///   follow the component's state, not just the cycle number: a timer
-///   that fired at `now` must not still answer `now` once it has.
+///   sleeps the component on the post-tick answer. A post-tick `now`
+///   or `now + 1` carries the component into the next cycle, whose
+///   pre-tick query decides again, so a conservative post-tick hint
+///   costs one extra query. A post-tick hint that sleeps past work the
+///   tick left behind is over-eager, like any other.
 pub trait Component {
     /// Stable instance name for diagnostics and kernel statistics.
     fn name(&self) -> &str;

@@ -88,7 +88,7 @@ impl std::error::Error for StallReport {}
 // Dense-window rule of [`Scheduler::ActiveSet`] (DESIGN.md §2.2; cost
 // model in §2.3). A window costs about one no-op tick per registered
 // component per cycle; a stepped active-set cycle costs per-tick
-// bookkeeping (due-bitset sweep, wake drains, carry and promise bits)
+// bookkeeping (due-bitset sweep, wake drains, hint queries, carry bits)
 // for each of its due components. Once a quarter of the system ticks
 // every cycle, the plain index sweep is the cheaper of the two. The
 // constants were chosen on the repository benchmark (2-vCPU Xeon VM,
@@ -214,21 +214,6 @@ pub struct Simulator {
     /// carrying it in a bitset instead of the heap keeps the dense
     /// phases free of per-cycle heap traffic.
     carry: BitSet,
-    /// Subset of `carry` whose post-tick hint was `now`:
-    /// the component still had unfinished work *at query time*, not a
-    /// future deadline to re-examine. That work lives in the
-    /// component's own state or in channels it solely consumes, and
-    /// the wake contract requires hints to be monotone in occupancy
-    /// (see [`crate::Fifo::subscribe_wake`]) — so earlier components'
-    /// ticks can only add work, never retract the promise. An exact
-    /// `now + 1` hint is *not* a promise: it may be a gate ("nothing
-    /// before then, re-query at the deadline"), so it stays in `carry`
-    /// alone and gets the full pre-tick query.
-    promise: BitSet,
-    /// Last cycle's `promise` set (double-buffered at cycle start):
-    /// the sweep skips the pre-tick hint query for these slots (a
-    /// debug assert re-checks each skipped promise).
-    carried: BitSet,
     jumps: u64,
     jumped_cycles: Cycle,
     /// End (exclusive) of the open dense window: cycles below it run
@@ -266,8 +251,6 @@ impl Simulator {
             scheduled: Vec::new(),
             due: BitSet::default(),
             carry: BitSet::default(),
-            promise: BitSet::default(),
-            carried: BitSet::default(),
             jumps: 0,
             jumped_cycles: 0,
             dense_until: 0,
@@ -294,19 +277,13 @@ impl Simulator {
     /// exactly once, with its [`crate::Waker`].
     pub fn register(&mut self, component: Box<dyn Component>) -> ComponentId {
         let idx = self.components.len();
-        // The wake hub and the four scheduler sets widen here together
+        // The wake hub and the two scheduler sets widen here together
         // and nowhere else, so the per-cycle bit operations and drains
         // never resize, and no set is empty while a component is
         // registered (DESIGN.md §2.3).
         let waker = self.hub.waker(idx);
-        for set in [
-            &mut self.due,
-            &mut self.carry,
-            &mut self.promise,
-            &mut self.carried,
-        ] {
-            set.grow_to(idx);
-        }
+        self.due.grow_to(idx);
+        self.carry.grow_to(idx);
         component.wake_sources(&waker);
         self.components.push(component);
         self.ticks.push(0);
@@ -347,23 +324,19 @@ impl Simulator {
         self.scheduler
     }
 
-    /// Drop every piece of active-set scheduler state — deadlines,
-    /// carried streamers, firm promises — and mark all components
-    /// pending for a fresh hint query on the next stepped cycle. Stale
-    /// wakes already in the hub are subsumed by the wake-all.
+    /// Drop every piece of active-set scheduler state — deadlines and
+    /// carried streamers — and mark all components pending for a fresh
+    /// hint query on the next stepped cycle. Stale wakes already in the
+    /// hub are subsumed by the wake-all.
     ///
     /// Behavior-identical to a warm scheduler, because hints are pure
-    /// functions of component state. Every scheduler cache must be
-    /// cleared here: a stale promise bit would skip the pre-tick hint
-    /// query of a component that may now be idle. The dense-window
-    /// state is not a cache (it decides which ticks execute), so it
-    /// survives; callers that mean to drop it say so.
+    /// functions of component state. The dense-window state is not a
+    /// cache (it decides which ticks execute), so it survives; callers
+    /// that mean to drop it say so.
     fn cold_start(&mut self) {
         self.heap.clear();
         self.carry.clear_all();
         self.due.clear_all();
-        self.promise.clear_all();
-        self.carried.clear_all();
         for s in &mut self.scheduled {
             *s = Cycle::MAX;
         }
@@ -409,7 +382,7 @@ impl Simulator {
     /// [`Component::save_state`] returns `None` is a hard error — a
     /// checkpoint silently missing one component's state would restore
     /// into a subtly wrong system. Scheduler caches (heap, due set,
-    /// pending wakes, promises) are deliberately *not* captured:
+    /// carry set, pending wakes) are deliberately *not* captured:
     /// they are re-derivable from component hints, and
     /// [`Simulator::restore`] rebuilds them with fresh queries, exactly
     /// like [`Simulator::set_scheduler`] does mid-run. The dense
@@ -708,11 +681,6 @@ impl Simulator {
         // refills.
         debug_assert!(self.due.is_empty());
         std::mem::swap(&mut self.due, &mut self.carry);
-        // Hand last cycle's promises to the sweep and start collecting
-        // this cycle's: only promised slots may skip the pre-tick hint
-        // query below.
-        std::mem::swap(&mut self.carried, &mut self.promise);
-        self.promise.clear_all();
         self.hub.drain_all_into(&mut self.due);
         while let Some(&Reverse((at, idx))) = self.heap.peek() {
             if at > now {
@@ -737,26 +705,13 @@ impl Simulator {
             let c = &mut self.components[idx];
             // Query the hint exactly once, immediately before this
             // component's tick slot: an earlier component may have
-            // pushed work to it during this very cycle. A carried slot
-            // skips the query — its own post-tick hint last cycle
-            // promised "due again", and hint monotonicity (the wake
-            // contract) means earlier ticks this cycle can only add
-            // work, never retract the promise.
-            if self.carried.get(idx) {
-                debug_assert!(
-                    c.next_activity(now) <= now,
-                    "{}: post-tick hint promised due at {now} but the pre-tick \
-                     query disagrees (non-monotone hint)",
-                    c.name()
-                );
-            } else {
-                let at = c.next_activity(now);
-                if at > now {
-                    // Not due after all: sleep until the declared cycle
-                    // or a wake.
-                    self.schedule(idx, at);
-                    continue;
-                }
+            // pushed work to it during this very cycle.
+            let at = c.next_activity(now);
+            if at > now {
+                // Not due after all: sleep until the declared cycle or
+                // a wake.
+                self.schedule(idx, at);
+                continue;
             }
             let mut ctx = TickCtx { cycle: now };
             if self.profiling {
@@ -768,20 +723,13 @@ impl Simulator {
             }
             self.ticks[idx] += 1;
             ticked += 1;
-            // Reschedule from the post-tick hint. `now` means "again
-            // next cycle" — the carry bitset, not the heap, so a
-            // streaming drain costs no heap traffic — while MAX means
-            // "sleep until a wake arrives". A hint still at `now`
-            // additionally records a firm promise, letting next cycle's
-            // sweep skip the pre-tick re-query; an exact `now + 1`
-            // deadline may be a gate and is carried without the promise.
+            // Reschedule from the post-tick hint. `now` or `now + 1`
+            // means "again next cycle" — the carry bitset, not the
+            // heap, so a streaming drain costs no heap traffic — while
+            // MAX means "sleep until a wake arrives".
             match c.next_activity(now) {
                 at if at > now + 1 => self.schedule(idx, at),
-                at if at == now + 1 => self.carry.set(idx),
-                _ => {
-                    self.carry.set(idx);
-                    self.promise.set(idx);
-                }
+                _ => self.carry.set(idx),
             }
             // A push during this tick wakes its subscribers: later
             // components join this very cycle (same-cycle forwarding),
@@ -1435,7 +1383,7 @@ mod tests {
     }
 
     #[test]
-    fn restore_drops_stale_firm_promises() {
+    fn restore_drops_stale_carry_state() {
         let (mut drained, _) = pipeline(100);
         drained.run_until_quiescent(10_000).unwrap();
         let drained_checkpoint = drained.checkpoint().unwrap();
@@ -1445,9 +1393,10 @@ mod tests {
         fresh.restore(&drained_checkpoint).unwrap();
         fresh.step_n(10);
 
-        // Same checkpoint restored mid-stream, while the producer holds
-        // a firm "due again" promise from its last post-tick hint. The
-        // restored producer is idle: the promise must not survive.
+        // Same checkpoint restored mid-stream, while the producer is
+        // carried "due again" by its last post-tick hint. The restored
+        // producer is idle: nothing of the warm scheduler's state may
+        // tick it again.
         let (mut warm, _) = pipeline(100);
         warm.step_n(30);
         warm.restore(&drained_checkpoint).unwrap();
@@ -1463,8 +1412,8 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_switch_drops_stale_firm_promises() {
-        // Active set for 30 cycles (the producer ends them promised),
+    fn scheduler_switch_drops_stale_carry_state() {
+        // Active set for 30 cycles (the producer ends them carried),
         // naive until drained, then back to the active set.
         let run = |first: Scheduler| {
             let (mut sim, _) = pipeline(100);
@@ -1687,9 +1636,8 @@ mod tests {
 
     #[test]
     fn scheduler_sets_are_sized_at_registration() {
-        // Timers never make a firm promise (their post-tick hint is a
-        // period ahead), so nothing but registration can widen
-        // `promise` and `carried` here.
+        // Timers are never carried (their post-tick hint is a period
+        // ahead), so nothing but registration can widen `carry` here.
         let timers = || {
             let mut sim = Simulator::new(Freq::FABRIC_100MHZ);
             for i in 0..70 {
@@ -1697,22 +1645,21 @@ mod tests {
             }
             sim
         };
-        // Widths in words of the four scheduler sets.
-        let set_widths =
-            |sim: &Simulator| [&sim.due, &sim.carry, &sim.promise, &sim.carried].map(|s| s.width());
+        // Widths in words of the two scheduler sets.
+        let set_widths = |sim: &Simulator| [&sim.due, &sim.carry].map(|s| s.width());
         let mut sim = timers();
         sim.step_n(1000);
-        assert_eq!(set_widths(&sim), [2; 4]);
+        assert_eq!(set_widths(&sim), [2; 2]);
 
         // A cold start — restore or a scheduler switch — keeps them.
         let mut restored = timers();
         restored.restore(&sim.checkpoint().unwrap()).unwrap();
         restored.step_n(1000);
-        assert_eq!(set_widths(&restored), [2; 4]);
+        assert_eq!(set_widths(&restored), [2; 2]);
         sim.set_scheduler(Scheduler::Naive);
         sim.step_n(10);
         sim.set_scheduler(Scheduler::ActiveSet);
         sim.step_n(1000);
-        assert_eq!(set_widths(&sim), [2; 4]);
+        assert_eq!(set_widths(&sim), [2; 2]);
     }
 }

@@ -178,11 +178,6 @@ impl BitSet {
         self.words[index / 64] &= !(1 << (index % 64));
     }
 
-    /// True when `index` is set.
-    pub(crate) fn get(&self, index: usize) -> bool {
-        self.words[index / 64] & (1 << (index % 64)) != 0
-    }
-
     /// Smallest set index `>= from`, if any.
     pub(crate) fn next_at_or_after(&self, from: usize) -> Option<usize> {
         let mut word = from / 64;

@@ -8,6 +8,14 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release
 
+# The examples check themselves (golden-output and bare-metal asserts)
+# and write no files when run without flags; run each once.
+echo "== examples (release, self-checking) =="
+for example in quickstart adaptive_filters hwicap_vs_rvcap multi_rp bare_metal; do
+    echo "-- $example"
+    cargo run --release -q --example "$example" > /dev/null
+done
+
 # RVCAP_STRICT=1 attaches the bus sanitizer to every SoC the tests
 # build: any stream-framing, burst, pairing or decouple violation on
 # any channel fails the MMIO-cleanliness asserts. `--workspace` runs
