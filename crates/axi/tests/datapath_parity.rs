@@ -4,8 +4,9 @@
 //! toggled on a random schedule), a 64→32 `Narrower`, a 32→64
 //! `Widener`, and a sink with a random run/stall backpressure pattern
 //! — the DMA→ICAP chain's scheduling shape with every disturbance the
-//! active-set scheduler's hint skips, wake wiring and firm promises
-//! must survive: backpressure, TLAST framing, and decouple flips. Each
+//! active-set scheduler's hint skips, wake wiring and carried
+//! streamers must survive: backpressure, TLAST framing, and decouple
+//! flips. Each
 //! configuration runs under both kernel schedules; the active set may
 //! only trade host time, so the sink's `(cycle, beat)` log, the
 //! mid-flight channel snapshot, the lifetime FIFO totals and

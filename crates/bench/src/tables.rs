@@ -253,7 +253,7 @@ pub fn table4_run() -> Table4Run {
 /// addresses come from the same register-map declarations the device
 /// decode and the drivers use — the interpreter's `sw` stores land on
 /// the declared WF keyhole, not a hand-copied literal.
-pub fn fill_loop_asm(unroll: usize, words: usize) -> String {
+fn fill_loop_asm(unroll: usize, words: usize) -> String {
     assert_eq!(words % unroll, 0);
     let mut s = format!(
         "
@@ -273,7 +273,7 @@ pub fn fill_loop_asm(unroll: usize, words: usize) -> String {
     s
 }
 
-/// Run [`fill_loop_asm`] for `words` words on the RV64IM interpreter
+/// Run the fill loop for `words` words on the RV64IM interpreter
 /// against a simulated SoC: every `sw` to the keyhole is a blocking
 /// bus round trip, every back-edge `bnez` pays the pipeline redirect.
 /// The HWICAP's write FIFO is sized to hold every word, so the run

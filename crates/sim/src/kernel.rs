@@ -163,7 +163,8 @@ pub enum Scheduler {
 ///   (pipeline latency) — exactly the visibility ticking everything
 ///   gives.
 /// - Components whose post-tick hint is `now` or `now + 1` are carried
-///   into the next cycle without touching the heap.
+///   into the next cycle's due set without touching the heap; their
+///   pre-tick query there decides whether they tick.
 /// - When nothing is due, the clock jumps straight to the earliest
 ///   deadline.
 /// - After 16 consecutive stepped cycles with no jump between them,
@@ -174,8 +175,8 @@ pub enum Scheduler {
 ///   stepped cycle re-queries every hint; one more dense cycle there
 ///   re-opens the window, a jump or a sparse cycle resets the streak.
 ///
-/// Hints are queried at most once per component per stepped cycle,
-/// immediately before its tick slot. All of this preserves the exact
+/// A due component's hint is queried immediately before its tick slot
+/// and, if it ticks, once after the tick. All of this preserves the exact
 /// cycle-by-cycle behavior of the naive schedule — cycle counts are
 /// bit-identical across schedulers ([`Simulator::set_scheduler`]),
 /// which the `determinism` and `cycle_parity` integration tests pin.

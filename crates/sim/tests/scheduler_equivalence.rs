@@ -11,8 +11,8 @@
 //! The graphs exercise the scheduler edges that caused bugs during
 //! bring-up: same-cycle producer-before-consumer forwarding, full-FIFO
 //! producer spin (pops fire no wakes), post-tick deadline reschedule,
-//! firm-promise hint skips, and always-due components (the default
-//! hint, nothing subscribed) mixed into a wired graph. A random FIFO
+//! carried streamers re-queried every cycle, and always-due components
+//! (the default hint, nothing subscribed) mixed into a wired graph. A random FIFO
 //! preload starts the first hop backlogged, so streaming stretches
 //! begin mid-burst. Chains run long
 //! enough (up to ~200 values, gapless and unpaced ones included) that
