@@ -48,6 +48,10 @@ pub struct SlaveRegion {
     pub base: u64,
     /// Window size in bytes.
     pub size: u64,
+    /// The slave is an AXI4-Lite register file behind the 64→32 width
+    /// converter and the AXI4→AXI4-Lite protocol converter: its lane
+    /// adds [`Crossbar::LITE_LATENCY`] cycles each way.
+    pub behind_lite_converter: bool,
 }
 
 impl SlaveRegion {
@@ -58,6 +62,7 @@ impl SlaveRegion {
             name: name.into(),
             base,
             size,
+            behind_lite_converter: false,
         };
         assert!(
             r.base.checked_add(r.size - 1).is_some(),
@@ -65,6 +70,12 @@ impl SlaveRegion {
             r.name
         );
         r
+    }
+
+    /// Put the slave behind the AXI4→AXI4-Lite converter chain.
+    pub fn behind_lite_converter(mut self) -> Self {
+        self.behind_lite_converter = true;
+        self
     }
 
     /// Does this window contain `addr`?
@@ -120,7 +131,14 @@ struct MasterLane {
 ///   stay attributed to their transaction until `last`.
 /// * Latency: [`Crossbar::REQ_LATENCY`] cycles on the request path
 ///   and [`Crossbar::RESP_LATENCY`] on the response path (address
-///   decode + register slices).
+///   decode + register slices). A lane whose region is
+///   [`SlaveRegion::behind_lite_converter`] adds the converter chain
+///   to both: [`Crossbar::LITE_LATENCY`] on the request path and one
+///   cycle more on the response path. Such a response waits out its
+///   extra latency in the master's in-order response pipe, where a
+///   separate converter would hold it instead; the two agree while the
+///   master has no other response outstanding, which holds for the
+///   SoC's only user of these lanes, the blocking CPU.
 pub struct Crossbar {
     name: String,
     masters: Vec<MasterLane>,
@@ -148,6 +166,18 @@ impl Crossbar {
     pub const REQ_LATENCY: Cycle = 2;
     /// Response-path latency.
     pub const RESP_LATENCY: Cycle = 2;
+    /// Extra latency each way of the converter chain in front of an
+    /// AXI4-Lite register file (§III-B ②, §III-C). The chain is deep:
+    /// the 64→32 data-width converter, the AXI4→AXI4-Lite protocol
+    /// converter (which must serialize the AW/W channels and wait out
+    /// B), and the clock-boundary register slices on both sides. 14
+    /// cycles each way is calibrated so a CPU store to the HWICAP
+    /// keyhole costs what the paper measured (≈43 bus cycles of the
+    /// ~48-cycle per-word cost behind the 8.23 MB/s figure). The
+    /// response path pays one cycle more: the converter's response
+    /// crosses back into the crossbar through a register stage of its
+    /// own, and that cycle is part of the calibrated 8.23 MB/s.
+    pub const LITE_LATENCY: Cycle = 14;
 
     /// Build a crossbar.
     ///
@@ -301,8 +331,11 @@ impl Crossbar {
             // already have consumed this master's budget.
             if let Some(req) = self.masters[win].port.req.try_pop(cycle) {
                 let posted = matches!(req.op, MmOp::Write { posted: true, .. });
-                let ready_at = cycle + Self::REQ_LATENCY;
                 let lane = &mut self.slaves[si];
+                let mut ready_at = cycle + Self::REQ_LATENCY;
+                if lane.region.behind_lite_converter {
+                    ready_at += Self::LITE_LATENCY;
+                }
                 lane.req_pipe.push_back(Delayed {
                     ready_at,
                     item: req,
@@ -364,8 +397,13 @@ impl Crossbar {
                         self.sb_mask &= !(1 << si);
                     }
                 }
+                let mut ready_at = cycle + Self::RESP_LATENCY;
+                if lane.region.behind_lite_converter {
+                    // One more for the converter's response register.
+                    ready_at += Self::LITE_LATENCY + 1;
+                }
                 self.masters[mi].resp_pipe.push_back(Delayed {
-                    ready_at: cycle + Self::RESP_LATENCY,
+                    ready_at,
                     item: resp,
                 });
             }
@@ -1016,6 +1054,92 @@ mod tests {
             other.restore_state(&StateBlob::new("axi.ram", 1)),
             Err(StateError::VersionMismatch { got: 1, .. })
         ));
+    }
+
+    /// One master and one lane behind the AXI4→AXI4-Lite converter,
+    /// whose slave side the test drives by hand.
+    fn lite_lane() -> (Simulator, MasterPort, SlavePort) {
+        let mut sim = Simulator::new(Freq::FABRIC_100MHZ);
+        let (cpu, xbar_cpu) = link("cpu", 2);
+        let (xbar_regs, regs) = link("regs", 2);
+        let region = SlaveRegion::new("regs", 0x4000_0000, 0x1000).behind_lite_converter();
+        let xbar = Crossbar::new("xbar", vec![xbar_cpu], vec![(region, xbar_regs)]);
+        sim.register(Box::new(xbar));
+        (sim, cpu, regs)
+    }
+
+    /// Step until `arrived` holds after a cycle; that cycle.
+    fn cycle_when(sim: &mut Simulator, mut arrived: impl FnMut() -> bool) -> Cycle {
+        while sim.now() < 100 {
+            let cycle = sim.now();
+            sim.step();
+            if arrived() {
+                return cycle;
+            }
+        }
+        panic!("nothing arrived within 100 cycles");
+    }
+
+    #[test]
+    fn lite_lane_request_reaches_the_slave_16_cycles_after_acceptance() {
+        let (mut sim, cpu, regs) = lite_lane();
+        cpu.try_issue(0, MmReq::read(0x4000_0000, 4)).unwrap();
+        let accepted = cycle_when(&mut sim, || cpu.req.is_empty());
+        let delivered = cycle_when(&mut sim, || !regs.req.is_empty());
+        assert_eq!(accepted, 0);
+        // REQ_LATENCY + LITE_LATENCY.
+        assert_eq!(delivered - accepted, 16);
+    }
+
+    #[test]
+    fn lite_lane_response_reaches_the_master_17_cycles_after_the_slave_answers() {
+        let (mut sim, cpu, regs) = lite_lane();
+        cpu.try_issue(0, MmReq::read(0x4000_0000, 4)).unwrap();
+        cycle_when(&mut sim, || !regs.req.is_empty());
+        regs.req.force_pop().unwrap();
+        let answered = sim.now();
+        regs.try_respond(answered, MmResp::data(0x1234, 4, true))
+            .unwrap();
+        let delivered = cycle_when(&mut sim, || !cpu.resp.is_empty());
+        // RESP_LATENCY + LITE_LATENCY + the converter's response
+        // register.
+        assert_eq!(delivered - answered, 17);
+        assert_eq!(cpu.resp.force_pop().unwrap().data, 0x1234);
+    }
+
+    #[test]
+    fn back_to_back_requests_through_a_lite_lane_both_complete() {
+        let mut sim = Simulator::new(Freq::FABRIC_100MHZ);
+        let (cpu, xbar_cpu) = link("cpu", 2);
+        let (xbar_ram, ram_port) = link("ram", 2);
+        let region = SlaveRegion::new("ram", 0x4000_0000, 0x100).behind_lite_converter();
+        sim.register(Box::new(Crossbar::new(
+            "xbar",
+            vec![xbar_cpu],
+            vec![(region, xbar_ram)],
+        )));
+        sim.register(Box::new(RamSlave::new("ram", ram_port, 0x4000_0000, 0x100)));
+        // Two writes issued on consecutive cycles, then a read of each.
+        cpu.try_issue(0, MmReq::write(0x4000_0000, 0x11, 1))
+            .unwrap();
+        sim.step();
+        cpu.try_issue(1, MmReq::write(0x4000_0001, 0x22, 1))
+            .unwrap();
+        let mut resps = Vec::new();
+        sim.run_until(100, || {
+            resps.extend(cpu.resp.force_pop());
+            resps.len() == 2
+        })
+        .unwrap();
+        cpu.try_issue(sim.now(), MmReq::read(0x4000_0000, 2))
+            .unwrap();
+        sim.run_until(100, || {
+            resps.extend(cpu.resp.force_pop());
+            resps.len() == 3
+        })
+        .unwrap();
+        assert!(resps.iter().all(|r| r.last && !r.error));
+        assert_eq!(resps[2].data, 0x2211);
     }
 
     mod traffic_properties {

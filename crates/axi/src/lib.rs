@@ -6,19 +6,21 @@
 //! links carry bitstream and accelerator data, and a zoo of adapters —
 //! data-width converters, protocol converters, stream switches, PR
 //! decouplers (isolators) — glues the pieces together. This crate
-//! models each of those blocks at *beat* granularity on top of the
-//! `rvcap-sim` kernel:
+//! models those blocks at *beat* granularity on top of the `rvcap-sim`
+//! kernel:
 //!
 //! * [`stream`] — AXI-Stream beats ([`AxisBeat`]) and channels.
 //! * [`mm`] — memory-mapped transactions ([`MmReq`]/[`MmResp`]) and
 //!   the master/slave port pairs they travel on.
 //! * [`crossbar`] — an N-master × M-slave address-decoded crossbar
-//!   with round-robin arbitration and in-order response routing.
+//!   with round-robin arbitration and in-order response routing. The
+//!   64→32 width and AXI4 → AXI4-Lite protocol converters in front of
+//!   the AXI-Lite slaves (DMA register file, AXI_HWICAP) are latency on
+//!   those slaves' lanes ([`SlaveRegion::behind_lite_converter`]), not
+//!   blocks of their own.
 //! * [`width`] — AXI-Stream data width converters (64↔32 bit), the
 //!   block the paper inserts between the 64-bit SoC bus and the 32-bit
 //!   ICAP/HWICAP world.
-//! * [`protocol`] — the AXI4 → AXI4-Lite bridge in front of AXI-Lite
-//!   slaves (DMA register file, AXI_HWICAP).
 //! * [`switch`] — the AXI-Stream switch selecting *reconfiguration
 //!   mode* (DMA → ICAP) vs *acceleration mode* (DMA → RM).
 //! * [`isolator`] — PR decoupling: gates all traffic crossing the
@@ -35,16 +37,16 @@
 //! ## Timing model
 //!
 //! Every block forwards at most one beat (or one transaction) per cycle
-//! and adds a configurable pipeline latency. The CPU's MMIO round-trip
-//! cost — the quantity that limits the AXI_HWICAP baseline to
-//! 8.23 MB/s in the paper — *emerges* from the sum of hop latencies
-//! along the request and response paths, plus the CPU's own
-//! non-speculative issue/retire cost modelled in `rvcap-soc`.
+//! and adds a fixed pipeline latency. The CPU's MMIO round-trip cost —
+//! the quantity that limits the AXI_HWICAP baseline to 8.23 MB/s in the
+//! paper — is the sum of the latencies along the request and response
+//! paths (for an AXI-Lite register file, one crossbar lane that
+//! includes the converter chain), plus the CPU's own non-speculative
+//! issue/retire cost modelled in `rvcap-soc`.
 
 pub mod crossbar;
 pub mod isolator;
 pub mod mm;
-pub mod protocol;
 pub mod regmap;
 pub mod sanitizer;
 pub mod stream;

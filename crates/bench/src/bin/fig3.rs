@@ -127,7 +127,7 @@ fn main() {
     }
     // Idle fast-forward: same simulated cycles, less host time. The
     // HWICAP run in particular spends most of its cycles waiting out
-    // the AXI-Lite adapter pipes, which the kernel now jumps over.
+    // the AXI-Lite lane latency, which the kernel now jumps over.
     let (t_off, tr_off, hw_off, _) = time_paper_point(Scheduler::Naive);
     let (t_on, tr_on, hw_on, hw_run) = time_paper_point(Scheduler::ActiveSet);
     assert_eq!(

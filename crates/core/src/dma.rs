@@ -96,7 +96,7 @@ enum Mm2sState {
 /// The DMA component.
 pub struct XilinxDma {
     name: String,
-    /// Register file slave (behind the AXI-Lite adapter).
+    /// Register file slave (behind the AXI-Lite converter lane).
     ctrl: SlavePort,
     /// Typed decode of the register window.
     regs: RegisterFile,

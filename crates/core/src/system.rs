@@ -26,7 +26,6 @@ use std::rc::Rc;
 use rvcap_axi::crossbar::{Crossbar, RamSlave, SlaveRegion};
 use rvcap_axi::isolator::StreamIsolator;
 use rvcap_axi::mm::link;
-use rvcap_axi::protocol::MmAdapter;
 use rvcap_axi::sanitizer::{watch_mm_link, watch_stream, watch_stream_gated};
 use rvcap_axi::switch::StreamSwitch;
 use rvcap_axi::AxisChannel;
@@ -231,10 +230,8 @@ impl SocBuilder {
         let (plic_m, plic_s) = link("plic", 2);
         let (uart_m, uart_s) = link("uart", 2);
         let (spi_m, spi_s) = link("spi", 2);
-        let (hwicap_up_m, hwicap_up_s) = link("hwicap.up", 2);
-        let (hwicap_dn_m, hwicap_dn_s) = link("hwicap.dn", 2);
-        let (dma_up_m, dma_up_s) = link("dma.up", 2);
-        let (dma_dn_m, dma_dn_s) = link("dma.dn", 2);
+        let (hwicap_m, hwicap_s) = link("hwicap", 2);
+        let (dma_m, dma_s) = link("dma", 2);
         let (rpctrl_m, rpctrl_s) = link("rpctrl", 2);
         let (swctrl_m, swctrl_s) = link("swctrl", 2);
         let (ddr_m, ddr_s) = link("ddr", 8);
@@ -253,16 +250,7 @@ impl SocBuilder {
             watch_mm_link(s, &dma_mem_m.req, &dma_mem_m.resp, self.dma_burst_beats);
             watch_mm_link(s, &ddr_m.req, &ddr_m.resp, self.dma_burst_beats);
             for m in [
-                &boot_m,
-                &clint_m,
-                &plic_m,
-                &uart_m,
-                &spi_m,
-                &hwicap_up_m,
-                &hwicap_dn_m,
-                &dma_up_m,
-                &dma_dn_m,
-                &rpctrl_m,
+                &boot_m, &clint_m, &plic_m, &uart_m, &spi_m, &hwicap_m, &dma_m, &rpctrl_m,
                 &swctrl_m,
             ] {
                 watch_mm_link(s, &m.req, &m.resp, 1);
@@ -282,11 +270,17 @@ impl SocBuilder {
                 (SlaveRegion::new("plic", PLIC_BASE, PLIC_SIZE), plic_m),
                 (SlaveRegion::new("uart", UART_BASE, UART_SIZE), uart_m),
                 (SlaveRegion::new("spi", SPI_BASE, SPI_SIZE), spi_m),
+                // The AXI4-Lite register files sit behind the 64→32
+                // width and AXI4→AXI4-Lite protocol converters
+                // (§III-B ②), modelled as latency on their lanes.
                 (
-                    SlaveRegion::new("hwicap", HWICAP_BASE, HWICAP_SIZE),
-                    hwicap_up_m,
+                    SlaveRegion::new("hwicap", HWICAP_BASE, HWICAP_SIZE).behind_lite_converter(),
+                    hwicap_m,
                 ),
-                (SlaveRegion::new("dma", DMA_BASE, DMA_SIZE), dma_up_m),
+                (
+                    SlaveRegion::new("dma", DMA_BASE, DMA_SIZE).behind_lite_converter(),
+                    dma_m,
+                ),
                 (
                     SlaveRegion::new("rpctrl", RP_CTRL_BASE, RP_CTRL_SIZE),
                     rpctrl_m,
@@ -394,15 +388,13 @@ impl SocBuilder {
         };
 
         // ---------------- controllers ----------------
-        let dma = XilinxDma::new("dma", dma_dn_s, dma_mem_m, mm2s, s2mm)
+        let dma = XilinxDma::new("dma", dma_s, dma_mem_m, mm2s, s2mm)
             .with_burst_beats(self.dma_burst_beats);
         let mm2s_irq = dma.mm2s_irq.clone();
         let mm2s_irq_for_vcd = dma.mm2s_irq.clone();
         let s2mm_irq = dma.s2mm_irq.clone();
-        let hwicap = AxiHwicap::with_depth("hwicap", hwicap_dn_s, icap_in, self.hwicap_fifo_depth)
+        let hwicap = AxiHwicap::with_depth("hwicap", hwicap_s, icap_in, self.hwicap_fifo_depth)
             .with_readback(config_mem.clone());
-        let dma_adapter = MmAdapter::axi4_to_lite("dma.adapter", dma_up_s, dma_dn_m);
-        let hwicap_adapter = MmAdapter::axi4_to_lite("hwicap.adapter", hwicap_up_s, hwicap_dn_m);
         let rpctrl = RpController::new(
             "rpctrl",
             rpctrl_s,
@@ -442,8 +434,6 @@ impl SocBuilder {
         }
         sim.register(Box::new(ddr));
         sim.register(Box::new(xbar));
-        sim.register(Box::new(dma_adapter));
-        sim.register(Box::new(hwicap_adapter));
         sim.register(Box::new(dma));
         sim.register(Box::new(switch));
         for iso in isolators {

@@ -325,10 +325,11 @@ impl Simulator {
         self.scheduler
     }
 
-    /// Drop every piece of active-set scheduler state — deadlines and
-    /// carried streamers — and mark all components pending for a fresh
-    /// hint query on the next stepped cycle. Stale wakes already in the
-    /// hub are subsumed by the wake-all.
+    /// Drop the active-set deadlines and mark all components pending
+    /// for a fresh hint query on the next stepped cycle. The wake-all
+    /// subsumes stale wakes already in the hub and carried streamers
+    /// alike, and the due set is empty here (every sweep drains it), so
+    /// neither needs clearing; clearing the heap bounds its size.
     ///
     /// Behavior-identical to a warm scheduler, because hints are pure
     /// functions of component state. The dense-window state is not a
@@ -336,8 +337,6 @@ impl Simulator {
     /// that mean to drop it say so.
     fn cold_start(&mut self) {
         self.heap.clear();
-        self.carry.clear_all();
-        self.due.clear_all();
         for s in &mut self.scheduled {
             *s = Cycle::MAX;
         }
@@ -1383,8 +1382,11 @@ mod tests {
             .collect()
     }
 
+    /// A restore leaves nothing of the warm scheduler's state behind:
+    /// mid-stream, it matches the same checkpoint restored into a fresh
+    /// rig.
     #[test]
-    fn restore_drops_stale_carry_state() {
+    fn restore_mid_stream_matches_a_fresh_rig() {
         let (mut drained, _) = pipeline(100);
         drained.run_until_quiescent(10_000).unwrap();
         let drained_checkpoint = drained.checkpoint().unwrap();
@@ -1412,8 +1414,10 @@ mod tests {
         );
     }
 
+    /// A round trip active set → naive → active set matches a run that
+    /// never held active-set state.
     #[test]
-    fn scheduler_switch_drops_stale_carry_state() {
+    fn scheduler_round_trip_matches_a_fresh_run() {
         // Active set for 30 cycles (the producer ends them carried),
         // naive until drained, then back to the active set.
         let run = |first: Scheduler| {

@@ -160,15 +160,6 @@ impl BitSet {
         self.words.resize(need, 0);
     }
 
-    /// Zero every word. A loop, not `fill`: LLVM guards the loop's
-    /// `memset` with a length test, while `fill` on an empty `Vec`
-    /// calls `memset` on its dangling pointer (~160 ns, DESIGN.md §2.3).
-    pub(crate) fn clear_all(&mut self) {
-        for w in &mut self.words {
-            *w = 0;
-        }
-    }
-
     #[inline]
     pub(crate) fn set(&mut self, index: usize) {
         self.words[index / 64] |= 1 << (index % 64);

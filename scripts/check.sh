@@ -5,8 +5,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== cargo build --release =="
-cargo build --release
+# `--workspace` builds every crate's binaries too (the rvcap-bench
+# harness bins), not only the root package's library.
+echo "== cargo build --release --workspace =="
+cargo build --release --workspace
 
 # The examples check themselves (golden-output and bare-metal asserts)
 # and write no files when run without flags; run each once.

@@ -105,12 +105,12 @@ fn active_set_work_is_pinned() {
         (
             "RV-CAP",
             rvcap_stats(Scheduler::ActiveSet),
-            [11_330, 137_417, 100, 3_832, 7_168],
+            [11_330, 123_057, 88, 3_850, 7_168],
         ),
         (
             "HWICAP unroll 16",
             hwicap_stats(),
-            [351_730, 82_162, 51_788, 292_955, 0],
+            [351_730, 52_250, 37_261, 314_822, 0],
         ),
         (
             "SD staging",

@@ -338,6 +338,41 @@ fn dma_fetch_from_unmapped_address_sets_dmasr_error() {
     assert_eq!(soc.handles.rm_hosts[0].active_module(), None);
 }
 
+/// A transfer whose source address is a register window (here the
+/// AXI_HWICAP's) sends DMA bursts down an AXI4-Lite path. The register
+/// file answers each burst with one error beat and counts it in the
+/// MMIO audit; MM2S halts with DMADecErr, as for an unmapped address.
+#[test]
+fn dma_burst_into_a_register_window_sets_dmasr_error() {
+    use rvcap_repro::core::dma::*;
+    use rvcap_repro::soc::map::{DMA_BASE, HWICAP_BASE};
+
+    let (mut soc, _) = rig();
+    let driver = RvCapDriver::new(0, soc.handles.plic.clone());
+    driver.decouple_accel(&mut soc.core, true);
+    driver.select_icap(&mut soc.core, true);
+    driver.dma_config(&mut soc.core, DmaMode::NonBlocking);
+    driver.dma_write_stream(&mut soc.core, HWICAP_BASE, 4096);
+
+    let mut sr = 0;
+    for _ in 0..2_000 {
+        sr = soc.core.read_reg(DMA_BASE + MM2S_DMASR);
+        if sr & SR_HALTED != 0 {
+            break;
+        }
+    }
+    assert_eq!(
+        sr,
+        SR_HALTED | SR_DMA_DEC_ERR,
+        "MM2S halts on the error beat: DMASR {sr:#x}"
+    );
+    assert_eq!(soc.core.read_reg(DMA_BASE + MM2S_DMACR) & CR_RS, 0);
+    // Both bursts the DMA had in flight reached the register file.
+    assert_eq!(soc.core.sim.mmio_audit().bursts, 2);
+    assert_eq!(soc.handles.icap.words_consumed(), 0);
+    assert_eq!(soc.handles.rm_hosts[0].active_module(), None);
+}
+
 #[test]
 fn oversized_module_rejected_by_partition_check() {
     let (soc, _) = rig();

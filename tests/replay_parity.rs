@@ -131,7 +131,7 @@ fn full_soc_checkpoint_is_complete() {
     let mut rig = paper_soc::rig_with_builder(SocBuilder::new().with_sanitizer(), small_rp());
     let state = rig.soc.core.checkpoint().expect("every component saves");
     assert!(
-        state.sim.components.len() >= 19,
+        state.sim.components.len() >= 17,
         "expected the full roster, got {}",
         state.sim.components.len()
     );

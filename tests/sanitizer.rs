@@ -21,7 +21,7 @@ use rvcap_repro::soc::map::DDR_BASE;
 const DIM: usize = 24;
 
 /// The builder only pays for the sanitizer when asked, and when asked
-/// it covers the whole bus: all fourteen MM links (two channels each)
+/// it covers the whole bus: all twelve MM links (two channels each)
 /// plus the stream fabric.
 #[test]
 fn builder_flag_controls_sanitizer_and_covers_the_bus() {
@@ -35,9 +35,9 @@ fn builder_flag_controls_sanitizer_and_covers_the_bus() {
 
     let soc = SocBuilder::new().with_sanitizer().build();
     let san = soc.handles.sanitizer.as_ref().expect("sanitizer attached");
-    // 14 MM links × (req + resp) = 28, plus mm2s/s2mm/switch.icap/
+    // 12 MM links × (req + resp) = 24, plus mm2s/s2mm/switch.icap/
     // icap.in and three channels around the single RP.
-    assert_eq!(san.watched_channels(), 35, "whole-bus coverage");
+    assert_eq!(san.watched_channels(), 31, "whole-bus coverage");
     assert_eq!(san.violation_count(), 0);
 }
 
@@ -178,7 +178,8 @@ fn compressed_loader_path_stays_protocol_clean() {
     );
 
     let san = soc.handles.sanitizer.as_ref().unwrap();
-    assert_eq!(san.watched_channels(), 36, "rle.in joins the watch list");
+    // The 31 channels of the plain bus (12 MM links), plus rle.in.
+    assert_eq!(san.watched_channels(), 32, "rle.in joins the watch list");
     assert_eq!(
         san.violation_count(),
         0,
