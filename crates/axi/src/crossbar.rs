@@ -51,7 +51,7 @@ pub struct SlaveRegion {
     /// The slave is an AXI4-Lite register file behind the 64→32 width
     /// converter and the AXI4→AXI4-Lite protocol converter: its lane
     /// adds [`Crossbar::LITE_LATENCY`] cycles each way.
-    pub behind_lite_converter: bool,
+    behind_lite_converter: bool,
 }
 
 impl SlaveRegion {
@@ -72,7 +72,9 @@ impl SlaveRegion {
         r
     }
 
-    /// Put the slave behind the AXI4→AXI4-Lite converter chain.
+    /// Put the slave behind the AXI4→AXI4-Lite converter chain: its
+    /// lane adds [`Crossbar::LITE_LATENCY`] cycles on the request path
+    /// and one more on the response path.
     pub fn behind_lite_converter(mut self) -> Self {
         self.behind_lite_converter = true;
         self

@@ -17,6 +17,12 @@
 //!   port: same arbitration semantics, one hop — and the CPU does not
 //!   touch DDR during a transfer, so the contention behaviour is
 //!   unchanged.
+//! * The 64→32 width and AXI4→AXI4-Lite protocol converters in front
+//!   of the HWICAP and DMA register files are latency on those two
+//!   crossbar lanes ([`SlaveRegion::behind_lite_converter`]), not
+//!   components. The drivers reach these register files only through
+//!   the CPU's blocking accesses, one at a time, and for those the
+//!   lanes give exactly the cycles separate converter blocks would.
 //! * Registration order follows dataflow (DDR → crossbar → DMA →
 //!   switch → bridge → ICAP) so the hot path forwards same-cycle,
 //!   modelling the fully synchronous pipeline of the RTL design.
@@ -270,9 +276,6 @@ impl SocBuilder {
                 (SlaveRegion::new("plic", PLIC_BASE, PLIC_SIZE), plic_m),
                 (SlaveRegion::new("uart", UART_BASE, UART_SIZE), uart_m),
                 (SlaveRegion::new("spi", SPI_BASE, SPI_SIZE), spi_m),
-                // The AXI4-Lite register files sit behind the 64→32
-                // width and AXI4→AXI4-Lite protocol converters
-                // (§III-B ②), modelled as latency on their lanes.
                 (
                     SlaveRegion::new("hwicap", HWICAP_BASE, HWICAP_SIZE).behind_lite_converter(),
                     hwicap_m,
