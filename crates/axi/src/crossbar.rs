@@ -48,9 +48,7 @@ pub struct SlaveRegion {
     pub base: u64,
     /// Window size in bytes.
     pub size: u64,
-    /// The slave is an AXI4-Lite register file behind the 64→32 width
-    /// converter and the AXI4→AXI4-Lite protocol converter: its lane
-    /// adds [`Crossbar::LITE_LATENCY`] cycles each way.
+    /// Set by [`SlaveRegion::behind_lite_converter`].
     behind_lite_converter: bool,
 }
 
@@ -72,7 +70,8 @@ impl SlaveRegion {
         r
     }
 
-    /// Put the slave behind the AXI4→AXI4-Lite converter chain: its
+    /// Put the slave, an AXI4-Lite register file, behind the 64→32
+    /// width converter and the AXI4→AXI4-Lite protocol converter: its
     /// lane adds [`Crossbar::LITE_LATENCY`] cycles on the request path
     /// and one more on the response path.
     pub fn behind_lite_converter(mut self) -> Self {
@@ -1121,7 +1120,7 @@ mod tests {
             vec![(region, xbar_ram)],
         )));
         sim.register(Box::new(RamSlave::new("ram", ram_port, 0x4000_0000, 0x100)));
-        // Two writes issued on consecutive cycles, then a read of each.
+        // Two writes issued on consecutive cycles, then one read of both.
         cpu.try_issue(0, MmReq::write(0x4000_0000, 0x11, 1))
             .unwrap();
         sim.step();
