@@ -141,3 +141,45 @@ fn pinned_rigs_match_under_every_scheduler() {
         "RV-CAP paper-rig ticks drifted under active_set"
     );
 }
+
+/// The paper SoC registers its 17 components in dataflow order. The
+/// registration order decides same-cycle forwarding, so a component
+/// folded into another, dropped or moved shows up here before it shows
+/// up as a cycle drift; the benchmark's per-layer metrics also look
+/// components up by these names.
+#[test]
+fn paper_soc_roster_is_pinned() {
+    let rig = paper_soc::rig_with_geometry(RpGeometry::paper_rp());
+    let names: Vec<String> = rig
+        .soc
+        .core
+        .sim
+        .kernel_stats()
+        .components
+        .into_iter()
+        .map(|c| c.name)
+        .collect();
+    assert_eq!(
+        names,
+        [
+            "ddr",
+            "xbar",
+            "dma",
+            "switch",
+            "iso0.in",
+            "iso0.out",
+            "axis2icap",
+            "hwicap",
+            "icap",
+            "host0",
+            "rpctrl",
+            "swctrl",
+            "boot",
+            "clint",
+            "plic",
+            "uart",
+            "spi",
+        ],
+        "paper SoC roster changed"
+    );
+}
