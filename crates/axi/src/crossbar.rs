@@ -122,7 +122,8 @@ struct MasterLane {
 ///
 /// * Address decode: the target slave is chosen by the request
 ///   address; a request that decodes to no region gets a DECERR
-///   response (and shows up in [`Crossbar::decode_errors`]).
+///   response (and counts as `unmapped` in the crossbar's
+///   [`rvcap_sim::MmioAudit`]).
 /// * Arbitration: per-slave round-robin among masters whose oldest
 ///   request targets that slave. One request accepted per slave per
 ///   cycle — head-of-line blocking across slaves is modelled, exactly
@@ -144,6 +145,8 @@ pub struct Crossbar {
     name: String,
     masters: Vec<MasterLane>,
     slaves: Vec<SlaveLane>,
+    /// Requests that decoded to no slave region (the audit's
+    /// `unmapped` count).
     decode_errors: u64,
     /// Last slave index a request decoded to — bus traffic is extremely
     /// local (fill loops, DMA streams), so checking the previous hit
@@ -254,11 +257,6 @@ impl Crossbar {
                 lane.region.name
             );
         }
-    }
-
-    /// Requests that decoded to no slave region.
-    pub fn decode_errors(&self) -> u64 {
-        self.decode_errors
     }
 
     fn decode(&self, addr: u64) -> Option<usize> {

@@ -8,17 +8,16 @@
 //! into it must be held. The `decouple_accel(1)` driver API raises the
 //! decouple signal; `decouple_accel(0)` lowers it.
 //!
-//! Two isolator flavours are modelled: [`StreamIsolator`] for the
-//! AXI-Stream data paths between the DMA and the RM, and
-//! [`MmIsolator`] for memory-mapped control paths into the RP. Both
-//! count the beats/requests they block — the integration tests assert
-//! that reconfiguration with traffic in flight corrupts nothing.
+//! [`StreamIsolator`] gates the AXI-Stream data paths between the DMA
+//! and the RM, the only paths that cross the partition boundary in the
+//! modelled SoC. It holds beats rather than dropping them — the
+//! integration tests assert that reconfiguration with traffic in
+//! flight corrupts nothing.
 
 use rvcap_sim::component::{Component, TickCtx};
 use rvcap_sim::state::{StateBlob, StateError};
 use rvcap_sim::Signal;
 
-use crate::mm::{MasterPort, MmResp, SlavePort};
 use crate::stream::AxisChannel;
 
 /// Gates an AXI-Stream path with a decouple signal.
@@ -32,7 +31,6 @@ pub struct StreamIsolator {
     input: AxisChannel,
     output: AxisChannel,
     decouple: Signal<bool>,
-    blocked_cycles: u64,
 }
 
 impl StreamIsolator {
@@ -48,13 +46,7 @@ impl StreamIsolator {
             input,
             output,
             decouple,
-            blocked_cycles: 0,
         }
-    }
-
-    /// Cycles during which a beat was ready but the path was decoupled.
-    pub fn blocked_cycles(&self) -> u64 {
-        self.blocked_cycles
     }
 }
 
@@ -64,13 +56,7 @@ impl Component for StreamIsolator {
     }
 
     fn tick(&mut self, ctx: &mut TickCtx) {
-        if self.decouple.get() {
-            if !self.input.is_empty() {
-                self.blocked_cycles += 1;
-            }
-            return;
-        }
-        if !self.output.can_push(ctx.cycle) {
+        if self.decouple.get() || !self.output.can_push(ctx.cycle) {
             return;
         }
         if let Some(beat) = self.input.try_pop(ctx.cycle) {
@@ -88,9 +74,11 @@ impl Component for StreamIsolator {
     }
 
     fn next_activity(&self, now: rvcap_sim::Cycle) -> rvcap_sim::Cycle {
-        // A decoupled tick with a queued beat is NOT a no-op: it
-        // increments `blocked_cycles`. Any queued input therefore
-        // means activity now, coupled or not.
+        // Any queued input means activity now, coupled or not. A
+        // decoupled tick changes nothing, so a hint that waited for the
+        // decouple line to fall would be exact too; it would need a
+        // wake subscription on that line, though, and would move the
+        // executed tick counts the work pins record.
         if self.input.is_empty() {
             rvcap_sim::Cycle::MAX
         } else {
@@ -108,126 +96,14 @@ impl Component for StreamIsolator {
     fn save_state(&self) -> Option<StateBlob> {
         // The decouple signal is saved by its driver (RP_CTRL or the
         // test harness), not by the isolator that merely reads it.
-        let mut b = StateBlob::new("axi.stream_isolator", 1);
+        let mut b = StateBlob::new("axi.stream_isolator", 2);
         b.put("input", self.input.save_state());
-        b.put_u64("blocked_cycles", self.blocked_cycles);
         Some(b)
     }
 
     fn restore_state(&mut self, state: &StateBlob) -> Result<(), StateError> {
-        state.expect("axi.stream_isolator", 1)?;
+        state.expect("axi.stream_isolator", 2)?;
         self.input.restore_state(state.get("input")?)?;
-        self.blocked_cycles = state.get_u64("blocked_cycles")?;
-        Ok(())
-    }
-}
-
-/// Gates a memory-mapped path with a decouple signal.
-///
-/// While decoupled, new requests are answered immediately with a
-/// SLVERR-style error response instead of reaching the RP (reads of a
-/// half-configured module must not hang the bus — this mirrors the
-/// isolation interfaces of the paper's open-source on-chip library).
-pub struct MmIsolator {
-    name: String,
-    upstream: SlavePort,
-    downstream: MasterPort,
-    decouple: Signal<bool>,
-    rejected: u64,
-}
-
-impl MmIsolator {
-    /// Wire an MM isolator; `decouple` high bounces requests.
-    pub fn new(
-        name: impl Into<String>,
-        upstream: SlavePort,
-        downstream: MasterPort,
-        decouple: Signal<bool>,
-    ) -> Self {
-        MmIsolator {
-            name: name.into(),
-            upstream,
-            downstream,
-            decouple,
-            rejected: 0,
-        }
-    }
-
-    /// Requests bounced while decoupled.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-}
-
-impl Component for MmIsolator {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn tick(&mut self, ctx: &mut TickCtx) {
-        let cycle = ctx.cycle;
-        // Responses always flow back (a transaction that entered the
-        // RP before decoupling completes normally; Xilinx requires
-        // quiescence before decoupling, and the drivers ensure it).
-        if let Some(resp) = self.downstream.resp.try_pop(cycle) {
-            let _ = self.upstream.resp.try_push(cycle, resp);
-        }
-        if self.decouple.get() {
-            if self.upstream.resp.can_push(cycle) {
-                if let Some(_req) = self.upstream.req.try_pop(cycle) {
-                    self.rejected += 1;
-                    self.upstream
-                        .resp
-                        .try_push(cycle, MmResp::err())
-                        .expect("can_push checked");
-                }
-            }
-            return;
-        }
-        if self.downstream.req.can_push(cycle) {
-            if let Some(req) = self.upstream.req.try_pop(cycle) {
-                self.downstream
-                    .req
-                    .try_push(cycle, req)
-                    .expect("can_push checked");
-            }
-        }
-    }
-
-    fn busy(&self) -> bool {
-        false
-    }
-
-    fn next_activity(&self, now: rvcap_sim::Cycle) -> rvcap_sim::Cycle {
-        if self.upstream.req.is_empty() && self.downstream.resp.is_empty() {
-            rvcap_sim::Cycle::MAX
-        } else {
-            now
-        }
-    }
-
-    fn wake_sources(&self, waker: &rvcap_sim::Waker) {
-        self.upstream.req.subscribe_wake(waker.clone());
-        self.downstream.resp.subscribe_wake(waker.clone());
-    }
-
-    fn save_state(&self) -> Option<StateBlob> {
-        let mut b = StateBlob::new("axi.mm_isolator", 1);
-        b.put("upstream_req", self.upstream.req.save_state());
-        b.put("downstream_resp", self.downstream.resp.save_state());
-        b.put_u64("rejected", self.rejected);
-        Some(b)
-    }
-
-    fn restore_state(&mut self, state: &StateBlob) -> Result<(), StateError> {
-        state.expect("axi.mm_isolator", 1)?;
-        self.upstream
-            .req
-            .restore_state(state.get("upstream_req")?)?;
-        self.downstream
-            .resp
-            .restore_state(state.get("downstream_resp")?)?;
-        self.rejected = state.get_u64("rejected")?;
         Ok(())
     }
 }
@@ -235,7 +111,6 @@ impl Component for MmIsolator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mm::{link, MmReq};
     use crate::stream::{pack_bytes, unpack_bytes, AxisBeat};
     use rvcap_sim::{Fifo, Freq, Simulator};
 
@@ -284,48 +159,5 @@ mod tests {
         sim.step_n(5);
         assert_eq!(b.len(), 1);
         assert!(a.is_empty());
-    }
-
-    #[test]
-    fn mm_bounces_requests_while_decoupled() {
-        let mut sim = Simulator::new(Freq::FABRIC_100MHZ);
-        let (cpu_m, cpu_s) = link("cpu", 2);
-        let (rp_m, rp_s) = link("rp", 2);
-        let dec = Signal::new(true);
-        sim.register(Box::new(MmIsolator::new("iso", cpu_s, rp_m, dec.clone())));
-        cpu_m.try_issue(0, MmReq::read(0x100, 4)).unwrap();
-        let mut got = None;
-        sim.run_until(100, || {
-            got = cpu_m.resp.force_pop();
-            got.is_some()
-        })
-        .unwrap();
-        assert!(got.unwrap().error, "decoupled read must error, not hang");
-        assert!(rp_s.req.is_empty(), "request must not reach the RP");
-        // Couple and retry: flows through.
-        dec.set(false);
-        cpu_m.try_issue(sim.now(), MmReq::read(0x100, 4)).unwrap();
-        sim.run_until(100, || !rp_s.req.is_empty()).unwrap();
-    }
-
-    #[test]
-    fn mm_passes_and_responds_when_coupled() {
-        let mut sim = Simulator::new(Freq::FABRIC_100MHZ);
-        let (cpu_m, cpu_s) = link("cpu", 2);
-        let (rp_m, rp_s) = link("rp", 2);
-        let dec = Signal::new(false);
-        sim.register(Box::new(MmIsolator::new("iso", cpu_s, rp_m, dec)));
-        cpu_m.try_issue(0, MmReq::write(0x8, 9, 4)).unwrap();
-        sim.run_until(100, || !rp_s.req.is_empty()).unwrap();
-        let req = rp_s.try_take(sim.now()).unwrap();
-        assert_eq!(req.addr, 0x8);
-        rp_s.try_respond(sim.now(), MmResp::write_ack()).unwrap();
-        let mut got = None;
-        sim.run_until(100, || {
-            got = cpu_m.resp.force_pop();
-            got.is_some()
-        })
-        .unwrap();
-        assert!(!got.unwrap().error);
     }
 }

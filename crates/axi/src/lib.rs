@@ -23,8 +23,9 @@
 //!   ICAP/HWICAP world.
 //! * [`switch`] — the AXI-Stream switch selecting *reconfiguration
 //!   mode* (DMA → ICAP) vs *acceleration mode* (DMA → RM).
-//! * [`isolator`] — PR decoupling: gates all traffic crossing the
-//!   static/reconfigurable boundary while a partial bitstream loads.
+//! * [`isolator`] — PR decoupling: a stream isolator holds the beats
+//!   crossing the static/reconfigurable boundary while a partial
+//!   bitstream loads.
 //! * [`sanitizer`] — payload descriptions and wiring helpers teaching
 //!   `rvcap-sim`'s bus sanitizer the AXI vocabulary (stream framing,
 //!   transaction pairing, decouple gating).
@@ -54,7 +55,7 @@ pub mod switch;
 pub mod width;
 
 pub use crossbar::{Crossbar, SlaveRegion};
-pub use isolator::{MmIsolator, StreamIsolator};
+pub use isolator::StreamIsolator;
 pub use mm::{MasterPort, MmOp, MmReq, MmResp, SlavePort};
 pub use regmap::{Access, Decoded, RegDef, RegisterFile, RegisterMap};
 pub use sanitizer::{watch_mm_link, watch_stream, watch_stream_gated};

@@ -2,7 +2,7 @@
 //! onto the RV-CAP datapath (extension study).
 //!
 //! When the SoC is built with `SocBuilder::with_compressed_loader`, an
-//! [`RleDecompressor`] sits between the AXIS2ICAP bridge and the ICAP:
+//! [`RleDecompressor`] sits between the AXIS2ICAP narrower and the ICAP:
 //! the DMA then transfers RLE-compressed bitstreams
 //! ([`rvcap_fabric::compress`] format — `(count, word)` pairs) and the
 //! decompressor reconstitutes the configuration stream at up to one
@@ -41,8 +41,6 @@ pub struct RleDecompressor {
     input: AxisChannel,
     output: AxisChannel,
     state: State,
-    words_in: u64,
-    words_out: u64,
     /// Malformed-stream strikes (zero-length runs).
     format_errors: u64,
 }
@@ -55,20 +53,8 @@ impl RleDecompressor {
             input,
             output,
             state: State::Count,
-            words_in: 0,
-            words_out: 0,
             format_errors: 0,
         }
-    }
-
-    /// Compressed words consumed.
-    pub fn words_in(&self) -> u64 {
-        self.words_in
-    }
-
-    /// Expanded words produced.
-    pub fn words_out(&self) -> u64 {
-        self.words_out
     }
 }
 
@@ -82,7 +68,6 @@ impl Component for RleDecompressor {
         match self.state {
             State::Count => {
                 if let Some(beat) = self.input.try_pop(cycle) {
-                    self.words_in += 1;
                     let count = beat.low_word();
                     if count == 0 {
                         // Malformed: drop the record (and its word,
@@ -103,7 +88,6 @@ impl Component for RleDecompressor {
             }
             State::Word { count, .. } => {
                 if let Some(beat) = self.input.try_pop(cycle) {
-                    self.words_in += 1;
                     if count == 0 {
                         self.state = State::Count;
                     } else {
@@ -125,7 +109,6 @@ impl Component for RleDecompressor {
                     self.output
                         .try_push(cycle, AxisBeat::word(word, last))
                         .expect("can_push checked");
-                    self.words_out += 1;
                     self.state = if remaining == 1 {
                         State::Count
                     } else {
@@ -162,7 +145,7 @@ impl Component for RleDecompressor {
     }
 
     fn save_state(&self) -> Option<StateBlob> {
-        let mut b = StateBlob::new("core.rle", 1);
+        let mut b = StateBlob::new("core.rle", 2);
         b.put("input", self.input.save_state());
         let (state, count, word, input_last) = match self.state {
             State::Count => ("count", None, None, false),
@@ -182,14 +165,12 @@ impl Component for RleDecompressor {
         b.put_opt_u64("count", count);
         b.put_opt_u64("word", word);
         b.put_bool("input_last", input_last);
-        b.put_u64("words_in", self.words_in);
-        b.put_u64("words_out", self.words_out);
         b.put_u64("format_errors", self.format_errors);
         Some(b)
     }
 
     fn restore_state(&mut self, state: &StateBlob) -> Result<(), StateError> {
-        state.expect("core.rle", 1)?;
+        state.expect("core.rle", 2)?;
         let missing = |field: &str| state.structure_error(format!("state lacks {field}"));
         let input_last = state.get_bool("input_last")?;
         self.state = match state.get_str("state")? {
@@ -210,8 +191,6 @@ impl Component for RleDecompressor {
             other => return Err(state.structure_error(format!("unknown state {other:?}"))),
         };
         self.input.restore_state(state.get("input")?)?;
-        self.words_in = state.get_u64("words_in")?;
-        self.words_out = state.get_u64("words_out")?;
         self.format_errors = state.get_u64("format_errors")?;
         Ok(())
     }

@@ -136,9 +136,6 @@ pub struct XilinxDma {
     s2mm_da: u64,
     s2mm_addr: u64,
     s2mm_remaining: u64,
-
-    /// Stats for the bench harness.
-    beats_streamed: u64,
 }
 
 impl XilinxDma {
@@ -178,7 +175,6 @@ impl XilinxDma {
             s2mm_da: 0,
             s2mm_addr: 0,
             s2mm_remaining: 0,
-            beats_streamed: 0,
         }
     }
 
@@ -187,11 +183,6 @@ impl XilinxDma {
         assert!((1..=256).contains(&beats));
         self.burst_beats = beats;
         self
-    }
-
-    /// Beats streamed out of MM2S since reset.
-    pub fn beats_streamed(&self) -> u64 {
-        self.beats_streamed
     }
 
     fn reg_read(&self, off: u64) -> u32 {
@@ -390,7 +381,6 @@ impl Component for XilinxDma {
                             last,
                         };
                         self.mm2s.try_push(cycle, beat).expect("can_push checked");
-                        self.beats_streamed += 1;
                         if last {
                             self.mm2s_complete();
                         }
@@ -477,7 +467,7 @@ impl Component for XilinxDma {
     }
 
     fn save_state(&self) -> Option<StateBlob> {
-        let mut b = StateBlob::new("core.dma", 2);
+        let mut b = StateBlob::new("core.dma", 3);
         // Channels this component consumes (ownership convention), and
         // the IRQ levels it drives.
         b.put("ctrl_req", self.ctrl.req.save_state());
@@ -508,12 +498,11 @@ impl Component for XilinxDma {
         b.put_u64("s2mm_da", self.s2mm_da);
         b.put_u64("s2mm_addr", self.s2mm_addr);
         b.put_u64("s2mm_remaining", self.s2mm_remaining);
-        b.put_u64("beats_streamed", self.beats_streamed);
         Some(b)
     }
 
     fn restore_state(&mut self, state: &StateBlob) -> Result<(), StateError> {
-        state.expect("core.dma", 2)?;
+        state.expect("core.dma", 3)?;
         if state.get_u64("burst_beats")? != self.burst_beats as u64 {
             return Err(state.structure_error(format!(
                 "burst_beats mismatch: instance {}, state {}",
@@ -557,7 +546,6 @@ impl Component for XilinxDma {
         self.s2mm_da = state.get_u64("s2mm_da")?;
         self.s2mm_addr = state.get_u64("s2mm_addr")?;
         self.s2mm_remaining = state.get_u64("s2mm_remaining")?;
-        self.beats_streamed = state.get_u64("beats_streamed")?;
         Ok(())
     }
 }

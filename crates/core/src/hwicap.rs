@@ -85,11 +85,8 @@ pub struct AxiHwicap {
     depth: usize,
     /// Transfer in progress (CR.WRITE seen, FIFO still draining).
     writing: bool,
-    words_written: u64,
-    flushes: u64,
-    /// Readback source (the device's configuration memory); `None`
-    /// disables the read path.
-    config_mem: Option<ConfigMem>,
+    /// Readback source (the device's configuration memory).
+    config_mem: ConfigMem,
     /// Read FIFO (configuration readback words).
     rf: VecDeque<u32>,
     /// Readback size register.
@@ -104,18 +101,15 @@ pub struct AxiHwicap {
 }
 
 impl AxiHwicap {
-    /// Create the controller with the paper's 1024-word FIFO.
-    pub fn new(name: impl Into<String>, port: SlavePort, icap: AxisChannel) -> Self {
-        AxiHwicap::with_depth(name, port, icap, PAPER_FIFO_DEPTH)
-    }
-
-    /// Create with an explicit FIFO depth (for the depth ablation; the
-    /// stock IP ships with 64).
-    pub fn with_depth(
+    /// Create the controller with a `depth`-word write FIFO (the paper
+    /// resizes it to [`PAPER_FIFO_DEPTH`]; the stock IP ships with 64)
+    /// and the configuration memory that CR.READ reads back.
+    pub fn new(
         name: impl Into<String>,
         port: SlavePort,
         icap: AxisChannel,
         depth: usize,
+        config_mem: ConfigMem,
     ) -> Self {
         assert!(depth >= 1);
         AxiHwicap {
@@ -126,31 +120,13 @@ impl AxiHwicap {
             fifo: VecDeque::with_capacity(depth),
             depth,
             writing: false,
-            words_written: 0,
-            flushes: 0,
-            config_mem: None,
+            config_mem,
             rf: VecDeque::with_capacity(READ_FIFO_DEPTH),
             sz: 0,
             read_far: 0,
             reading_remaining: 0,
             read_offset: 0,
         }
-    }
-
-    /// Enable the configuration-readback path (CR.READ / RF / SZ).
-    pub fn with_readback(mut self, config_mem: ConfigMem) -> Self {
-        self.config_mem = Some(config_mem);
-        self
-    }
-
-    /// Total words forwarded to the ICAP.
-    pub fn words_written(&self) -> u64 {
-        self.words_written
-    }
-
-    /// Number of CR.WRITE flushes.
-    pub fn flushes(&self) -> u64 {
-        self.flushes
     }
 }
 
@@ -164,24 +140,18 @@ impl Component for AxiHwicap {
         // Readback engine: one configuration word per cycle out of
         // configuration memory into the read FIFO.
         if self.reading_remaining > 0 && self.rf.len() < READ_FIFO_DEPTH {
-            if let Some(cm) = &self.config_mem {
-                let far = self.read_far + self.read_offset / FRAME_WORDS as u32;
-                let off = (self.read_offset % FRAME_WORDS as u32) as usize;
-                let word = cm.read_frame(far).map(|f| f[off]).unwrap_or(0);
-                self.rf.push_back(word);
-                self.read_offset += 1;
-                self.reading_remaining -= 1;
-            } else {
-                // No fabric attached: readback returns nothing.
-                self.reading_remaining = 0;
-            }
+            let far = self.read_far + self.read_offset / FRAME_WORDS as u32;
+            let off = (self.read_offset % FRAME_WORDS as u32) as usize;
+            let word = self.config_mem.read_frame(far).map(|f| f[off]).unwrap_or(0);
+            self.rf.push_back(word);
+            self.read_offset += 1;
+            self.reading_remaining -= 1;
         }
         // Drain toward the ICAP, one word per cycle, while writing.
         if self.writing {
             if let Some(&w) = self.fifo.front() {
                 if self.icap.try_push(cycle, AxisBeat::word(w, false)).is_ok() {
                     self.fifo.pop_front();
-                    self.words_written += 1;
                 }
             } else {
                 self.writing = false;
@@ -202,7 +172,6 @@ impl Component for AxiHwicap {
                         REG_CR => {
                             if data & CR_WRITE != 0 && !self.fifo.is_empty() {
                                 self.writing = true;
-                                self.flushes += 1;
                             }
                             if data & CR_READ != 0 && self.sz > 0 {
                                 self.rf.clear();
@@ -266,14 +235,12 @@ impl Component for AxiHwicap {
     }
 
     fn save_state(&self) -> Option<StateBlob> {
-        let mut b = StateBlob::new("core.hwicap", 1);
+        let mut b = StateBlob::new("core.hwicap", 2);
         b.put("port_req", self.port.req.save_state());
         b.put("regs", self.regs.save_state());
         b.put_u64("depth", self.depth as u64);
         b.put_words("fifo", self.fifo.iter().copied().collect());
         b.put_bool("writing", self.writing);
-        b.put_u64("words_written", self.words_written);
-        b.put_u64("flushes", self.flushes);
         b.put_words("rf", self.rf.iter().copied().collect());
         b.put_u64("sz", self.sz as u64);
         b.put_u64("read_far", self.read_far as u64);
@@ -285,7 +252,7 @@ impl Component for AxiHwicap {
     }
 
     fn restore_state(&mut self, state: &StateBlob) -> Result<(), StateError> {
-        state.expect("core.hwicap", 1)?;
+        state.expect("core.hwicap", 2)?;
         if state.get_u64("depth")? != self.depth as u64 {
             return Err(state.structure_error(format!(
                 "FIFO depth mismatch: instance {}, state {}",
@@ -312,8 +279,6 @@ impl Component for AxiHwicap {
         self.regs.restore_state(state.get("regs")?)?;
         self.fifo = fifo.iter().copied().collect();
         self.writing = state.get_bool("writing")?;
-        self.words_written = state.get_u64("words_written")?;
-        self.flushes = state.get_u64("flushes")?;
         self.rf = rf.iter().copied().collect();
         self.sz = state.get_u32("sz")?;
         self.read_far = state.get_u32("read_far")?;
@@ -339,7 +304,7 @@ mod tests {
         let mut sim = Simulator::new(Freq::FABRIC_100MHZ);
         let (m, s) = link("hwicap", 2);
         let icap: AxisChannel = Fifo::new("icap.in", 4096);
-        let hw = AxiHwicap::with_depth("hwicap", s, icap.clone(), depth);
+        let hw = AxiHwicap::new("hwicap", s, icap.clone(), depth, ConfigMem::new(4));
         sim.register(Box::new(hw));
         Rig { sim, m, icap }
     }

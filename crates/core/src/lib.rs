@@ -8,8 +8,6 @@
 //! * [`dma`] — the Xilinx-AXI-DMA-style engine that moves partial
 //!   bitstreams (reconfiguration mode) or application data
 //!   (acceleration mode) between DDR and the stream fabric (Fig. 2 ①).
-//! * [`icap_bridge`] — the AXIS2ICAP block: 64-bit stream beats in,
-//!   two ordered 32-bit ICAP words out (Fig. 2 ⑤).
 //! * [`rp_ctrl`] — the RP control interface: coupling/decoupling and
 //!   module status (Fig. 2 ③).
 //! * [`switch_ctrl`] — the register window steering the AXI-Stream
@@ -19,7 +17,8 @@
 //! * [`hwicap`] — the Xilinx AXI_HWICAP baseline (§III-C) with its
 //!   1024-word write FIFO, keyhole register, and CR/SR/WFV interface.
 //! * [`system`] — the SoC builder assembling Fig. 1 + Fig. 2 into a
-//!   runnable simulation.
+//!   runnable simulation. The AXIS2ICAP block (Fig. 2 ⑤) is
+//!   `rvcap-axi`'s 64→32 stream narrower, registered as `axis2icap`.
 //! * [`drivers`] — ports of the paper's Listing 1 (RV-CAP) and
 //!   Listing 2 (HWICAP) driver APIs, the SD→DDR staging path
 //!   (`init_RModules`), and the CLINT timing utilities.
@@ -33,7 +32,6 @@ pub mod decompressor;
 pub mod dma;
 pub mod drivers;
 pub mod hwicap;
-pub mod icap_bridge;
 pub mod registry;
 pub mod resources;
 pub mod rp_ctrl;

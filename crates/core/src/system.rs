@@ -23,6 +23,16 @@
 //!   components. The drivers reach these register files only through
 //!   the CPU's blocking accesses, one at a time, and for those the
 //!   lanes give exactly the cycles separate converter blocks would.
+//! * The AXIS2ICAP block (Fig. 2 ⑤) is a plain 64→32 [`Narrower`]
+//!   registered as `axis2icap`. The paper: "The AXIS2ICAP block … is
+//!   responsible for converting a 64-bit data word fetched from the DDR
+//!   memory into two 32-bit data words, which are written in order to
+//!   the ICAP data port. Besides, the valid stream signal is inverted
+//!   and connected to the ICAP data port. The R/W select input port is
+//!   permanently set to zero." (§III-B ⑤) The ICAP's active-low
+//!   controls (CSIB = inverted valid, RDWRB = 0, write mode) have no
+//!   cycle-level consequence — the ICAP samples a word whenever CSIB is
+//!   low — so only the narrowing is modelled.
 //! * Registration order follows dataflow (DDR → crossbar → DMA →
 //!   switch → bridge → ICAP) so the hot path forwards same-cycle,
 //!   modelling the fully synchronous pipeline of the RTL design.
@@ -34,6 +44,7 @@ use rvcap_axi::isolator::StreamIsolator;
 use rvcap_axi::mm::link;
 use rvcap_axi::sanitizer::{watch_mm_link, watch_stream, watch_stream_gated};
 use rvcap_axi::switch::StreamSwitch;
+use rvcap_axi::width::Narrower;
 use rvcap_axi::AxisChannel;
 use rvcap_fabric::bitstream::KINTEX7_IDCODE;
 use rvcap_fabric::config_mem::ConfigMem;
@@ -55,7 +66,6 @@ use rvcap_storage::{Fat32Volume, MemBlockDevice, SdCard};
 
 use crate::dma::XilinxDma;
 use crate::hwicap::AxiHwicap;
-use crate::icap_bridge::Axis2Icap;
 use crate::rp_ctrl::RpController;
 use crate::switch_ctrl::SwitchCtrl;
 
@@ -383,11 +393,11 @@ impl SocBuilder {
             if let Some(s) = &sanitizer {
                 watch_stream(s, &expanded);
             }
-            let bridge = Axis2Icap::new("axis2icap", icap_raw, expanded.clone());
+            let bridge = Narrower::new("axis2icap", icap_raw, expanded.clone());
             let d = crate::decompressor::RleDecompressor::new("rle", expanded, icap_in.clone());
             (bridge, Some(d))
         } else {
-            (Axis2Icap::new("axis2icap", icap_raw, icap_in.clone()), None)
+            (Narrower::new("axis2icap", icap_raw, icap_in.clone()), None)
         };
 
         // ---------------- controllers ----------------
@@ -396,8 +406,13 @@ impl SocBuilder {
         let mm2s_irq = dma.mm2s_irq.clone();
         let mm2s_irq_for_vcd = dma.mm2s_irq.clone();
         let s2mm_irq = dma.s2mm_irq.clone();
-        let hwicap = AxiHwicap::with_depth("hwicap", hwicap_s, icap_in, self.hwicap_fifo_depth)
-            .with_readback(config_mem.clone());
+        let hwicap = AxiHwicap::new(
+            "hwicap",
+            hwicap_s,
+            icap_in,
+            self.hwicap_fifo_depth,
+            config_mem.clone(),
+        );
         let rpctrl = RpController::new(
             "rpctrl",
             rpctrl_s,

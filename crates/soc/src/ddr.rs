@@ -124,10 +124,6 @@ pub struct Ddr {
     /// End address of the last completed/streaming read (row-buffer
     /// hit detection for sequential bursts).
     last_read_end: Option<u64>,
-    /// Reads served / beats streamed (bench counters).
-    beats_read: u64,
-    beats_written: u64,
-    refreshes: u64,
 }
 
 impl Ddr {
@@ -155,17 +151,9 @@ impl Ddr {
                 refresh_at: cfg.refresh_interval,
                 refresh_until: 0,
                 last_read_end: None,
-                beats_read: 0,
-                beats_written: 0,
-                refreshes: 0,
             },
             handle,
         )
-    }
-
-    /// Refresh stalls taken so far.
-    pub fn refreshes(&self) -> u64 {
-        self.refreshes
     }
 
     fn read_u64(&self, addr: u64, bytes: u8) -> u64 {
@@ -192,7 +180,6 @@ impl Component for Ddr {
         if cycle >= self.refresh_at {
             self.refresh_until = cycle + self.cfg.refresh_penalty;
             self.refresh_at = cycle + self.cfg.refresh_interval;
-            self.refreshes += 1;
         }
         let refreshing = cycle < self.refresh_until;
 
@@ -219,9 +206,6 @@ impl Component for Ddr {
                             // out-of-bounds posted write is dropped
                             // (and would be caught by the crossbar's
                             // decode in any real configuration).
-                            if ok {
-                                self.beats_written += 1;
-                            }
                             self.write_pipe.pop_front();
                         } else {
                             let resp = if ok {
@@ -230,9 +214,6 @@ impl Component for Ddr {
                                 MmResp::err()
                             };
                             if self.port.try_respond(cycle, resp).is_ok() {
-                                if ok {
-                                    self.beats_written += 1;
-                                }
                                 self.write_pipe.pop_front();
                             }
                         }
@@ -254,10 +235,8 @@ impl Component for Ddr {
                                     if self
                                         .port
                                         .try_respond(cycle, MmResp::data(v, bytes, true))
-                                        .is_ok()
+                                        .is_err()
                                     {
-                                        self.beats_read += 1;
-                                    } else {
                                         self.read = ReadState::Latency { until, req };
                                     }
                                 } else if self.port.try_respond(cycle, MmResp::err()).is_err() {
@@ -360,7 +339,7 @@ impl Component for Ddr {
     }
 
     fn save_state(&self) -> Option<StateBlob> {
-        let mut b = StateBlob::new("soc.ddr", 2);
+        let mut b = StateBlob::new("soc.ddr", 3);
         b.put("port_req", self.port.req.save_state());
         b.put_paged("mem", self.bytes.borrow().clone());
         let (read, until, req) = match &self.read {
@@ -396,14 +375,11 @@ impl Component for Ddr {
         b.put_u64("refresh_at", self.refresh_at);
         b.put_u64("refresh_until", self.refresh_until);
         b.put_opt_u64("last_read_end", self.last_read_end);
-        b.put_u64("beats_read", self.beats_read);
-        b.put_u64("beats_written", self.beats_written);
-        b.put_u64("refreshes", self.refreshes);
         Some(b)
     }
 
     fn restore_state(&mut self, state: &StateBlob) -> Result<(), StateError> {
-        state.expect("soc.ddr", 2)?;
+        state.expect("soc.ddr", 3)?;
         let mem = state.get_paged("mem")?;
         if mem.len() as u64 != self.cfg.size {
             return Err(state.structure_error(format!(
@@ -445,9 +421,6 @@ impl Component for Ddr {
         self.refresh_at = state.get_u64("refresh_at")?;
         self.refresh_until = state.get_u64("refresh_until")?;
         self.last_read_end = state.get_opt_u64("last_read_end")?;
-        self.beats_read = state.get_u64("beats_read")?;
-        self.beats_written = state.get_u64("beats_written")?;
-        self.refreshes = state.get_u64("refreshes")?;
         Ok(())
     }
 }
@@ -471,7 +444,6 @@ impl Ddr {
                 .try_respond(cycle, MmResp::data(v, beat_bytes, last))
                 .is_ok()
             {
-                self.beats_read += 1;
                 self.last_read_end = Some(addr + beat_bytes as u64);
                 self.read = if last {
                     ReadState::Idle
