@@ -27,9 +27,9 @@ use rvcap_soc::{DdrHandle, SocCore};
 
 use crate::hwicap::{CR_WRITE, REG_CR, REG_GIE, REG_SR, REG_WF, REG_WFV, SR_DONE};
 
-use super::regs;
 use super::timer::read_mtime;
 use super::ReconfigModule;
+use crate::registry;
 
 /// Pipeline cost of one iteration of the fill loop's control
 /// (decrement, compare, conditional branch resolving against a
@@ -64,7 +64,7 @@ impl HwIcapDriver {
     /// `init_icap`: check the core is idle and disable its global
     /// interrupt (the paper's init step).
     pub fn init_icap(&self, core: &mut SocCore) {
-        let w = regs::hwicap();
+        let w = registry::HWICAP;
         let sr = w.read(core, REG_SR) as u32;
         assert!(sr & SR_DONE != 0, "HWICAP busy at init");
         // GIE disable is a no-op in the model but still costs the bus
@@ -93,7 +93,7 @@ impl HwIcapDriver {
                 u32::from_le_bytes(b)
             })
             .collect();
-        let w = regs::hwicap();
+        let w = registry::HWICAP;
         let mut idx = 0usize;
         while idx < words.len() {
             // read_fifo_vac();
@@ -132,7 +132,7 @@ impl HwIcapDriver {
         rp_index: usize,
     ) -> u64 {
         use crate::rp_ctrl::REG_DECOUPLE;
-        let rp = regs::rp_ctrl();
+        let rp = registry::RP_CTRL;
         let t0 = read_mtime(core);
         let bit = 1u64 << rp_index;
         let cur = rp.read(core, REG_DECOUPLE);
@@ -163,7 +163,7 @@ impl HwIcapDriver {
             expected.len().is_multiple_of(FRAME_WORDS),
             "readback verifies whole frames"
         );
-        let w = regs::hwicap();
+        let w = registry::HWICAP;
         // Whole frames per chunk so the FAR repointing stays aligned;
         // two frames (202 words) fit the 256-word read FIFO.
         let chunk_frames = READ_FIFO_DEPTH / FRAME_WORDS;

@@ -32,7 +32,6 @@ pub mod storage;
 pub mod timer;
 
 pub use hwicap::HwIcapDriver;
-pub use regs::RegWindow;
 pub use rvcap::{DmaMode, ReconfigTiming, RvCapDriver};
 pub use scrubber::{ScrubOutcome, Scrubber};
 pub use storage::init_rmodules;
@@ -57,7 +56,7 @@ pub struct ReconfigModule {
 /// Write a string to the UART, one byte per MMIO store (the "terminal
 /// message" of Listing 2).
 pub fn uart_print(core: &mut rvcap_soc::SocCore, msg: &str) {
-    let uart = regs::uart();
+    let uart = crate::registry::UART;
     for b in msg.bytes() {
         uart.write_n(core, rvcap_soc::map::UART_TX, b as u64, 1);
     }

@@ -1,37 +1,21 @@
 //! Typed register access for the drivers.
 //!
-//! A [`RegWindow`] pairs a peripheral's bus base with its
-//! [`RegisterMap`] declaration, so driver code resolves every access
+//! The drivers name each peripheral by its window constant in
+//! [`crate::registry`] — a [`RegWindow`] pairing the bus base with the
+//! [`RegisterMap`](rvcap_axi::regmap::RegisterMap) declaration — and
+//! access it through the methods below. Every access thus resolves
 //! through the same table the device decodes with: the access width
 //! comes from the declaration (no more hard-coded `4`s and `8`s), the
 //! offset must be a declared register, and debug builds assert the
 //! direction against the declared policy. The cost model is untouched
 //! — each call is exactly one [`SocCore`] MMIO round trip.
 
-use rvcap_axi::regmap::{RegDef, RegisterMap};
+use rvcap_axi::regmap::RegDef;
 use rvcap_soc::SocCore;
 
-use crate::registry;
-
-/// A driver's view of one register window.
-#[derive(Debug, Clone, Copy)]
-pub struct RegWindow {
-    /// Bus base address.
-    pub base: u64,
-    /// The shared declaration (also drives the device decode).
-    pub map: &'static RegisterMap,
-}
+use crate::registry::RegWindow;
 
 impl RegWindow {
-    /// The window registered under `device` in [`registry::windows`].
-    pub fn of(device: &str) -> Self {
-        let w = registry::window(device);
-        RegWindow {
-            base: w.base,
-            map: w.map,
-        }
-    }
-
     /// The declaration behind `offset`; panics on an undeclared
     /// offset — drivers never guess at the map.
     pub fn def(&self, offset: u64) -> &'static RegDef {
@@ -90,71 +74,31 @@ impl RegWindow {
     }
 }
 
-/// The DMA register window.
-pub fn dma() -> RegWindow {
-    RegWindow::of("dma")
-}
-
-/// The AXI_HWICAP register window.
-pub fn hwicap() -> RegWindow {
-    RegWindow::of("hwicap")
-}
-
-/// The RP control window.
-pub fn rp_ctrl() -> RegWindow {
-    RegWindow::of("rp_ctrl")
-}
-
-/// The stream-switch control window.
-pub fn switch() -> RegWindow {
-    RegWindow::of("switch_ctrl")
-}
-
-/// The CLINT window.
-pub fn clint() -> RegWindow {
-    RegWindow::of("clint")
-}
-
-/// The PLIC window.
-pub fn plic() -> RegWindow {
-    RegWindow::of("plic")
-}
-
-/// The UART window.
-pub fn uart() -> RegWindow {
-    RegWindow::of("uart")
-}
-
-/// The SPI window.
-pub fn spi() -> RegWindow {
-    RegWindow::of("spi")
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::registry::{CLINT, DMA, UART};
     use crate::system::SocBuilder;
     use rvcap_soc::map::{CLINT_MTIME, UART_TX};
 
     #[test]
     fn widths_come_from_the_declaration() {
-        assert_eq!(clint().def(CLINT_MTIME).width, 8);
-        assert_eq!(dma().def(crate::dma::MM2S_DMACR).width, 4);
+        assert_eq!(CLINT.def(CLINT_MTIME).width, 8);
+        assert_eq!(DMA.def(crate::dma::MM2S_DMACR).width, 4);
     }
 
     #[test]
     #[should_panic(expected = "no register at")]
     fn undeclared_offset_panics() {
-        dma().def(0x0C);
+        DMA.def(0x0C);
     }
 
     #[test]
     fn typed_accesses_hit_the_devices() {
         let mut soc = SocBuilder::new().build();
-        let t0 = clint().read(&mut soc.core, CLINT_MTIME);
+        let t0 = CLINT.read(&mut soc.core, CLINT_MTIME);
         soc.core.compute(200);
-        assert!(clint().read(&mut soc.core, CLINT_MTIME) > t0);
-        uart().write_n(&mut soc.core, UART_TX, b'x' as u64, 1);
+        assert!(CLINT.read(&mut soc.core, CLINT_MTIME) > t0);
+        UART.write_n(&mut soc.core, UART_TX, b'x' as u64, 1);
         assert_eq!(soc.handles.uart.text(), "x");
     }
 }

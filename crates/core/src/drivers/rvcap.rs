@@ -33,9 +33,9 @@ use crate::dma::{
 use crate::rp_ctrl::REG_DECOUPLE;
 use crate::switch_ctrl::{REG_RM_SEL, REG_SELECT};
 
-use super::regs;
 use super::timer::read_mtime;
 use super::ReconfigModule;
+use crate::registry;
 
 /// DMA completion mode (Listing 1's `mode` argument).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,7 +105,7 @@ pub fn run_stream_job(
 ) -> u64 {
     use crate::dma::{S2MM_DMASR, SR_IOC};
     use rvcap_soc::map::IRQ_DMA_S2MM;
-    let plic_w = regs::plic();
+    let plic_w = registry::PLIC;
     let t0 = read_mtime(core);
     start_stream_job(core, rp_index, in_addr, out_addr, len);
     let plic = plic.clone();
@@ -114,7 +114,7 @@ pub fn run_stream_job(
     core.compute(IRQ_TRAP_CYCLES);
     let src = plic_w.read(core, PLIC_CLAIM) as u32;
     debug_assert_eq!(src, IRQ_DMA_S2MM);
-    regs::dma().write(core, S2MM_DMASR, SR_IOC as u64);
+    registry::DMA.write(core, S2MM_DMASR, SR_IOC as u64);
     plic_w.write(core, PLIC_CLAIM, src as u64);
     read_mtime(core) - t0
 }
@@ -135,7 +135,7 @@ pub fn start_stream_job(
         S2MM_LENGTH,
     };
     use rvcap_soc::map::IRQ_DMA_S2MM;
-    let (sw, dma, plic_w) = (regs::switch(), regs::dma(), regs::plic());
+    let (sw, dma, plic_w) = (registry::SWITCH_CTRL, registry::DMA, registry::PLIC);
     sw.write(core, REG_SELECT, 0);
     sw.write(core, REG_RM_SEL, rp_index as u64);
     dma.write(core, S2MM_DMACR, (CR_RS | CR_IOC_IRQ_EN) as u64);
@@ -166,7 +166,7 @@ impl RvCapDriver {
 
     /// `decouple_accel`: raise/lower the partition's PR decoupler.
     pub fn decouple_accel(&self, core: &mut SocCore, decouple: bool) {
-        let w = regs::rp_ctrl();
+        let w = registry::RP_CTRL;
         let bit = 1u64 << self.rp_index;
         let cur = w.read(core, REG_DECOUPLE);
         let val = if decouple { cur | bit } else { cur & !bit };
@@ -176,18 +176,18 @@ impl RvCapDriver {
     /// `select_ICAP`: steer the stream switch to the ICAP (1) or back
     /// to the accelerators (0).
     pub fn select_icap(&self, core: &mut SocCore, icap: bool) {
-        regs::switch().write(core, REG_SELECT, icap as u64);
+        registry::SWITCH_CTRL.write(core, REG_SELECT, icap as u64);
     }
 
     /// Select which partition receives the stream in acceleration
     /// mode.
     pub fn select_rm(&self, core: &mut SocCore) {
-        regs::switch().write(core, REG_RM_SEL, self.rp_index as u64);
+        registry::SWITCH_CTRL.write(core, REG_RM_SEL, self.rp_index as u64);
     }
 
     /// `dma_start`: set the run/stop bit.
     pub fn dma_start(&self, core: &mut SocCore) {
-        regs::dma().write(core, MM2S_DMACR, CR_RS as u64);
+        registry::DMA.write(core, MM2S_DMACR, CR_RS as u64);
     }
 
     /// `dma_config`: program the completion mode (the irq-enable bit
@@ -197,10 +197,10 @@ impl RvCapDriver {
             DmaMode::Blocking => CR_RS,
             DmaMode::NonBlocking => CR_RS | CR_IOC_IRQ_EN,
         };
-        regs::dma().write(core, MM2S_DMACR, cr as u64);
+        registry::DMA.write(core, MM2S_DMACR, cr as u64);
         if mode == DmaMode::NonBlocking {
             // Enable the MM2S source at the PLIC.
-            let plic = regs::plic();
+            let plic = registry::PLIC;
             let en = plic.read(core, PLIC_ENABLE);
             plic.write(core, PLIC_ENABLE, en | (1 << IRQ_DMA_MM2S));
         }
@@ -209,7 +209,7 @@ impl RvCapDriver {
     /// `dma_write_stream`: program source address + length; the
     /// length write launches the transfer.
     pub fn dma_write_stream(&self, core: &mut SocCore, data: u64, pbit_size: u32) {
-        let dma = regs::dma();
+        let dma = registry::DMA;
         dma.write(core, MM2S_SA, data & 0xFFFF_FFFF);
         dma.write(core, MM2S_SA_MSB, data >> 32);
         dma.write(core, MM2S_LENGTH, pbit_size as u64);
@@ -226,7 +226,7 @@ impl RvCapDriver {
     ) -> u64 {
         let t1 = read_mtime(core);
         self.dma_write_stream(core, module.start_address, module.pbit_size);
-        let dma = regs::dma();
+        let dma = registry::DMA;
         match mode {
             DmaMode::Blocking => {
                 while dma.read(core, MM2S_DMASR) as u32 & SR_IDLE == 0 {}
@@ -242,7 +242,7 @@ impl RvCapDriver {
                 // Trap entry: context save + dispatch.
                 core.compute(IRQ_TRAP_CYCLES);
                 // Interrupt handler: claim, clear IOC, complete.
-                let plic_w = regs::plic();
+                let plic_w = registry::PLIC;
                 let src = plic_w.read(core, PLIC_CLAIM) as u32;
                 debug_assert_eq!(src, IRQ_DMA_MM2S);
                 dma.write(core, MM2S_DMASR, SR_IOC as u64);
@@ -258,7 +258,7 @@ impl RvCapDriver {
     /// completion interrupt precedes the decompressor/ICAP finishing.
     pub fn wait_for_module(&self, core: &mut SocCore, rm_id: u32, max_polls: u32) -> bool {
         use crate::rp_ctrl::REG_RM_ID_BASE;
-        let w = regs::rp_ctrl();
+        let w = registry::RP_CTRL;
         for _ in 0..max_polls {
             let got = w.read(core, REG_RM_ID_BASE + 4 * self.rp_index as u64) as u32;
             if got == rm_id {

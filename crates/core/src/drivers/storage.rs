@@ -18,8 +18,8 @@ use rvcap_soc::map::{SPI_CS, SPI_STATUS, SPI_TXRX};
 use rvcap_soc::{DdrHandle, SocCore};
 use rvcap_storage::{sd, BlockDevice, Fat32Volume, BLOCK_SIZE};
 
-use super::regs;
 use super::ReconfigModule;
+use crate::registry;
 
 /// Cycles the CPU spends copying 8 bytes from its block buffer into
 /// DDR through the cache (load + store + loop share, write-allocate
@@ -40,7 +40,7 @@ impl<'a> SdDriver<'a> {
     /// if the card does not respond.
     pub fn init(core: &'a mut SocCore) -> Option<Self> {
         // Assert CS and run the init sequence.
-        regs::spi().write(core, SPI_CS, 1);
+        registry::SPI.write(core, SPI_CS, 1);
         let mut driver = SdDriver {
             core,
             // Geometry is irrelevant for mounting: FAT32 reads its
@@ -57,7 +57,7 @@ impl<'a> SdDriver<'a> {
     /// One SPI byte exchange through the peripheral registers (byte
     /// lanes of the 4-byte registers, as the C driver does).
     fn xfer(&mut self, mosi: u8) -> u8 {
-        let spi = regs::spi();
+        let spi = registry::SPI;
         spi.write_n(self.core, SPI_TXRX, mosi as u64, 1);
         while spi.read_n(self.core, SPI_STATUS, 1) & 1 != 0 {}
         spi.read_n(self.core, SPI_TXRX, 1) as u8

@@ -9,7 +9,7 @@
 use rvcap_soc::map::CLINT_MTIME;
 use rvcap_soc::SocCore;
 
-use super::regs;
+use crate::registry;
 
 /// Fabric cycles per CLINT tick (100 MHz / 5 MHz).
 pub const CYCLES_PER_TICK: u64 = 20;
@@ -17,7 +17,7 @@ pub const CYCLES_PER_TICK: u64 = 20;
 /// Read `mtime` over the bus (costs a real MMIO round trip, as in the
 /// paper's measurements; the 8-byte width comes from the CLINT map).
 pub fn read_mtime(core: &mut SocCore) -> u64 {
-    regs::clint().read(core, CLINT_MTIME)
+    registry::CLINT.read(core, CLINT_MTIME)
 }
 
 /// A software stopwatch over the CLINT timer.

@@ -20,8 +20,9 @@ use crate::rp_ctrl::RP_CTRL_MAP;
 use crate::switch_ctrl::SWITCH_CTRL_MAP;
 
 /// One peripheral window: where it sits on the bus and what it holds.
+/// The drivers' typed accessors live in [`crate::drivers::regs`].
 #[derive(Debug, Clone, Copy)]
-pub struct MappedWindow {
+pub struct RegWindow {
     /// Bus base address.
     pub base: u64,
     /// Window size in bytes (matches the crossbar region).
@@ -30,58 +31,58 @@ pub struct MappedWindow {
     pub map: &'static RegisterMap,
 }
 
-/// Every register window of the RV-CAP SoC, in address order.
-pub fn windows() -> [MappedWindow; 8] {
-    [
-        MappedWindow {
-            base: CLINT_BASE,
-            size: CLINT_SIZE,
-            map: &CLINT_MAP,
-        },
-        MappedWindow {
-            base: PLIC_BASE,
-            size: PLIC_SIZE,
-            map: &PLIC_MAP,
-        },
-        MappedWindow {
-            base: UART_BASE,
-            size: UART_SIZE,
-            map: &UART_MAP,
-        },
-        MappedWindow {
-            base: SPI_BASE,
-            size: SPI_SIZE,
-            map: &SPI_MAP,
-        },
-        MappedWindow {
-            base: HWICAP_BASE,
-            size: HWICAP_SIZE,
-            map: &HWICAP_MAP,
-        },
-        MappedWindow {
-            base: DMA_BASE,
-            size: DMA_SIZE,
-            map: &DMA_MAP,
-        },
-        MappedWindow {
-            base: RP_CTRL_BASE,
-            size: RP_CTRL_SIZE,
-            map: &RP_CTRL_MAP,
-        },
-        MappedWindow {
-            base: SWITCH_BASE,
-            size: SWITCH_SIZE,
-            map: &SWITCH_CTRL_MAP,
-        },
-    ]
-}
+/// The CLINT window.
+pub const CLINT: RegWindow = RegWindow {
+    base: CLINT_BASE,
+    size: CLINT_SIZE,
+    map: &CLINT_MAP,
+};
+/// The PLIC window.
+pub const PLIC: RegWindow = RegWindow {
+    base: PLIC_BASE,
+    size: PLIC_SIZE,
+    map: &PLIC_MAP,
+};
+/// The UART window.
+pub const UART: RegWindow = RegWindow {
+    base: UART_BASE,
+    size: UART_SIZE,
+    map: &UART_MAP,
+};
+/// The SPI window.
+pub const SPI: RegWindow = RegWindow {
+    base: SPI_BASE,
+    size: SPI_SIZE,
+    map: &SPI_MAP,
+};
+/// The AXI_HWICAP window.
+pub const HWICAP: RegWindow = RegWindow {
+    base: HWICAP_BASE,
+    size: HWICAP_SIZE,
+    map: &HWICAP_MAP,
+};
+/// The DMA window.
+pub const DMA: RegWindow = RegWindow {
+    base: DMA_BASE,
+    size: DMA_SIZE,
+    map: &DMA_MAP,
+};
+/// The RP control window.
+pub const RP_CTRL: RegWindow = RegWindow {
+    base: RP_CTRL_BASE,
+    size: RP_CTRL_SIZE,
+    map: &RP_CTRL_MAP,
+};
+/// The stream-switch control window.
+pub const SWITCH_CTRL: RegWindow = RegWindow {
+    base: SWITCH_BASE,
+    size: SWITCH_SIZE,
+    map: &SWITCH_CTRL_MAP,
+};
 
-/// Look a window up by its map's device name.
-pub fn window(device: &str) -> MappedWindow {
-    windows()
-        .into_iter()
-        .find(|w| w.map.device == device)
-        .unwrap_or_else(|| panic!("no register window named {device:?}"))
+/// Every register window of the RV-CAP SoC, in address order.
+pub fn windows() -> [RegWindow; 8] {
+    [CLINT, PLIC, UART, SPI, HWICAP, DMA, RP_CTRL, SWITCH_CTRL]
 }
 
 /// Render the whole memory map as the `REGISTERS.md` document.
@@ -205,23 +206,11 @@ mod tests {
     /// and writable (complete).
     #[test]
     fn access_policies_survive() {
-        assert_eq!(
-            window("plic").map.by_name("PLIC_CLAIM").unwrap().access,
-            Access::RW
-        );
-        assert_eq!(
-            window("uart").map.by_name("UART_TX").unwrap().access,
-            Access::WO
-        );
-        assert_eq!(
-            window("hwicap").map.by_name("REG_SR").unwrap().access,
-            Access::RO
-        );
-        assert_eq!(
-            window("dma").map.by_name("MM2S_DMASR").unwrap().access,
-            Access::W1C
-        );
-        assert_eq!(window("clint").map.by_name("CLINT_MTIME").unwrap().width, 8);
+        assert_eq!(PLIC.map.by_name("PLIC_CLAIM").unwrap().access, Access::RW);
+        assert_eq!(UART.map.by_name("UART_TX").unwrap().access, Access::WO);
+        assert_eq!(HWICAP.map.by_name("REG_SR").unwrap().access, Access::RO);
+        assert_eq!(DMA.map.by_name("MM2S_DMASR").unwrap().access, Access::W1C);
+        assert_eq!(CLINT.map.by_name("CLINT_MTIME").unwrap().width, 8);
     }
 
     #[test]
