@@ -3,13 +3,13 @@
 use rvcap_axi::stream::AxisBeat;
 use rvcap_axi::AxisChannel;
 use rvcap_fabric::bitstream::KINTEX7_IDCODE;
+use rvcap_fabric::compress;
 use rvcap_fabric::config_mem::ConfigMem;
 use rvcap_fabric::icap::Icap;
 use rvcap_fabric::resources::Resources;
 use rvcap_sim::component::{Component, TickCtx};
 use rvcap_sim::{Cycle, Fifo, Freq, Simulator};
 
-use crate::compression;
 use crate::profile::MasterProfile;
 
 /// The datapath shape of a DPR controller.
@@ -160,7 +160,7 @@ pub fn measure_throughput(spec: &ControllerSpec, payload_words: usize) -> f64 {
             // RT-ICAP's premise is that real configuration data is
             // highly repetitive; feed it a realistic (80 % structured)
             // payload rather than incompressible noise.
-            compression::synthetic_payload(frames * rvcap_fabric::config_mem::FRAME_WORDS, 80, 7)
+            compress::synthetic_payload(frames * rvcap_fabric::config_mem::FRAME_WORDS, 80, 7)
         } else {
             rvcap_fabric::rm::RmImage::synthesize(spec.name, frames, Resources::ZERO).payload
         }
@@ -196,7 +196,7 @@ pub fn measure_throughput(spec: &ControllerSpec, payload_words: usize) -> f64 {
             // pacing the *uncompressed* stream at the compressed/
             // uncompressed ratio (the decompressor's output is what
             // the ICAP sees).
-            let compressed = compression::compress(&stream_words);
+            let compressed = compress::compress(&stream_words);
             let extra_mille = if compressed.len() >= stream_words.len() {
                 ((compressed.len() - stream_words.len()) * 1000 / stream_words.len()) as u64
             } else {

@@ -22,11 +22,10 @@
 //!   modelled here: the bench harness measures them on the full
 //!   `rvcap-core` system.
 //!
-//! [`compression`] implements the RT-ICAP-style bitstream compression
-//! (word-level RLE) as a real codec, used by that controller's model
-//! and by the compression ablation bench.
+//! The RT-ICAP model compresses its stream with
+//! [`rvcap_fabric::compress`], the word-level RLE codec the RV-CAP
+//! compressed loader and the compression ablation bench share.
 
-pub mod compression;
 pub mod controller;
 pub mod profile;
 pub mod table2;

@@ -12,11 +12,11 @@
 //! 6. Scheduling policy: FIFO vs module-grouped job batching over the
 //!    three-filter workload (extension study).
 
-use rvcap_baselines::compression;
 use rvcap_bench::paper_soc::{self, PaperRig};
 use rvcap_bench::{report, runner};
 use rvcap_core::drivers::{DmaMode, RvCapDriver};
 use rvcap_core::system::SocBuilder;
+use rvcap_fabric::compress;
 use rvcap_fabric::rp::RpGeometry;
 
 #[derive(Default)]
@@ -160,8 +160,8 @@ fn main() {
     // ---- 5. compression sweep ----
     println!("== Ablation 5: RT-ICAP-style bitstream compression ==");
     for structured in [0u32, 25, 50, 75, 90, 99] {
-        let payload = compression::synthetic_payload(101 * 200, structured, 11);
-        let ratio = compression::ratio(&payload);
+        let payload = compress::synthetic_payload(101 * 200, structured, 11);
+        let ratio = compress::ratio(&payload);
         println!(
             "  {structured:>2}% structured content: compression ratio {ratio:.2}x → storage {:.0}%, transfer bounded at ICAP wire speed",
             100.0 / ratio
