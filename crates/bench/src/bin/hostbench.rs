@@ -36,11 +36,15 @@
 //! current directory (override with `--out <path>`), and additionally
 //! in `$RVCAP_RESULTS_DIR/hostbench.json` when that variable is set.
 //! A full-grid run also renders `BENCH_hostbench_summary.md`, a
-//! markdown speedup table CI appends to the job summary. Runs
-//! filtered by `--rig`/`--mode` measure an incomplete grid, so they
-//! default `--out` to `BENCH_hostbench.partial.json` instead — a
-//! triage run must not overwrite the committed full-grid record with
-//! a one-row report.
+//! markdown speedup table CI appends to the job summary, next to the
+//! JSON (as does `--profile` with `BENCH_hostbench_profile.md`). The
+//! baseline gate always reads `BENCH_hostbench.json` in the current
+//! directory, so `--out target/BENCH_hostbench.json` gates against the
+//! committed record without rewriting it. Runs filtered by
+//! `--rig`/`--mode` measure an incomplete grid, so they default
+//! `--out` to `BENCH_hostbench.partial.json` instead — a triage run
+//! must not overwrite the committed full-grid record with a one-row
+//! report.
 
 use std::time::{Duration, Instant};
 
@@ -472,7 +476,8 @@ fn main() {
     // timed rows: per-component host-time attribution, rendered as a
     // tick-cost table headed by the pass's wall time and outside-tick
     // share, embedded in the JSON, and (on unfiltered runs) written to
-    // `BENCH_hostbench_profile.md` for the CI job summary.
+    // `BENCH_hostbench_profile.md` next to `--out` for the CI job
+    // summary.
     let profile = args.iter().any(|a| a == "--profile");
     // `--rig <name>` restricts the run to one rig (repeatable) —
     // for profiling a single row or triaging a floor failure.
@@ -520,7 +525,8 @@ fn main() {
             }
         });
     let full_grid = schedulers.len() == SCHEDULERS.len();
-    // Snapshot the committed baseline before this run overwrites it.
+    // Snapshot the committed baseline before this run can overwrite it
+    // (it does when `--out` is left at its full-grid default).
     let baseline = std::fs::read_to_string("BENCH_hostbench.json")
         .ok()
         .map(|s| parse_baseline(&s))
@@ -685,23 +691,28 @@ fn main() {
     // with a one-row table while BENCH_hostbench.json kept the full
     // grid (the committed artifacts disagreed; `summary_matches_json`
     // in tests/hostbench_artifacts.rs pins the invariant now).
-    if !filtered {
-        let md = render_markdown(&rep.summary, samples);
-        if let Err(e) = std::fs::write("BENCH_hostbench_summary.md", md.as_bytes()) {
-            eprintln!("warning: could not write BENCH_hostbench_summary.md: {e}");
+    let out = std::path::Path::new(&out_path);
+    let write_md = |name: &str, md: String| {
+        let path = out.with_file_name(name);
+        if let Err(e) = std::fs::write(&path, md.as_bytes()) {
+            eprintln!("warning: could not write {}: {e}", path.display());
         } else {
-            println!("wrote BENCH_hostbench_summary.md");
+            println!("wrote {}", path.display());
         }
+    };
+    if !filtered {
+        write_md(
+            "BENCH_hostbench_summary.md",
+            render_markdown(&rep.summary, samples),
+        );
     }
     // The same holds for the profile tables, whose headers the
     // artifact test checks against the JSON.
     if profile && !filtered {
-        let md = render_profile_markdown(&rep.profile_passes, &rep.profile);
-        if let Err(e) = std::fs::write("BENCH_hostbench_profile.md", md.as_bytes()) {
-            eprintln!("warning: could not write BENCH_hostbench_profile.md: {e}");
-        } else {
-            println!("wrote BENCH_hostbench_profile.md");
-        }
+        write_md(
+            "BENCH_hostbench_profile.md",
+            render_profile_markdown(&rep.profile_passes, &rep.profile),
+        );
     }
 
     if failed {

@@ -66,20 +66,23 @@ echo "== cargo doc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Host-performance gate: the full median-of-3 grid per rig ×
-# scheduler, written to BENCH_hostbench.json (plus
-# BENCH_hostbench_summary.md with the active_set-vs-naive speedups).
+# scheduler, written to target/BENCH_hostbench.json (plus
+# target/BENCH_hostbench_summary.md with the active_set-vs-naive
+# speedups) so the gate never rewrites the committed artifacts.
 # Warm-boot forking (each rig boots once; every scheduler × sample
 # forks from the post-boot checkpoint) makes the robust median
 # affordable here. Two gates, both on the active_set rows: a generous
 # pinned cycles/sec floor per rig (~5x under measured — a broken
 # scheduler, not a slow host), and a relative gate against the
-# committed BENCH_hostbench.json baseline (>20% drop after normalizing
-# by the rig's naive ratio, to cancel host-speed differences; each
-# rig's naive and active_set samples interleave).
+# committed BENCH_hostbench.json baseline in the repository root (>20%
+# drop after normalizing by the rig's naive ratio, to cancel host-speed
+# differences; each rig's naive and active_set samples interleave).
 # --profile adds one profiled active_set pass per rig *after* its
 # timed rows (attribution never perturbs the measured medians) and
-# writes BENCH_hostbench_profile.md for the CI job summary.
+# writes target/BENCH_hostbench_profile.md for the CI job summary.
+# Regenerating the committed artifacts is the same command without
+# --out, run from the repository root.
 echo "== hostbench (host-perf floors + baseline, median of 3) =="
-cargo run --release -q -p rvcap-bench --bin hostbench -- --profile
+cargo run --release -q -p rvcap-bench --bin hostbench -- --profile --out target/BENCH_hostbench.json
 
 echo "All checks passed."
