@@ -246,6 +246,5 @@ mod tests {
         }
         r.sim.run_until_quiescent(1000).unwrap();
         assert_eq!(r.icap.total_pushed(), 8);
-        assert_eq!(r.rm.total_pushed(), 0);
     }
 }
