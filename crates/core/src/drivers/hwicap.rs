@@ -26,10 +26,10 @@
 use rvcap_soc::{DdrHandle, SocCore};
 
 use crate::hwicap::{CR_WRITE, REG_CR, REG_GIE, REG_SR, REG_WF, REG_WFV, SR_DONE};
+use crate::registry;
 
 use super::timer::read_mtime;
 use super::ReconfigModule;
-use crate::registry;
 
 /// Pipeline cost of one iteration of the fill loop's control
 /// (decrement, compare, conditional branch resolving against a

@@ -30,12 +30,12 @@ use crate::dma::{
     CR_IOC_IRQ_EN, CR_RS, MM2S_DMACR, MM2S_DMASR, MM2S_LENGTH, MM2S_SA, MM2S_SA_MSB, SR_IDLE,
     SR_IOC,
 };
+use crate::registry;
 use crate::rp_ctrl::REG_DECOUPLE;
 use crate::switch_ctrl::{REG_RM_SEL, REG_SELECT};
 
 use super::timer::read_mtime;
 use super::ReconfigModule;
-use crate::registry;
 
 /// DMA completion mode (Listing 1's `mode` argument).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -18,8 +18,9 @@ use rvcap_soc::map::{SPI_CS, SPI_STATUS, SPI_TXRX};
 use rvcap_soc::{DdrHandle, SocCore};
 use rvcap_storage::{sd, BlockDevice, Fat32Volume, BLOCK_SIZE};
 
-use super::ReconfigModule;
 use crate::registry;
+
+use super::ReconfigModule;
 
 /// Cycles the CPU spends copying 8 bytes from its block buffer into
 /// DDR through the cache (load + store + loop share, write-allocate
