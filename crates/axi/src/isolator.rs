@@ -75,10 +75,10 @@ impl Component for StreamIsolator {
 
     fn next_activity(&self, now: rvcap_sim::Cycle) -> rvcap_sim::Cycle {
         // Any queued input means activity now, coupled or not. A
-        // decoupled tick changes nothing, so a hint that waited for the
-        // decouple line to fall would be exact too; it would need a
-        // wake subscription on that line, though, and would move the
-        // executed tick counts the work pins record.
+        // decoupled tick changes nothing, so waiting for the decouple
+        // line to fall would be exact too, but it would need a wake
+        // subscription on that line; this hint instead costs one no-op
+        // tick per decoupled cycle with a beat queued.
         if self.input.is_empty() {
             rvcap_sim::Cycle::MAX
         } else {
