@@ -476,9 +476,10 @@ impl Component for Icap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bitstream::{BitstreamBuilder, KINTEX7_IDCODE};
+    use crate::bitstream::{Bitstream, BitstreamBuilder, KINTEX7_IDCODE};
     use crate::resources::Resources;
     use crate::rm::RmImage;
+    use proptest::prelude::*;
     use rvcap_axi::stream::pack_bytes;
     use rvcap_sim::{Fifo, Freq, Simulator};
 
@@ -490,9 +491,13 @@ mod tests {
     }
 
     fn rig() -> Rig {
+        rig_with_frames(4096)
+    }
+
+    fn rig_with_frames(frames: usize) -> Rig {
         let mut sim = Simulator::new(Freq::FABRIC_100MHZ);
         let input: AxisChannel = Fifo::new("icap.in", 1 << 20);
-        let cm = ConfigMem::new(4096);
+        let cm = ConfigMem::new(frames);
         let (icap, handle) = Icap::new("icap", input.clone(), cm.clone(), KINTEX7_IDCODE);
         sim.register(Box::new(icap));
         Rig {
@@ -507,6 +512,16 @@ mod tests {
         for beat in pack_bytes(bytes, 4) {
             rig.input.force_push(beat);
         }
+    }
+
+    /// Feed `bytes`, run until the ICAP has taken every word, then a
+    /// few cycles more. Not `run_until_quiescent`: a corrupted header
+    /// can leave the FSM synced and waiting, which `busy()` reports.
+    fn feed_and_drain(rig: &mut Rig, bytes: &[u8]) {
+        feed(rig, bytes);
+        let input = rig.input.clone();
+        rig.sim.run_until(100_000, || input.is_empty()).unwrap();
+        rig.sim.step_n(4);
     }
 
     #[test]
@@ -657,5 +672,80 @@ mod tests {
         r.sim.run_until_quiescent(100_000).unwrap();
         assert!(r.handle.last_load().unwrap().crc_ok);
         assert_eq!(r.cm.range_hash(5, 1), Some(img.hash()));
+    }
+
+    #[test]
+    fn missing_sync_records_nothing() {
+        let mut r = rig();
+        let img = RmImage::synthesize("m", 1, Resources::ZERO);
+        let mut bytes = BitstreamBuilder::kintex7()
+            .partial(0, &img.payload)
+            .to_bytes();
+        bytes[0] ^= 0xFF;
+        feed_and_drain(&mut r, &bytes);
+        assert_eq!(r.handle.sync_count(), 0);
+        assert_eq!(r.handle.load_count(), 0);
+        assert_eq!(r.cm.total_writes(), 0);
+    }
+
+    #[test]
+    fn truncated_before_crc_records_no_good_load() {
+        let mut r = rig();
+        let img = RmImage::synthesize("m", 1, Resources::ZERO);
+        let bytes = BitstreamBuilder::kintex7()
+            .partial(0, &img.payload)
+            .to_bytes();
+        // Cut the CRC and DESYNC packets: the last four words.
+        feed_and_drain(&mut r, &bytes[..bytes.len() - 16]);
+        assert!(r.handle.records_since(0).iter().all(|rec| !rec.crc_ok));
+    }
+
+    /// Every single-bit flip of every byte of a one-frame stream. The
+    /// ICAP either records no `crc_ok` load, or the `crc_ok` load wrote
+    /// exactly the image at its FAR: the flips the CRC cannot see hit
+    /// no frame data (a reserved bit of a type-1 header, a CMD count
+    /// that swallows the IDCODE packet, the DESYNC packet after the
+    /// CRC check). 17 of the 3,616 flips are such harmless loads.
+    #[test]
+    fn every_single_bit_flip_is_rejected_or_harmless() {
+        const FAR: u32 = 7;
+        let img = RmImage::synthesize("m", 1, Resources::ZERO);
+        let bytes = BitstreamBuilder::kintex7()
+            .partial(FAR, &img.payload)
+            .to_bytes();
+        for pos in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut bad = bytes.clone();
+                bad[pos] ^= 1 << bit;
+                let mut r = rig();
+                feed_and_drain(&mut r, &bad);
+                for rec in r.handle.records_since(0).iter().filter(|rec| rec.crc_ok) {
+                    let at = format!("byte {pos} bit {bit}");
+                    assert_eq!((rec.far_start, rec.frames), (FAR, 1), "{at}");
+                    assert_eq!(r.cm.range_hash(FAR, 1), Some(img.hash()), "{at}");
+                    assert_eq!(r.cm.total_writes(), 1, "{at}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
+        fn prop_round_trip_any_geometry(frames in 1usize..8, far in 0u32..10_000, seed in any::<u32>()) {
+            let payload: Vec<u32> = (0..frames * FRAME_WORDS)
+                .map(|i| (i as u32).wrapping_mul(2654435761).wrapping_add(seed))
+                .collect();
+            let img = RmImage::new("m", payload, Resources::ZERO);
+            let bs = BitstreamBuilder::kintex7().partial(far, &img.payload);
+            prop_assert_eq!(bs.len_bytes(), Bitstream::size_for_frames(frames));
+            let mut r = rig_with_frames(10_000 + 7);
+            feed_and_drain(&mut r, &bs.to_bytes());
+            let recs = r.handle.records_since(0);
+            prop_assert_eq!(recs.len(), 1);
+            prop_assert!(recs[0].crc_ok);
+            prop_assert_eq!((recs[0].far_start, recs[0].frames), (far, frames));
+            prop_assert_eq!(r.cm.range_hash(far, frames), Some(img.hash()));
+        }
     }
 }
