@@ -32,9 +32,8 @@ pub fn run_accelerator(
 mod tests {
     use crate::image::Image;
     use crate::library::{filter_library, FilterKind};
-    use rvcap_core::drivers::{DmaMode, ReconfigModule, RvCapDriver};
+    use rvcap_core::drivers::{DmaMode, RvCapDriver};
     use rvcap_core::system::SocBuilder;
-    use rvcap_fabric::bitstream::BitstreamBuilder;
     use rvcap_fabric::rp::RpGeometry;
     use rvcap_soc::map::DDR_BASE;
 
@@ -54,16 +53,7 @@ mod tests {
             .build();
 
         // Stage the Sobel bitstream and reconfigure.
-        let bs =
-            BitstreamBuilder::kintex7().partial(soc.handles.rps[0].far_base, &sobel_img.payload);
-        let bytes = bs.to_bytes();
-        soc.handles.ddr.write_bytes(STAGE, &bytes);
-        let module = ReconfigModule {
-            name: "Sobel".into(),
-            rm_number: 2,
-            start_address: STAGE,
-            pbit_size: bytes.len() as u32,
-        };
+        let module = soc.stage_module(0, &sobel_img, STAGE);
         let driver = RvCapDriver::new(0, soc.handles.plic.clone());
         driver.init_reconfig_process(&mut soc.core, &module, DmaMode::NonBlocking);
         let icap = soc.handles.icap.clone();
@@ -109,15 +99,7 @@ mod tests {
         let driver = RvCapDriver::new(0, soc.handles.plic.clone());
 
         for (kind, img) in FilterKind::ALL.iter().zip(&images) {
-            let bs = BitstreamBuilder::kintex7().partial(soc.handles.rps[0].far_base, &img.payload);
-            let bytes = bs.to_bytes();
-            soc.handles.ddr.write_bytes(STAGE, &bytes);
-            let module = ReconfigModule {
-                name: kind.name().into(),
-                rm_number: 0,
-                start_address: STAGE,
-                pbit_size: bytes.len() as u32,
-            };
+            let module = soc.stage_module(0, img, STAGE);
             driver.init_reconfig_process(&mut soc.core, &module, DmaMode::NonBlocking);
             let icap = soc.handles.icap.clone();
             soc.core.wait_until(100_000, || !icap.busy()).unwrap();

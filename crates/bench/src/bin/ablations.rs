@@ -175,9 +175,7 @@ fn main() {
     {
         use rvcap_accel::library::filter_library;
         use rvcap_accel::{FilterKind, Image};
-        use rvcap_core::drivers::ReconfigModule;
         use rvcap_core::scheduler::{Job, Policy, ReconfigScheduler};
-        use rvcap_fabric::bitstream::BitstreamBuilder;
         use rvcap_soc::map::DDR_BASE;
         let dim = 64usize;
         let run_policy = |policy: Policy| {
@@ -198,16 +196,7 @@ fn main() {
             let mut sched = ReconfigScheduler::new(0, policy);
             for (i, img) in images.iter().enumerate() {
                 let stage = DDR_BASE + 0x40_0000 + i as u64 * 0x10_0000;
-                let bytes = BitstreamBuilder::kintex7()
-                    .partial(soc.handles.rps[0].far_base, &img.payload)
-                    .to_bytes();
-                soc.handles.ddr.write_bytes(stage, &bytes);
-                sched.register_bitstream(ReconfigModule {
-                    name: img.name.clone(),
-                    rm_number: i as u32,
-                    start_address: stage,
-                    pbit_size: bytes.len() as u32,
-                });
+                sched.register_bitstream(soc.stage_module(0, img, stage));
             }
             // 9 jobs round-robining over the three filters — the worst
             // case for FIFO.

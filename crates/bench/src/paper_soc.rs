@@ -4,7 +4,6 @@
 
 use rvcap_core::drivers::ReconfigModule;
 use rvcap_core::system::{RvCapSoc, SocBuilder};
-use rvcap_fabric::bitstream::BitstreamBuilder;
 use rvcap_fabric::resources::Resources;
 use rvcap_fabric::rm::{RmImage, RmLibrary};
 use rvcap_fabric::rp::RpGeometry;
@@ -49,15 +48,7 @@ pub fn rig_with_rps(builder: SocBuilder, geometries: Vec<RpGeometry>) -> PaperRi
     let mut lib = RmLibrary::new();
     lib.register_image(img.clone());
     let soc = builder.with_rps(geometries).with_library(lib).build();
-    let bs = BitstreamBuilder::kintex7().partial(soc.handles.rps[0].far_base, &img.payload);
-    let bytes = bs.to_bytes();
-    soc.handles.ddr.write_bytes(STAGE_ADDR, &bytes);
-    let module = ReconfigModule {
-        name: "Module0".into(),
-        rm_number: 0,
-        start_address: STAGE_ADDR,
-        pbit_size: bytes.len() as u32,
-    };
+    let module = soc.stage_module(0, &img, STAGE_ADDR);
     PaperRig {
         soc,
         module,

@@ -9,11 +9,10 @@
 //! same rows.
 
 use rvcap_accel::{paper_filter_library, run_accelerator, FilterKind, Image};
-use rvcap_core::drivers::{DmaMode, ReconfigModule, RvCapDriver};
+use rvcap_core::drivers::{DmaMode, RvCapDriver};
 use rvcap_core::hwicap::REG_WF;
 use rvcap_core::resources::{hwicap_report, rvcap_report};
 use rvcap_core::system::SocBuilder;
-use rvcap_fabric::bitstream::BitstreamBuilder;
 use rvcap_rv64::{assemble, Cpu, RunExit, RunResult};
 use rvcap_sim::{KernelStats, MmioAudit, Scheduler};
 use rvcap_soc::cpu::InterpreterBus;
@@ -203,15 +202,7 @@ pub fn table4_run() -> Table4Run {
 
     let mut rows = Vec::new();
     for ((kind, img), paper_row) in FilterKind::ALL.iter().zip(&images).zip(paper) {
-        let bs = BitstreamBuilder::kintex7().partial(soc.handles.rps[0].far_base, &img.payload);
-        let bytes = bs.to_bytes();
-        soc.handles.ddr.write_bytes(stage, &bytes);
-        let module = ReconfigModule {
-            name: kind.name().into(),
-            rm_number: 0,
-            start_address: stage,
-            pbit_size: bytes.len() as u32,
-        };
+        let module = soc.stage_module(0, img, stage);
         let t = driver.init_reconfig_process(&mut soc.core, &module, DmaMode::NonBlocking);
         let icap = soc.handles.icap.clone();
         soc.core

@@ -199,7 +199,6 @@ impl Default for HwIcapDriver {
 mod tests {
     use super::*;
     use crate::system::SocBuilder;
-    use rvcap_fabric::bitstream::BitstreamBuilder;
     use rvcap_fabric::resources::Resources;
     use rvcap_fabric::rm::{RmImage, RmLibrary};
     use rvcap_fabric::rp::RpGeometry;
@@ -218,16 +217,7 @@ mod tests {
             .with_rps(vec![geometry])
             .with_library(lib)
             .build();
-        let bs = BitstreamBuilder::kintex7().partial(soc.handles.rps[0].far_base, &img.payload);
-        let bytes = bs.to_bytes();
-        let addr = DDR_BASE + 0x30_0000;
-        soc.handles.ddr.write_bytes(addr, &bytes);
-        let module = super::super::ReconfigModule {
-            name: "HwRm".into(),
-            rm_number: 0,
-            start_address: addr,
-            pbit_size: bytes.len() as u32,
-        };
+        let module = soc.stage_module(0, &img, DDR_BASE + 0x30_0000);
         (soc, module, img)
     }
 

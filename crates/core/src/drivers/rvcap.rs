@@ -315,16 +315,7 @@ mod tests {
         lib.register_image(img.clone());
         soc_builder = soc_builder.with_library(lib);
         let soc = soc_builder.build();
-        let bs = BitstreamBuilder::kintex7().partial(soc.handles.rps[0].far_base, &img.payload);
-        let bytes = bs.to_bytes();
-        let addr = DDR_BASE + 0x20_0000;
-        soc.handles.ddr.write_bytes(addr, &bytes);
-        let module = ReconfigModule {
-            name: "TestRm".into(),
-            rm_number: 0,
-            start_address: addr,
-            pbit_size: bytes.len() as u32,
-        };
+        let module = soc.stage_module(0, &img, DDR_BASE + 0x20_0000);
         (soc, module, img)
     }
 

@@ -113,7 +113,6 @@ impl Scrubber {
 mod tests {
     use super::*;
     use crate::system::SocBuilder;
-    use rvcap_fabric::bitstream::BitstreamBuilder;
     use rvcap_fabric::resources::Resources;
     use rvcap_fabric::rm::{RmImage, RmLibrary};
     use rvcap_fabric::rp::RpGeometry;
@@ -129,16 +128,7 @@ mod tests {
             .with_library(lib)
             .build();
         let far = soc.handles.rps[0].far_base;
-        let bytes = BitstreamBuilder::kintex7()
-            .partial(far, &img.payload)
-            .to_bytes();
-        soc.handles.ddr.write_bytes(DDR_BASE + 0x40_0000, &bytes);
-        let module = ReconfigModule {
-            name: "GUARDED".into(),
-            rm_number: 0,
-            start_address: DDR_BASE + 0x40_0000,
-            pbit_size: bytes.len() as u32,
-        };
+        let module = soc.stage_module(0, &img, DDR_BASE + 0x40_0000);
         // Initial load.
         let driver = RvCapDriver::new(0, soc.handles.plic.clone());
         driver.init_reconfig_process(&mut soc.core, &module, DmaMode::NonBlocking);

@@ -182,7 +182,6 @@ mod tests {
     use crate::system::SocBuilder;
     use rvcap_axi::stream::AxisBeat;
     use rvcap_axi::AxisChannel;
-    use rvcap_fabric::bitstream::BitstreamBuilder;
     use rvcap_fabric::resources::Resources;
     use rvcap_fabric::rm::{RmBehavior, RmImage, RmLibrary};
     use rvcap_fabric::rp::RpGeometry;
@@ -250,19 +249,9 @@ mod tests {
             .with_rps(vec![geometry])
             .with_library(lib)
             .build();
-        let far = soc.handles.rps[0].far_base;
         let mut scheduler = ReconfigScheduler::new(0, policy);
         for (img, stage) in [(&img_a, STAGE_A), (&img_b, STAGE_B)] {
-            let bytes = BitstreamBuilder::kintex7()
-                .partial(far, &img.payload)
-                .to_bytes();
-            soc.handles.ddr.write_bytes(stage, &bytes);
-            scheduler.register_bitstream(ReconfigModule {
-                name: img.name.clone(),
-                rm_number: 0,
-                start_address: stage,
-                pbit_size: bytes.len() as u32,
-            });
+            scheduler.register_bitstream(soc.stage_module(0, img, stage));
         }
         soc.handles
             .ddr

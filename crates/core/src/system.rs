@@ -46,11 +46,11 @@ use rvcap_axi::sanitizer::{watch_mm_link, watch_stream, watch_stream_gated};
 use rvcap_axi::switch::StreamSwitch;
 use rvcap_axi::width::Narrower;
 use rvcap_axi::AxisChannel;
-use rvcap_fabric::bitstream::KINTEX7_IDCODE;
+use rvcap_fabric::bitstream::{BitstreamBuilder, KINTEX7_IDCODE};
 use rvcap_fabric::config_mem::ConfigMem;
 use rvcap_fabric::host::{RmHost, RmHostHandle};
 use rvcap_fabric::icap::{Icap, IcapHandle};
-use rvcap_fabric::rm::RmLibrary;
+use rvcap_fabric::rm::{RmImage, RmLibrary};
 use rvcap_fabric::rp::{Rp, RpGeometry};
 use rvcap_sim::sanitizer::Sanitizer;
 use rvcap_sim::vcd::{VcdHandle, VcdRecorder};
@@ -65,6 +65,7 @@ use rvcap_soc::uart::{Uart, UartHandle};
 use rvcap_storage::{Fat32Volume, MemBlockDevice, SdCard};
 
 use crate::dma::XilinxDma;
+use crate::drivers::ReconfigModule;
 use crate::hwicap::AxiHwicap;
 use crate::rp_ctrl::RpController;
 use crate::switch_ctrl::SwitchCtrl;
@@ -114,6 +115,31 @@ pub struct RvCapSoc {
     pub core: SocCore,
     /// Observation/driver handles.
     pub handles: SocHandles,
+}
+
+impl RvCapSoc {
+    /// Stage `image`'s partial bitstream for partition `rp` in DDR at
+    /// `addr` and return its descriptor. The write is a backdoor, so no
+    /// simulated time passes; [`crate::drivers::init_rmodules`] is the
+    /// paper's SD path. Panics if `image` is not in the library.
+    pub fn stage_module(&self, rp: usize, image: &RmImage, addr: u64) -> ReconfigModule {
+        let bytes = BitstreamBuilder::kintex7()
+            .partial(self.handles.rps[rp].far_base, &image.payload)
+            .to_bytes();
+        self.handles.ddr.write_bytes(addr, &bytes);
+        let rm_number = self
+            .handles
+            .library
+            .images()
+            .position(|i| i.name == image.name)
+            .unwrap_or_else(|| panic!("{} is not in the library", image.name));
+        ReconfigModule {
+            name: image.name.clone(),
+            rm_number: rm_number as u32,
+            start_address: addr,
+            pbit_size: bytes.len() as u32,
+        }
+    }
 }
 
 /// Builder for the full SoC.
@@ -523,7 +549,6 @@ impl SocBuilder {
 mod tests {
     use super::*;
     use rvcap_fabric::resources::Resources;
-    use rvcap_fabric::rm::RmImage;
     use rvcap_soc::map::DDR_BASE;
 
     #[test]
@@ -557,8 +582,7 @@ mod tests {
 
     #[test]
     fn vcd_capture_of_a_reconfiguration() {
-        use crate::drivers::{DmaMode, ReconfigModule, RvCapDriver};
-        use rvcap_fabric::bitstream::BitstreamBuilder;
+        use crate::drivers::{DmaMode, RvCapDriver};
         let geometry = RpGeometry::scaled(1, 0, 0);
         let img = RmImage::synthesize("W", geometry.frames(), Resources::ZERO);
         let mut lib = RmLibrary::new();
@@ -568,16 +592,7 @@ mod tests {
             .with_library(lib)
             .with_vcd()
             .build();
-        let bytes = BitstreamBuilder::kintex7()
-            .partial(soc.handles.rps[0].far_base, &img.payload)
-            .to_bytes();
-        soc.handles.ddr.write_bytes(DDR_BASE + 0x40_0000, &bytes);
-        let module = ReconfigModule {
-            name: "W".into(),
-            rm_number: 0,
-            start_address: DDR_BASE + 0x40_0000,
-            pbit_size: bytes.len() as u32,
-        };
+        let module = soc.stage_module(0, &img, DDR_BASE + 0x40_0000);
         let d = RvCapDriver::new(0, soc.handles.plic.clone());
         d.init_reconfig_process(&mut soc.core, &module, DmaMode::NonBlocking);
         let dump = soc.handles.vcd.as_ref().unwrap().render();

@@ -20,6 +20,10 @@
 //! produces a 650 892-byte partial bitstream (§IV-A); with this format
 //! that is exactly **1611 frames** — the default geometry of
 //! [`crate::rp::RpGeometry::paper_rp`].
+//!
+//! This module builds bitstreams; it does not check them. The ICAP FSM
+//! ([`crate::icap`]) is the one validator, on the path every load
+//! takes, and [`crate::icap::IcapAbort`] names what it rejects.
 
 use crate::config_mem::FRAME_WORDS;
 use crate::crc::Crc32;
@@ -80,7 +84,7 @@ pub fn type2_write(count: u32) -> u32 {
     (0b010 << 29) | (0b10 << 27) | count
 }
 
-/// Packet-header classification used by the parser and the ICAP FSM.
+/// Packet-header classification used by the ICAP FSM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Packet {
     /// Type-1 write to `reg` of `count` following words.
@@ -99,87 +103,23 @@ pub enum Packet {
     Noop,
 }
 
-/// Decode one packet header word.
-pub fn decode_header(word: u32) -> Result<Packet, BitstreamError> {
+/// Decode one packet header word: `None` for an unknown type/op
+/// combination or an unmodelled register.
+pub fn decode_header(word: u32) -> Option<Packet> {
     let ty = word >> 29;
     let op = (word >> 27) & 0b11;
     match (ty, op) {
-        (0b001, 0b00) => Ok(Packet::Noop),
-        (0b001, 0b10) => {
-            let reg_addr = (word >> 13) & 0x3FFF;
-            let reg =
-                ConfigReg::from_addr(reg_addr).ok_or(BitstreamError::UnknownRegister(reg_addr))?;
-            Ok(Packet::Type1Write {
-                reg,
-                count: word & 0x7FF,
-            })
-        }
-        (0b010, 0b10) => Ok(Packet::Type2Write {
+        (0b001, 0b00) => Some(Packet::Noop),
+        (0b001, 0b10) => Some(Packet::Type1Write {
+            reg: ConfigReg::from_addr((word >> 13) & 0x3FFF)?,
+            count: word & 0x7FF,
+        }),
+        (0b010, 0b10) => Some(Packet::Type2Write {
             count: word & 0x07FF_FFFF,
         }),
-        _ => Err(BitstreamError::MalformedHeader(word)),
+        _ => None,
     }
 }
-
-/// Errors raised while parsing or validating a bitstream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BitstreamError {
-    /// Stream does not begin with the sync word.
-    MissingSync,
-    /// A packet header had an unknown type/op combination.
-    MalformedHeader(u32),
-    /// A type-1 write addressed an unmodelled register.
-    UnknownRegister(u32),
-    /// Stream ended in the middle of a packet.
-    Truncated,
-    /// CRC register write did not match the accumulated CRC.
-    CrcMismatch {
-        /// CRC carried in the bitstream.
-        expected: u32,
-        /// CRC computed over the received words.
-        computed: u32,
-    },
-    /// IDCODE does not match the target device.
-    IdcodeMismatch {
-        /// IDCODE carried in the bitstream.
-        found: u32,
-        /// The device's IDCODE.
-        device: u32,
-    },
-    /// Payload length is not a whole number of frames.
-    RaggedPayload(usize),
-    /// Stream did not end with a DESYNC command.
-    MissingDesync,
-}
-
-impl std::fmt::Display for BitstreamError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BitstreamError::MissingSync => write!(f, "missing sync word"),
-            BitstreamError::MalformedHeader(w) => write!(f, "malformed packet header {w:#010x}"),
-            BitstreamError::UnknownRegister(r) => write!(f, "unknown config register {r:#x}"),
-            BitstreamError::Truncated => write!(f, "truncated bitstream"),
-            BitstreamError::CrcMismatch { expected, computed } => {
-                write!(
-                    f,
-                    "CRC mismatch: stream {expected:#010x}, computed {computed:#010x}"
-                )
-            }
-            BitstreamError::IdcodeMismatch { found, device } => {
-                write!(
-                    f,
-                    "IDCODE mismatch: stream {found:#010x}, device {device:#010x}"
-                )
-            }
-            BitstreamError::RaggedPayload(n) => {
-                write!(f, "payload of {n} words is not a whole number of frames")
-            }
-            BitstreamError::MissingDesync => write!(f, "bitstream does not end with DESYNC"),
-        }
-    }
-}
-
-impl std::error::Error for BitstreamError {}
 
 /// A built partial bitstream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -201,19 +141,6 @@ impl Bitstream {
             out.extend_from_slice(&w.to_le_bytes());
         }
         out
-    }
-
-    /// Reconstruct from bytes. Length must be a multiple of 4.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Bitstream, BitstreamError> {
-        if !bytes.len().is_multiple_of(4) {
-            return Err(BitstreamError::Truncated);
-        }
-        Ok(Bitstream {
-            words: bytes
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect(),
-        })
     }
 
     /// Size in bytes.
@@ -280,232 +207,16 @@ impl BitstreamBuilder {
     }
 }
 
-/// The result of fully parsing and validating a partial bitstream
-/// offline (the software-side validation a driver could do before
-/// shipping it to the ICAP; the ICAP FSM in [`crate::icap`] performs
-/// the same checks in hardware).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedBitstream {
-    /// Device IDCODE the stream targets.
-    pub idcode: u32,
-    /// First frame address written.
-    pub far_base: u32,
-    /// Frame payload words.
-    pub payload: Vec<u32>,
-}
-
-impl ParsedBitstream {
-    /// Number of frames carried.
-    pub fn frames(&self) -> usize {
-        self.payload.len() / FRAME_WORDS
-    }
-}
-
-/// Parse and validate a bitstream against a device IDCODE.
-pub fn parse(bs: &Bitstream, device_idcode: u32) -> Result<ParsedBitstream, BitstreamError> {
-    let words = bs.words();
-    let mut i = 0usize;
-    let next = |i: &mut usize| -> Result<u32, BitstreamError> {
-        let w = *words.get(*i).ok_or(BitstreamError::Truncated)?;
-        *i += 1;
-        Ok(w)
-    };
-
-    if next(&mut i)? != SYNC_WORD {
-        return Err(BitstreamError::MissingSync);
-    }
-    let mut crc = Crc32::new();
-    let mut idcode = None;
-    let mut far = None;
-    let mut payload = Vec::new();
-    let mut crc_checked = false;
-
-    loop {
-        let hdr = match words.get(i) {
-            Some(&w) => {
-                i += 1;
-                w
-            }
-            None => return Err(BitstreamError::MissingDesync),
-        };
-        match decode_header(hdr)? {
-            Packet::Noop => {
-                crc.update_word(hdr);
-            }
-            Packet::Type1Write { reg, count } => {
-                // The CRC packet itself is excluded from the CRC; every
-                // other word — headers and data — is covered.
-                if reg != ConfigReg::Crc {
-                    crc.update_word(hdr);
-                }
-                let mut vals = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    let v = next(&mut i)?;
-                    if reg != ConfigReg::Crc {
-                        crc.update_word(v);
-                    }
-                    vals.push(v);
-                }
-                match reg {
-                    ConfigReg::Cmd => {
-                        for &v in &vals {
-                            match v {
-                                cmd::RCRC => crc = Crc32::new(),
-                                cmd::DESYNC => {
-                                    let far_base = far.ok_or(BitstreamError::Truncated)?;
-                                    if payload.len() % FRAME_WORDS != 0 || payload.is_empty() {
-                                        return Err(BitstreamError::RaggedPayload(payload.len()));
-                                    }
-                                    if !crc_checked {
-                                        // A stream without a CRC check is
-                                        // treated as corrupt.
-                                        return Err(BitstreamError::CrcMismatch {
-                                            expected: 0,
-                                            computed: crc.value(),
-                                        });
-                                    }
-                                    return Ok(ParsedBitstream {
-                                        idcode: idcode.unwrap_or(0),
-                                        far_base,
-                                        payload,
-                                    });
-                                }
-                                _ => {}
-                            }
-                        }
-                    }
-                    ConfigReg::Idcode => {
-                        let id = *vals.first().ok_or(BitstreamError::Truncated)?;
-                        if id != device_idcode {
-                            return Err(BitstreamError::IdcodeMismatch {
-                                found: id,
-                                device: device_idcode,
-                            });
-                        }
-                        idcode = Some(id);
-                    }
-                    ConfigReg::Far => {
-                        far = Some(*vals.first().ok_or(BitstreamError::Truncated)?);
-                    }
-                    ConfigReg::Crc => {
-                        let expected = *vals.first().ok_or(BitstreamError::Truncated)?;
-                        let computed = crc.value();
-                        if expected != computed {
-                            return Err(BitstreamError::CrcMismatch { expected, computed });
-                        }
-                        crc_checked = true;
-                    }
-                    ConfigReg::Fdri => {
-                        payload.extend_from_slice(&vals);
-                    }
-                }
-            }
-            Packet::Type2Write { count } => {
-                crc.update_word(hdr);
-                for _ in 0..count {
-                    let w = next(&mut i)?;
-                    crc.update_word(w);
-                    payload.push(w);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    fn frame_payload(frames: usize, seed: u32) -> Vec<u32> {
-        (0..frames * FRAME_WORDS)
-            .map(|i| (i as u32).wrapping_mul(2654435761).wrapping_add(seed))
-            .collect()
-    }
 
     #[test]
     fn paper_bitstream_size_is_exact() {
         // 1611 frames → the paper's 650 892-byte partial bitstream.
         assert_eq!(Bitstream::size_for_frames(1611), 650_892);
-        let payload = frame_payload(1611, 7);
-        let bs = BitstreamBuilder::kintex7().partial(100, &payload);
+        let bs = BitstreamBuilder::kintex7().partial(100, &vec![0; 1611 * FRAME_WORDS]);
         assert_eq!(bs.len_bytes(), 650_892);
-    }
-
-    #[test]
-    fn build_parse_round_trip() {
-        let payload = frame_payload(3, 42);
-        let bs = BitstreamBuilder::kintex7().partial(500, &payload);
-        let parsed = parse(&bs, KINTEX7_IDCODE).unwrap();
-        assert_eq!(parsed.far_base, 500);
-        assert_eq!(parsed.payload, payload);
-        assert_eq!(parsed.frames(), 3);
-    }
-
-    #[test]
-    fn byte_serialization_round_trip() {
-        let payload = frame_payload(2, 1);
-        let bs = BitstreamBuilder::kintex7().partial(0, &payload);
-        let bytes = bs.to_bytes();
-        assert_eq!(bytes.len(), Bitstream::size_for_frames(2));
-        let back = Bitstream::from_bytes(&bytes).unwrap();
-        assert_eq!(back, bs);
-    }
-
-    #[test]
-    fn wrong_idcode_rejected() {
-        let payload = frame_payload(1, 0);
-        let bs = BitstreamBuilder::new(0x1234_5678).partial(0, &payload);
-        match parse(&bs, KINTEX7_IDCODE) {
-            Err(BitstreamError::IdcodeMismatch { found, .. }) => {
-                assert_eq!(found, 0x1234_5678)
-            }
-            other => panic!("expected idcode mismatch, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn corrupted_payload_fails_crc() {
-        let payload = frame_payload(2, 9);
-        let bs = BitstreamBuilder::kintex7().partial(0, &payload);
-        let mut bytes = bs.to_bytes();
-        // Flip a bit in the middle of the payload.
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x10;
-        let corrupted = Bitstream::from_bytes(&bytes).unwrap();
-        assert!(matches!(
-            parse(&corrupted, KINTEX7_IDCODE),
-            Err(BitstreamError::CrcMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn truncated_stream_detected() {
-        let payload = frame_payload(1, 3);
-        let bs = BitstreamBuilder::kintex7().partial(0, &payload);
-        let bytes = bs.to_bytes();
-        let cut = Bitstream::from_bytes(&bytes[..bytes.len() - 40]).unwrap();
-        let err = parse(&cut, KINTEX7_IDCODE).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                BitstreamError::Truncated | BitstreamError::MissingDesync
-            ),
-            "got {err:?}"
-        );
-    }
-
-    #[test]
-    fn missing_sync_detected() {
-        let payload = frame_payload(1, 3);
-        let bs = BitstreamBuilder::kintex7().partial(0, &payload);
-        let mut bytes = bs.to_bytes();
-        bytes[0] ^= 0xFF;
-        let bad = Bitstream::from_bytes(&bytes).unwrap();
-        assert_eq!(
-            parse(&bad, KINTEX7_IDCODE),
-            Err(BitstreamError::MissingSync)
-        );
     }
 
     #[test]
@@ -518,48 +229,17 @@ mod tests {
     fn header_encode_decode() {
         let h = type1_write(ConfigReg::Far, 1);
         assert_eq!(
-            decode_header(h).unwrap(),
-            Packet::Type1Write {
+            decode_header(h),
+            Some(Packet::Type1Write {
                 reg: ConfigReg::Far,
                 count: 1
-            }
+            })
         );
         let h2 = type2_write(162_711);
         assert_eq!(
-            decode_header(h2).unwrap(),
-            Packet::Type2Write { count: 162_711 }
+            decode_header(h2),
+            Some(Packet::Type2Write { count: 162_711 })
         );
-        assert!(decode_header(0xFFFF_FFFF).is_err());
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        #[test]
-        fn prop_round_trip_any_geometry(frames in 1usize..8, far in 0u32..10_000, seed in any::<u32>()) {
-            let payload = frame_payload(frames, seed);
-            let bs = BitstreamBuilder::kintex7().partial(far, &payload);
-            prop_assert_eq!(bs.len_bytes(), Bitstream::size_for_frames(frames));
-            let parsed = parse(&bs, KINTEX7_IDCODE).unwrap();
-            prop_assert_eq!(parsed.far_base, far);
-            prop_assert_eq!(parsed.payload, payload);
-        }
-
-        #[test]
-        fn prop_any_single_byte_corruption_is_rejected(
-            frames in 1usize..3,
-            seed in any::<u32>(),
-            pos_frac in 0.0f64..1.0,
-            xor in 1u8..=255,
-        ) {
-            let payload = frame_payload(frames, seed);
-            let bs = BitstreamBuilder::kintex7().partial(7, &payload);
-            let mut bytes = bs.to_bytes();
-            let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
-            bytes[pos] ^= xor;
-            let corrupted = Bitstream::from_bytes(&bytes).unwrap();
-            // Whatever byte was hit — sync, header, payload, CRC,
-            // DESYNC — validation must fail somewhere.
-            prop_assert!(parse(&corrupted, KINTEX7_IDCODE).is_err());
-        }
+        assert_eq!(decode_header(0xFFFF_FFFF), None);
     }
 }

@@ -3,9 +3,9 @@
 //! Consumes **one 32-bit configuration word per cycle** — at 100 MHz
 //! this is the 400 MB/s ceiling every DPR controller in the paper's
 //! Table II is measured against — parses the packet stream, and
-//! commits whole frames into [`ConfigMem`]. The FSM performs the same
-//! validation as the offline parser in [`crate::bitstream`]: sync
-//! detection, IDCODE check, CRC over everything after RCRC (excluding
+//! commits whole frames into [`ConfigMem`]. The FSM is the only
+//! validator of the [`crate::bitstream`] format: sync detection, packet
+//! decoding, IDCODE check, CRC over everything after RCRC (excluding
 //! the CRC packet itself), and range checking of frame writes.
 //!
 //! A failed check **aborts** the load: the FSM desynchronizes, the
@@ -260,8 +260,8 @@ impl Icap {
                 // Anything else pre-sync is ignored (dummy/pad words).
             }
             State::Synced => match decode_header(word) {
-                Ok(Packet::Noop) => self.crc.update_word(word),
-                Ok(Packet::Type1Write { reg, count }) => {
+                Some(Packet::Noop) => self.crc.update_word(word),
+                Some(Packet::Type1Write { reg, count }) => {
                     if reg != ConfigReg::Crc {
                         self.crc.update_word(word);
                     }
@@ -272,13 +272,13 @@ impl Icap {
                         };
                     }
                 }
-                Ok(Packet::Type2Write { count }) => {
+                Some(Packet::Type2Write { count }) => {
                     self.crc.update_word(word);
                     if count > 0 {
                         self.state = State::FdriData { remaining: count };
                     }
                 }
-                Err(_) => self.finish(cycle, Some(IcapAbort::MalformedHeader)),
+                None => self.finish(cycle, Some(IcapAbort::MalformedHeader)),
             },
             State::Type1Data { reg, remaining } => {
                 if reg != ConfigReg::Crc {

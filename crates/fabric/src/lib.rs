@@ -41,7 +41,7 @@ pub mod resources;
 pub mod rm;
 pub mod rp;
 
-pub use bitstream::{Bitstream, BitstreamBuilder, BitstreamError, ParsedBitstream};
+pub use bitstream::{Bitstream, BitstreamBuilder};
 pub use config_mem::{ConfigMem, FRAME_WORDS};
 pub use host::RmHost;
 pub use icap::{Icap, IcapAbort, IcapHandle, LoadRecord};

@@ -12,9 +12,8 @@
 
 use rvcap_accel::library::filter_library;
 use rvcap_accel::{run_accelerator, FilterKind, Image};
-use rvcap_core::drivers::{DmaMode, ReconfigModule, RvCapDriver};
+use rvcap_core::drivers::{DmaMode, RvCapDriver};
 use rvcap_core::system::SocBuilder;
-use rvcap_fabric::bitstream::BitstreamBuilder;
 use rvcap_fabric::rp::RpGeometry;
 use rvcap_soc::map::DDR_BASE;
 
@@ -74,15 +73,7 @@ fn main() {
     for (kind, img) in FilterKind::ALL.iter().zip(&images) {
         // Stage this module's bitstream (backdoor: quickstart shows
         // the SD path) and swap it in.
-        let bs = BitstreamBuilder::kintex7().partial(soc.handles.rps[0].far_base, &img.payload);
-        let bytes = bs.to_bytes();
-        soc.handles.ddr.write_bytes(stage, &bytes);
-        let module = ReconfigModule {
-            name: kind.name().into(),
-            rm_number: 0,
-            start_address: stage,
-            pbit_size: bytes.len() as u32,
-        };
+        let module = soc.stage_module(0, img, stage);
         let t = driver.init_reconfig_process(&mut soc.core, &module, DmaMode::NonBlocking);
         let icap = soc.handles.icap.clone();
         soc.core.wait_until(100_000, || !icap.busy()).unwrap();

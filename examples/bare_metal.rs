@@ -13,9 +13,8 @@
 //! cargo run --release --example bare_metal
 //! ```
 
-use rvcap_core::drivers::{DmaMode, ReconfigModule, RvCapDriver};
+use rvcap_core::drivers::{DmaMode, RvCapDriver};
 use rvcap_core::system::SocBuilder;
-use rvcap_fabric::bitstream::BitstreamBuilder;
 use rvcap_fabric::resources::Resources;
 use rvcap_fabric::rm::{RmImage, RmLibrary};
 use rvcap_fabric::rp::RpGeometry;
@@ -72,19 +71,15 @@ fn main() {
         .with_rps(vec![geometry.clone()])
         .with_library(lib)
         .build();
-    let bs = BitstreamBuilder::kintex7().partial(soc.handles.rps[0].far_base, &img.payload);
-    let bytes = bs.to_bytes();
-    soc.handles.ddr.write_bytes(STAGE, &bytes);
+    let pbit_size = soc.stage_module(0, &img, STAGE).pbit_size;
     println!(
         "bitstream: {} bytes, staged at {STAGE:#x}; driver: {} RV64 instructions",
-        bytes.len(),
-        assemble(&listing1_asm(bytes.len() as u32), 0x1_0000)
-            .unwrap()
-            .len()
+        pbit_size,
+        assemble(&listing1_asm(pbit_size), 0x1_0000).unwrap().len()
     );
 
     // ---- run the assembly driver on the interpreter ----
-    let program = assemble(&listing1_asm(bytes.len() as u32), 0x1_0000).expect("assembles");
+    let program = assemble(&listing1_asm(pbit_size), 0x1_0000).expect("assembles");
     let mut cpu = Cpu::new(program, 0x1_0000);
     let ddr = soc.handles.ddr.clone();
     let mut bus = InterpreterBus::new(&mut soc.core, ddr);
@@ -121,13 +116,7 @@ fn main() {
         .with_rps(vec![geometry])
         .with_library(lib)
         .build();
-    soc2.handles.ddr.write_bytes(STAGE, &bytes);
-    let module = ReconfigModule {
-        name: "ASM".into(),
-        rm_number: 0,
-        start_address: STAGE,
-        pbit_size: bytes.len() as u32,
-    };
+    let module = soc2.stage_module(0, &img, STAGE);
     let driver = RvCapDriver::new(0, soc2.handles.plic.clone());
     let t = driver.init_reconfig_process(&mut soc2.core, &module, DmaMode::Blocking);
     let rust_cycles = (t.td_ticks + t.tr_ticks) * 20;

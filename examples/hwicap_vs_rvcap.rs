@@ -8,7 +8,6 @@
 
 use rvcap_core::drivers::{DmaMode, HwIcapDriver, ReconfigModule, RvCapDriver};
 use rvcap_core::system::SocBuilder;
-use rvcap_fabric::bitstream::BitstreamBuilder;
 use rvcap_fabric::resources::Resources;
 use rvcap_fabric::rm::{RmImage, RmLibrary};
 use rvcap_fabric::rp::RpGeometry;
@@ -25,16 +24,7 @@ fn build() -> (rvcap_core::system::RvCapSoc, ReconfigModule) {
         .with_rps(vec![geometry])
         .with_library(library)
         .build();
-    let bs = BitstreamBuilder::kintex7().partial(soc.handles.rps[0].far_base, &image.payload);
-    let bytes = bs.to_bytes();
-    let stage = DDR_BASE + 0x40_0000;
-    soc.handles.ddr.write_bytes(stage, &bytes);
-    let module = ReconfigModule {
-        name: "VS".into(),
-        rm_number: 0,
-        start_address: stage,
-        pbit_size: bytes.len() as u32,
-    };
+    let module = soc.stage_module(0, &image, DDR_BASE + 0x40_0000);
     (soc, module)
 }
 

@@ -13,9 +13,8 @@
 
 use rvcap_accel::library::filter_library;
 use rvcap_accel::{run_accelerator, FilterKind, Image};
-use rvcap_core::drivers::{DmaMode, ReconfigModule, RvCapDriver};
+use rvcap_core::drivers::{DmaMode, RvCapDriver};
 use rvcap_core::system::SocBuilder;
-use rvcap_fabric::bitstream::BitstreamBuilder;
 use rvcap_fabric::rp::RpGeometry;
 use rvcap_soc::map::DDR_BASE;
 
@@ -44,16 +43,7 @@ fn main() {
                 driver: &RvCapDriver,
                 rp: usize,
                 img: &rvcap_fabric::rm::RmImage| {
-        let far = soc.handles.rps[rp].far_base;
-        let bs = BitstreamBuilder::kintex7().partial(far, &img.payload);
-        let bytes = bs.to_bytes();
-        soc.handles.ddr.write_bytes(STAGE, &bytes);
-        let module = ReconfigModule {
-            name: img.name.clone(),
-            rm_number: rp as u32,
-            start_address: STAGE,
-            pbit_size: bytes.len() as u32,
-        };
+        let module = soc.stage_module(rp, img, STAGE);
         let t = driver.init_reconfig_process(&mut soc.core, &module, DmaMode::NonBlocking);
         let icap = soc.handles.icap.clone();
         soc.core.wait_until(100_000, || !icap.busy()).unwrap();

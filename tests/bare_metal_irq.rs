@@ -2,9 +2,7 @@
 //! non-blocking (paper-default) completion mode, all the way down to
 //! machine code — mtvec, WFI, trap entry, PLIC claim/complete, mret.
 
-use rvcap_repro::core::drivers::ReconfigModule;
 use rvcap_repro::core::system::SocBuilder;
-use rvcap_repro::fabric::bitstream::BitstreamBuilder;
 use rvcap_repro::fabric::resources::Resources;
 use rvcap_repro::fabric::rm::{RmImage, RmLibrary};
 use rvcap_repro::fabric::rp::RpGeometry;
@@ -85,18 +83,9 @@ fn wfi_interrupt_driven_reconfiguration() {
         .with_rps(vec![geometry])
         .with_library(lib)
         .build();
-    let bytes = BitstreamBuilder::kintex7()
-        .partial(soc.handles.rps[0].far_base, &img.payload)
-        .to_bytes();
-    soc.handles.ddr.write_bytes(STAGE, &bytes);
-    let _ = ReconfigModule {
-        name: "IRQASM".into(),
-        rm_number: 0,
-        start_address: STAGE,
-        pbit_size: bytes.len() as u32,
-    };
+    let module = soc.stage_module(0, &img, STAGE);
 
-    let program = assemble(&irq_driver_asm(bytes.len() as u32), 0).expect("assembles");
+    let program = assemble(&irq_driver_asm(module.pbit_size), 0).expect("assembles");
     let mut cpu = Cpu::new(program, 0);
     let ddr = soc.handles.ddr.clone();
     let plic = soc.handles.plic.clone();
@@ -150,17 +139,8 @@ fn interrupts_masked_when_mie_clear() {
         .build();
     // Fire the DMA via the Rust driver so an IRQ pends while the
     // assembly sleeps.
-    let bytes = BitstreamBuilder::kintex7()
-        .partial(soc.handles.rps[0].far_base, &img.payload)
-        .to_bytes();
-    soc.handles.ddr.write_bytes(STAGE, &bytes);
     use rvcap_repro::core::drivers::{DmaMode, RvCapDriver};
-    let module = ReconfigModule {
-        name: "MASKED".into(),
-        rm_number: 0,
-        start_address: STAGE,
-        pbit_size: bytes.len() as u32,
-    };
+    let module = soc.stage_module(0, &img, STAGE);
     let driver = RvCapDriver::new(0, soc.handles.plic.clone());
     // Program the DMA but don't claim the interrupt: leave it pending.
     driver.decouple_accel(&mut soc.core, true);

@@ -5,7 +5,7 @@
 
 use rvcap_repro::core::drivers::{DmaMode, HwIcapDriver, ReconfigModule, RvCapDriver};
 use rvcap_repro::core::system::SocBuilder;
-use rvcap_repro::fabric::bitstream::{Bitstream, BitstreamBuilder};
+use rvcap_repro::fabric::bitstream::Bitstream;
 use rvcap_repro::fabric::resources::Resources;
 use rvcap_repro::fabric::rm::{RmImage, RmLibrary};
 use rvcap_repro::fabric::rp::RpGeometry;
@@ -20,16 +20,7 @@ fn paper_rig() -> (rvcap_repro::core::system::RvCapSoc, ReconfigModule) {
         .with_rps(vec![geometry])
         .with_library(lib)
         .build();
-    let bs = BitstreamBuilder::kintex7().partial(soc.handles.rps[0].far_base, &img.payload);
-    let bytes = bs.to_bytes();
-    let stage = DDR_BASE + 0x40_0000;
-    soc.handles.ddr.write_bytes(stage, &bytes);
-    let module = ReconfigModule {
-        name: "CAL".into(),
-        rm_number: 0,
-        start_address: stage,
-        pbit_size: bytes.len() as u32,
-    };
+    let module = soc.stage_module(0, &img, DDR_BASE + 0x40_0000);
     (soc, module)
 }
 
@@ -77,15 +68,7 @@ fn rvcap_max_throughput_reaches_398() {
         .with_rps(vec![geometry])
         .with_library(lib)
         .build();
-    let bs = BitstreamBuilder::kintex7().partial(soc.handles.rps[0].far_base, &img.payload);
-    let bytes = bs.to_bytes();
-    soc.handles.ddr.write_bytes(DDR_BASE + 0x40_0000, &bytes);
-    let module = ReconfigModule {
-        name: "BIG".into(),
-        rm_number: 0,
-        start_address: DDR_BASE + 0x40_0000,
-        pbit_size: bytes.len() as u32,
-    };
+    let module = soc.stage_module(0, &img, DDR_BASE + 0x40_0000);
     let d = RvCapDriver::new(0, soc.handles.plic.clone());
     let t = d.init_reconfig_process(&mut soc.core, &module, DmaMode::NonBlocking);
     let mbs = t.throughput_mbs(module.pbit_size as u64);
@@ -109,15 +92,7 @@ fn hwicap_throughput_both_unroll_points() {
             .with_rps(vec![geometry.clone()])
             .with_library(l)
             .build();
-        let bs = BitstreamBuilder::kintex7().partial(soc.handles.rps[0].far_base, &img.payload);
-        let bytes = bs.to_bytes();
-        soc.handles.ddr.write_bytes(DDR_BASE + 0x40_0000, &bytes);
-        let module = ReconfigModule {
-            name: "HW".into(),
-            rm_number: 0,
-            start_address: DDR_BASE + 0x40_0000,
-            pbit_size: bytes.len() as u32,
-        };
+        let module = soc.stage_module(0, &img, DDR_BASE + 0x40_0000);
         (soc, module)
     };
     drop(lib);

@@ -6,9 +6,8 @@
 
 use rvcap_repro::accel::library::filter_library;
 use rvcap_repro::accel::{run_accelerator, Image};
-use rvcap_repro::core::drivers::{DmaMode, ReconfigModule, RvCapDriver};
+use rvcap_repro::core::drivers::{DmaMode, RvCapDriver};
 use rvcap_repro::core::system::SocBuilder;
-use rvcap_repro::fabric::bitstream::BitstreamBuilder;
 use rvcap_repro::fabric::rp::RpGeometry;
 use rvcap_repro::sim::Scheduler;
 use rvcap_repro::soc::map::DDR_BASE;
@@ -30,15 +29,7 @@ fn one_run_sched(scheduler: Scheduler) -> (u64, u64, u64, Vec<u8>, u64) {
         .with_library(library)
         .build();
     soc.core.sim.set_scheduler(scheduler);
-    let bs = BitstreamBuilder::kintex7().partial(soc.handles.rps[0].far_base, &img.payload);
-    let bytes = bs.to_bytes();
-    soc.handles.ddr.write_bytes(DDR_BASE + 0x40_0000, &bytes);
-    let module = ReconfigModule {
-        name: "Gaussian".into(),
-        rm_number: 0,
-        start_address: DDR_BASE + 0x40_0000,
-        pbit_size: bytes.len() as u32,
-    };
+    let module = soc.stage_module(0, &img, DDR_BASE + 0x40_0000);
     let input = Image::noise(DIM, DIM, 7);
     soc.handles
         .ddr
@@ -122,15 +113,7 @@ fn paper_headline_numbers_are_stable_constants() {
             .with_rps(vec![geometry])
             .with_library(lib)
             .build();
-        let bs = BitstreamBuilder::kintex7().partial(soc.handles.rps[0].far_base, &img.payload);
-        let bytes = bs.to_bytes();
-        soc.handles.ddr.write_bytes(DDR_BASE + 0x40_0000, &bytes);
-        let module = ReconfigModule {
-            name: "D".into(),
-            rm_number: 0,
-            start_address: DDR_BASE + 0x40_0000,
-            pbit_size: bytes.len() as u32,
-        };
+        let module = soc.stage_module(0, &img, DDR_BASE + 0x40_0000);
         let d = RvCapDriver::new(0, soc.handles.plic.clone());
         let t = d.init_reconfig_process(&mut soc.core, &module, DmaMode::NonBlocking);
         (t.td_ticks, t.tr_ticks)

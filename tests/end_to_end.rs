@@ -89,16 +89,7 @@ fn hwicap_path_is_functionally_equivalent() {
         .with_rps(vec![geometry])
         .with_library(library)
         .build();
-    let bs = BitstreamBuilder::kintex7().partial(soc.handles.rps[0].far_base, &gaussian.payload);
-    let bytes = bs.to_bytes();
-    let stage = DDR_BASE + 0x40_0000;
-    soc.handles.ddr.write_bytes(stage, &bytes);
-    let module = rvcap_repro::core::drivers::ReconfigModule {
-        name: "Gaussian".into(),
-        rm_number: 0,
-        start_address: stage,
-        pbit_size: bytes.len() as u32,
-    };
+    let module = soc.stage_module(0, &gaussian, DDR_BASE + 0x40_0000);
     let ddr = soc.handles.ddr.clone();
     HwIcapDriver::new().init_reconfig_process(&mut soc.core, &ddr, &module, 0);
     let icap = soc.handles.icap.clone();
@@ -156,15 +147,7 @@ fn repeated_module_swaps() {
     // Two full rounds over all three filters.
     for round in 0..2 {
         for (kind, img) in FilterKind::ALL.iter().zip(&images) {
-            let bs = BitstreamBuilder::kintex7().partial(soc.handles.rps[0].far_base, &img.payload);
-            let bytes = bs.to_bytes();
-            soc.handles.ddr.write_bytes(stage, &bytes);
-            let module = rvcap_repro::core::drivers::ReconfigModule {
-                name: kind.name().into(),
-                rm_number: 0,
-                start_address: stage,
-                pbit_size: bytes.len() as u32,
-            };
+            let module = soc.stage_module(0, img, stage);
             driver.init_reconfig_process(&mut soc.core, &module, DmaMode::NonBlocking);
             let icap = soc.handles.icap.clone();
             soc.core.wait_until(100_000, || !icap.busy()).unwrap();
@@ -199,22 +182,14 @@ fn datapath_conservation() {
         .with_rps(vec![geometry])
         .with_library(library)
         .build();
-    let bs = BitstreamBuilder::kintex7().partial(soc.handles.rps[0].far_base, &img.payload);
-    let bytes = bs.to_bytes();
-    soc.handles.ddr.write_bytes(DDR_BASE + 0x40_0000, &bytes);
-    let module = rvcap_repro::core::drivers::ReconfigModule {
-        name: "Sobel".into(),
-        rm_number: 0,
-        start_address: DDR_BASE + 0x40_0000,
-        pbit_size: bytes.len() as u32,
-    };
+    let module = soc.stage_module(0, &img, DDR_BASE + 0x40_0000);
     let driver = RvCapDriver::new(0, soc.handles.plic.clone());
     driver.init_reconfig_process(&mut soc.core, &module, DmaMode::NonBlocking);
     let icap = soc.handles.icap.clone();
     soc.core.wait_until(100_000, || !icap.busy()).unwrap();
     assert_eq!(
         soc.handles.icap.words_consumed(),
-        bytes.len() as u64 / 4,
+        module.pbit_size as u64 / 4,
         "every bitstream word reached the ICAP exactly once"
     );
 }

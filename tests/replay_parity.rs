@@ -21,9 +21,8 @@ use rvcap_repro::accel::library::filter_library;
 use rvcap_repro::accel::{FilterKind, Image};
 use rvcap_repro::core::drivers::rvcap::start_stream_job;
 use rvcap_repro::core::drivers::storage::SdDriver;
-use rvcap_repro::core::drivers::{DmaMode, ReconfigModule, RvCapDriver};
+use rvcap_repro::core::drivers::{DmaMode, RvCapDriver};
 use rvcap_repro::core::system::{RvCapSoc, SocBuilder};
-use rvcap_repro::fabric::bitstream::BitstreamBuilder;
 use rvcap_repro::fabric::rp::RpGeometry;
 use rvcap_repro::sim::{bisect_divergence, Cycle, Scheduler, SimState, StateBlob};
 use rvcap_repro::soc::cpu::SocState;
@@ -388,18 +387,8 @@ fn start_gaussian_job(soc: &mut RvCapSoc) {
 /// Reconfigure the accelerator partition to the library filter `name`
 /// through RV-CAP (DMA → ICAP), from a DDR staging buffer.
 fn load_filter(soc: &mut RvCapSoc, name: &str) {
-    let img = soc.handles.library.by_name(name).unwrap().clone();
-    let bytes = BitstreamBuilder::kintex7()
-        .partial(soc.handles.rps[0].far_base, &img.payload)
-        .to_bytes();
-    let stage = DDR_BASE + 0x40_0000;
-    soc.handles.ddr.write_bytes(stage, &bytes);
-    let module = ReconfigModule {
-        name: name.into(),
-        rm_number: 0,
-        start_address: stage,
-        pbit_size: bytes.len() as u32,
-    };
+    let img = soc.handles.library.by_name(name).unwrap();
+    let module = soc.stage_module(0, img, DDR_BASE + 0x40_0000);
     RvCapDriver::new(0, soc.handles.plic.clone()).init_reconfig_process(
         &mut soc.core,
         &module,

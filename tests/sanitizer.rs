@@ -54,16 +54,7 @@ fn rvcap_reconfigure_and_accelerate_stay_protocol_clean() {
         .with_library(library)
         .with_sanitizer()
         .build();
-    let bs = BitstreamBuilder::kintex7().partial(soc.handles.rps[0].far_base, &median.payload);
-    let bytes = bs.to_bytes();
-    let stage = DDR_BASE + 0x40_0000;
-    soc.handles.ddr.write_bytes(stage, &bytes);
-    let module = ReconfigModule {
-        name: "Median".into(),
-        rm_number: 0,
-        start_address: stage,
-        pbit_size: bytes.len() as u32,
-    };
+    let module = soc.stage_module(0, &median, DDR_BASE + 0x40_0000);
     let driver = RvCapDriver::new(0, soc.handles.plic.clone());
     driver.init_reconfig_process(&mut soc.core, &module, DmaMode::NonBlocking);
     let icap = soc.handles.icap.clone();
@@ -110,16 +101,7 @@ fn hwicap_path_stays_protocol_clean() {
         .with_library(library)
         .with_sanitizer()
         .build();
-    let bs = BitstreamBuilder::kintex7().partial(soc.handles.rps[0].far_base, &gaussian.payload);
-    let bytes = bs.to_bytes();
-    let stage = DDR_BASE + 0x40_0000;
-    soc.handles.ddr.write_bytes(stage, &bytes);
-    let module = ReconfigModule {
-        name: "Gaussian".into(),
-        rm_number: 0,
-        start_address: stage,
-        pbit_size: bytes.len() as u32,
-    };
+    let module = soc.stage_module(0, &gaussian, DDR_BASE + 0x40_0000);
     let ddr = soc.handles.ddr.clone();
     HwIcapDriver::new().reconfigure_rp(&mut soc.core, &ddr, &module);
     assert_eq!(
