@@ -102,6 +102,10 @@ struct SlaveLane {
     region: SlaveRegion,
     /// Crossbar's master port toward this slave.
     port: MasterPort,
+    /// Cycles from accepting a request to offering it to the slave.
+    req_latency: Cycle,
+    /// Cycles from collecting a response to offering it to the master.
+    resp_latency: Cycle,
     /// Which master gets each in-order response transaction.
     scoreboard: VecDeque<usize>,
     /// Requests pipelining through the crossbar toward this slave.
@@ -221,12 +225,26 @@ impl Crossbar {
                 .collect(),
             slaves: slaves
                 .into_iter()
-                .map(|(region, port)| SlaveLane {
-                    region,
-                    port,
-                    scoreboard: VecDeque::new(),
-                    req_pipe: VecDeque::new(),
-                    rr_next: 0,
+                .map(|(region, port)| {
+                    let (req_latency, resp_latency) = if region.behind_lite_converter {
+                        // One more on the way back for the converter's
+                        // response register.
+                        (
+                            Self::REQ_LATENCY + Self::LITE_LATENCY,
+                            Self::RESP_LATENCY + Self::LITE_LATENCY + 1,
+                        )
+                    } else {
+                        (Self::REQ_LATENCY, Self::RESP_LATENCY)
+                    };
+                    SlaveLane {
+                        region,
+                        port,
+                        req_latency,
+                        resp_latency,
+                        scoreboard: VecDeque::new(),
+                        req_pipe: VecDeque::new(),
+                        rr_next: 0,
+                    }
                 })
                 .collect(),
             decode_errors: 0,
@@ -331,12 +349,8 @@ impl Crossbar {
             if let Some(req) = self.masters[win].port.req.try_pop(cycle) {
                 let posted = matches!(req.op, MmOp::Write { posted: true, .. });
                 let lane = &mut self.slaves[si];
-                let mut ready_at = cycle + Self::REQ_LATENCY;
-                if lane.region.behind_lite_converter {
-                    ready_at += Self::LITE_LATENCY;
-                }
                 lane.req_pipe.push_back(Delayed {
-                    ready_at,
+                    ready_at: cycle + lane.req_latency,
                     item: req,
                 });
                 // Posted writes produce no response to route back.
@@ -396,13 +410,8 @@ impl Crossbar {
                         self.sb_mask &= !(1 << si);
                     }
                 }
-                let mut ready_at = cycle + Self::RESP_LATENCY;
-                if lane.region.behind_lite_converter {
-                    // One more for the converter's response register.
-                    ready_at += Self::LITE_LATENCY + 1;
-                }
                 self.masters[mi].resp_pipe.push_back(Delayed {
-                    ready_at,
+                    ready_at: cycle + lane.resp_latency,
                     item: resp,
                 });
             }

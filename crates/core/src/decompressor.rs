@@ -203,7 +203,7 @@ mod tests {
     use rvcap_fabric::compress;
     use rvcap_sim::{Fifo, Freq, Simulator};
 
-    fn run(compressed: &[u32]) -> Vec<u32> {
+    fn run(compressed: &[u32]) -> (Vec<u32>, Simulator) {
         let mut sim = Simulator::new(Freq::FABRIC_100MHZ);
         let input: AxisChannel = Fifo::new("in", 1 << 16);
         let output: AxisChannel = Fifo::new("out", 1 << 20);
@@ -220,14 +220,14 @@ mod tests {
         while let Some(b) = output.force_pop() {
             out.push(b.low_word());
         }
-        out
+        (out, sim)
     }
 
     #[test]
     fn expands_runs_correctly() {
         let original = vec![5u32, 5, 5, 9, 1, 1];
         let compressed = compress::compress(&original);
-        assert_eq!(run(&compressed), original);
+        assert_eq!(run(&compressed).0, original);
     }
 
     #[test]
@@ -276,7 +276,9 @@ mod tests {
     #[test]
     fn zero_count_record_skipped_without_hanging() {
         // [0, 99] is malformed; [2, 4] is fine.
-        let out = run(&[0, 99, 2, 4]);
+        let (out, sim) = run(&[0, 99, 2, 4]);
         assert_eq!(out, vec![4, 4]);
+        let state = sim.checkpoint().unwrap();
+        assert_eq!(state.components[0].blob.get_u64("format_errors"), Ok(1));
     }
 }
