@@ -22,27 +22,23 @@ done
 # build: any stream-framing, burst, pairing or decouple violation on
 # any channel fails the MMIO-cleanliness asserts. `--workspace` runs
 # every crate's unit and integration tests, not just the root
-# package's (the root manifest sets no `default-members`).
-echo "== RVCAP_STRICT=1 cargo test --workspace -q =="
+# package's (the root manifest sets no `default-members`). Among them:
+#
+# * the scheduler parity sweep (rvcap-sim `scheduler_equivalence`,
+#   rvcap-axi `datapath_parity`): the suites that pin both schedules
+#   (naive, active_set) to bit-identical cycle counts, FIFO contents
+#   and sanitizer verdicts — including randomized backpressure / TLAST
+#   / decouple-gate toggles over the DMA→ICAP datapath;
+# * replay parity (`replay_parity`, rvcap-sim `replay_props`):
+#   checkpoint → restore into a fresh rig → continue must be
+#   bit-identical to the uninterrupted run — same cycles, component
+#   state, MMIO audits, sanitizer verdicts — under both schedulers.
+#   This is the proof obligation behind hostbench warm-boot forking. On
+#   a failure the harness bisects the first divergent cycle and writes
+#   target/replay-divergence-report.txt, which CI uploads as an
+#   artifact.
+echo "== RVCAP_STRICT=1 cargo test --workspace -q (incl. scheduler and replay parity) =="
 RVCAP_STRICT=1 cargo test --workspace -q
-
-# Scheduler parity sweep: the suites that pin both schedules (naive,
-# active_set) to bit-identical cycle counts, FIFO contents and
-# sanitizer verdicts — including randomized backpressure / TLAST /
-# decouple-gate toggles over the DMA→ICAP datapath.
-echo "== scheduler parity sweep (naive vs active_set, bit-identical) =="
-RVCAP_STRICT=1 cargo test -q -p rvcap-sim --test scheduler_equivalence
-RVCAP_STRICT=1 cargo test -q -p rvcap-axi --test datapath_parity
-
-# Replay parity: checkpoint → restore into a fresh rig → continue must
-# be bit-identical to the uninterrupted run — same cycles, component
-# state, MMIO audits, sanitizer verdicts — under both schedulers.
-# This is the proof obligation behind hostbench warm-boot forking. On
-# a failure the harness bisects the first divergent cycle and writes
-# target/replay-divergence-report.txt, which CI uploads as an artifact.
-echo "== replay parity (checkpoint/restore/continue, both schedules) =="
-RVCAP_STRICT=1 cargo test -q -p rvcap-repro --test replay_parity
-RVCAP_STRICT=1 cargo test -q -p rvcap-sim --test replay_props
 
 # Repository benchmark self-test: builds the standalone benchmark
 # workspace against the current kernel API and checks every workload
