@@ -123,16 +123,16 @@ impl RvCapSoc {
     /// simulated time passes; [`crate::drivers::init_rmodules`] is the
     /// paper's SD path. Panics if `image` is not in the library.
     pub fn stage_module(&self, rp: usize, image: &RmImage, addr: u64) -> ReconfigModule {
-        let bytes = BitstreamBuilder::kintex7()
-            .partial(self.handles.rps[rp].far_base, &image.payload)
-            .to_bytes();
-        self.handles.ddr.write_bytes(addr, &bytes);
         let rm_number = self
             .handles
             .library
             .images()
             .position(|i| i.name == image.name)
             .unwrap_or_else(|| panic!("{} is not in the library", image.name));
+        let bytes = BitstreamBuilder::kintex7()
+            .partial(self.handles.rps[rp].far_base, &image.payload)
+            .to_bytes();
+        self.handles.ddr.write_bytes(addr, &bytes);
         ReconfigModule {
             name: image.name.clone(),
             rm_number: rm_number as u32,
