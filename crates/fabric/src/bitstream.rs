@@ -12,7 +12,7 @@
 //! word  5..6     T1 write FAR   ← frame address of the target RP
 //! word  7        T2 write FDRI, count = frames × 101
 //! word  8..8+N   frame payload (N = frames × 101)
-//! word  8+N..9+N T1 write CRC   ← crc over FAR + payload
+//! word  8+N..9+N T1 write CRC   ← crc of every word after RCRC
 //! word 10+N..11+N T1 write CMD  ← DESYNC
 //! ```
 //!
